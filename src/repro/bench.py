@@ -437,68 +437,6 @@ def bench_directed(
     }
 
 
-def bench_batch(
-    system: str = "buck_boost",
-    max_mutants: int = 25,
-    batch_sizes: tuple = (1, 4, 8),
-    seed: int = 0,
-) -> Dict[str, Any]:
-    """The PR-7 headline: lockstep batched mutation on a case-study VP.
-
-    Runs the same cold ``max_mutants``-mutant kill-matrix campaign once
-    through the serial block engine and once per batch size, reporting
-    the speedup curve.  The batched path also enables mutant screening
-    (replay-only survival proofs), which is where most of the win on
-    surviving mutants comes from — the ISSUE gate is the end-to-end
-    wall-clock ratio, with every matrix byte-identical to serial.
-    """
-    from .mutation import kill_matrix_bytes, run_mutation
-
-    refs = PARALLEL_REFS[system]
-
-    def once(batch_size):
-        return _timed(
-            lambda: run_mutation(
-                refs["factory"],
-                refs["suite"],
-                DftConfig(
-                    seed=seed,
-                    engine="block",
-                    batch_size=batch_size,
-                    budget_seconds=float("inf"),
-                ),
-                max_mutants=max_mutants,
-            )
-        )
-
-    serial_run, serial_seconds = once(None)
-    serial_bytes = kill_matrix_bytes(serial_run)
-    curve: Dict[str, Any] = {}
-    identical = True
-    for width in batch_sizes:
-        run, seconds = once(width)
-        same = kill_matrix_bytes(run) == serial_bytes
-        identical = identical and same
-        curve[str(width)] = {
-            "seconds": seconds,
-            "speedup_vs_serial": serial_seconds / seconds if seconds else None,
-            "kill_matrix_identical": same,
-        }
-    best = max(
-        (entry["speedup_vs_serial"] or 0.0) for entry in curve.values()
-    )
-    return {
-        "system": system,
-        "max_mutants": max_mutants,
-        "sampled": len(serial_run.specs),
-        "killed": serial_run.killed,
-        "serial_seconds": serial_seconds,
-        "batch_sizes": curve,
-        "best_speedup": best,
-        "kill_matrix_identical": identical,
-    }
-
-
 def _synthetic_events(count: int):
     """A deterministic stream of ``count`` probe-event tuples.
 
@@ -808,7 +746,7 @@ def run_benchmarks(
     """Run the selected benchmark sections and assemble the JSON payload."""
     wanted = sections or [
         "campaign", "parallel", "static_cache", "schedule_cache", "engine",
-        "mutation", "generation", "store", "batch", "match", "directed",
+        "mutation", "generation", "store", "match", "directed",
     ]
     payload: Dict[str, Any] = {
         "benchmark": "repro-dft pipeline performance",
@@ -834,8 +772,6 @@ def run_benchmarks(
         payload["generation"] = bench_generation()
     if "store" in wanted:
         payload["store"] = bench_store()
-    if "batch" in wanted:
-        payload["batch"] = bench_batch(campaign_system)
     if "match" in wanted:
         payload["match"] = bench_match()
     if "directed" in wanted:

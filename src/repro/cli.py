@@ -186,23 +186,6 @@ def _resolve_workers(requested: Optional[int], suite_len: int) -> int:
     return DftConfig(workers=requested).resolved_workers(suite_len)
 
 
-def _batch_size_arg(value: str):
-    """``--batch-size`` values: ``auto`` or a positive integer."""
-    if value == "auto":
-        return "auto"
-    try:
-        size = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive integer, got {value!r}"
-        )
-    if size < 1:
-        raise argparse.ArgumentTypeError(
-            f"batch size must be >= 1, got {size}"
-        )
-    return size
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-dft",
@@ -249,13 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="TDF execution engine: the per-firing interpreter or the "
              "compiled block engine (auto = block, the default); "
              "results are bit-identical either way",
-    )
-    engine_opts.add_argument(
-        "--batch-size", type=_batch_size_arg, default=argparse.SUPPRESS,
-        metavar="auto|N",
-        help="run up to N testcases (or mutant executions) in lockstep "
-             "per block-engine batch ('auto' = population-capped "
-             "heuristic); results are byte-identical to serial runs",
     )
     engine_opts.add_argument(
         "--matcher", choices=["auto", "scan", "vector"],
@@ -498,8 +474,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="system for the serial-vs-parallel section",
     )
     bench_sections = ["campaign", "parallel", "static_cache", "schedule_cache",
-                      "engine", "mutation", "generation", "store", "batch",
-                      "match", "directed"]
+                      "engine", "mutation", "generation", "store", "match",
+                      "directed"]
     p_bench.add_argument(
         "--sections", nargs="+", metavar="NAME", choices=bench_sections,
         help="run only the named sections (default: all)",

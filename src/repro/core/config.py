@@ -54,18 +54,14 @@ class DftConfig:
         ``"block"``; engines are bit-identical).  ``workers`` — dynamic
         stage fan-out (``None`` = automatic heuristic, ``1`` = serial).
         ``executor`` — an explicit :class:`~repro.exec.DynamicExecutor`
-        instance; when set it wins over ``workers``.  ``batch_size`` —
-        lockstep multi-testcase batching in the block engine (``None``
-        = off, ``"auto"`` = population-capped heuristic, ``N`` =
-        explicit lockstep width); batched results are byte-identical to
-        serial, so like ``workers`` it never enters the config hash.
+        instance; when set it wins over ``workers``.
         ``matcher`` — the def-use event-matching implementation
         (``"auto"``/``"scan"``/``"vector"``; see
         :func:`repro.instrument.matching.match_events`).  ``auto`` takes
         the vectorized columnar kernel when numpy is present and the
         probe buffer is a streaming columnar store, the per-event scan
-        otherwise.  All paths are result-identical, so ``matcher`` never
-        enters the config hash either.
+        otherwise.  All paths are result-identical, so like ``workers``
+        ``matcher`` never enters the config hash.
     caches
         ``result_cache`` — an explicit per-testcase
         :class:`~repro.exec.DynamicResultCache` for ``run_dft``;
@@ -96,7 +92,6 @@ class DftConfig:
 
     engine: str = "auto"
     workers: Optional[int] = 1
-    batch_size: Any = None
     matcher: str = "auto"
     executor: Optional["DynamicExecutor"] = None
     result_cache: Optional["DynamicResultCache"] = None
@@ -142,7 +137,6 @@ class DftConfig:
         field_map = {
             "engine": "engine",
             "workers": "workers",
-            "batch_size": "batch_size",
             "matcher": "matcher",
             "seed": "seed",
             "tolerance": "tolerance",

@@ -118,7 +118,7 @@ def run_dft(
             dynamic = _run_dynamic(
                 counted_factory, static, suite, cfg.warn, tel, cfg.executor,
                 cfg.result_cache, cfg.engine, cfg.probe_store_spec(),
-                cfg.batch_size, cfg.matcher,
+                cfg.matcher,
             )
         with tel.span("coverage") as span_coverage:
             coverage = CoverageResult(static, dynamic)
@@ -178,7 +178,6 @@ def _run_dynamic(
     result_cache: Optional["DynamicResultCache"],
     engine: Optional[str] = "auto",
     probe_store=None,
-    batch_size=None,
     matcher: str = "auto",
 ) -> "DynamicResult":
     """Execute the dynamic stage through the chosen backend and cache.
@@ -186,8 +185,7 @@ def _run_dynamic(
     Cached testcases are skipped entirely; the remainder goes through
     ``executor`` (or the serial runner).  The merged ``per_testcase``
     map always follows suite order, independent of backend, worker
-    count and cache population.  ``batch_size`` is resolved against the
-    *pending* population — cache hits never enter a lockstep batch.
+    count and cache population.
     """
     from ..instrument.runner import DynamicAnalyzer, DynamicResult
 
@@ -210,13 +208,9 @@ def _run_dynamic(
         if tel.enabled and result_cache is not None:
             tel.metrics.counter("exec.result_cache_misses").inc(len(pending))
         pending_suite = TestSuite(suite.name, pending)
-        from ..tdf.engine.batch import resolve_batch_size
-
         fresh = executor.run_suite(
             cluster_factory, static, pending_suite, warn=warn, telemetry=tel,
-            engine=engine, probe_store=probe_store,
-            batch_size=resolve_batch_size(batch_size, len(pending)),
-            matcher=matcher,
+            engine=engine, probe_store=probe_store, matcher=matcher,
         )
     else:
         fresh = DynamicResult()

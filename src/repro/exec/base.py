@@ -60,7 +60,6 @@ class DynamicExecutor(abc.ABC):
         telemetry: Optional[Telemetry] = None,
         engine: Optional[str] = "auto",
         probe_store=None,
-        batch_size: Optional[int] = None,
         matcher: str = "auto",
     ) -> "DynamicResult":
         """Run every testcase of ``suite`` and merge the results.
@@ -72,13 +71,9 @@ class DynamicExecutor(abc.ABC):
         the simulations (see :mod:`repro.tdf.engine`); ``probe_store``
         is an optional :class:`~repro.obs.store.ProbeStoreSpec`
         selecting the probe recording backend (results are identical
-        whichever backend records).  ``batch_size`` (block engine only)
-        runs up to that many testcases in lockstep per simulation batch
-        — again with byte-identical results (see
-        :meth:`~repro.instrument.runner.DynamicAnalyzer.run_suite_batched`).
-        ``matcher`` selects the def-use event-matching implementation
-        (``auto``/``scan``/``vector`` — result-identical; see
-        :func:`repro.instrument.matching.match_events`).
+        whichever backend records).  ``matcher`` selects the def-use
+        event-matching implementation (``auto``/``scan``/``vector`` —
+        result-identical; see :func:`repro.instrument.matching.match_events`).
         """
 
 
@@ -96,7 +91,6 @@ class SerialExecutor(DynamicExecutor):
         telemetry: Optional[Telemetry] = None,
         engine: Optional[str] = "auto",
         probe_store=None,
-        batch_size: Optional[int] = None,
         matcher: str = "auto",
     ) -> "DynamicResult":
         from ..instrument.runner import DynamicAnalyzer
@@ -105,6 +99,4 @@ class SerialExecutor(DynamicExecutor):
             cluster_factory, static, warn=warn, telemetry=telemetry,
             engine=engine, probe_store=probe_store, matcher=matcher,
         )
-        if batch_size is not None and batch_size > 1:
-            return analyzer.run_suite_batched(suite, batch_size)
         return analyzer.run_suite(suite)

@@ -63,9 +63,6 @@ class _WorkerJob:
     #: Optional probe-store spec (frozen dataclass of primitives, so it
     #: pickles to every worker; each worker builds its own stores).
     probe_store: Optional[Any] = None
-    #: Lockstep width for the worker's shard (block engine only;
-    #: ``None`` = one testcase at a time).
-    batch_size: Optional[int] = None
     #: Event-matching implementation (``auto``/``scan``/``vector``).
     matcher: str = "auto"
 
@@ -98,18 +95,8 @@ def _run_worker(job: _WorkerJob) -> Tuple[List[Tuple[str, "MatchResult"]], List[
             engine=job.engine, probe_store=job.probe_store,
             matcher=job.matcher,
         )
-        if job.batch_size is not None and job.batch_size > 1:
-            from ..testing.testcase import TestSuite
-
-            shard = TestSuite(
-                "shard", [testcases[name] for name in job.names]
-            )
-            dynamic = analyzer.run_suite_batched(shard, job.batch_size)
-            for name in job.names:
-                results.append((name, dynamic.per_testcase[name]))
-        else:
-            for name in job.names:
-                results.append((name, analyzer.run_testcase(testcases[name])))
+        for name in job.names:
+            results.append((name, analyzer.run_testcase(testcases[name])))
         payload = tel.metrics.raw_records() if job.record_telemetry else []
     return results, payload, time.perf_counter() - t0
 
@@ -152,7 +139,6 @@ class ProcessExecutor(DynamicExecutor):
         telemetry: Optional[Telemetry] = None,
         engine: Optional[str] = "auto",
         probe_store=None,
-        batch_size: Optional[int] = None,
         matcher: str = "auto",
     ) -> "DynamicResult":
         from ..instrument.runner import DynamicResult
@@ -185,7 +171,6 @@ class ProcessExecutor(DynamicExecutor):
                 engine=engine if engine is not None else "auto",
                 suite_args=self.suite_args,
                 probe_store=probe_store,
-                batch_size=batch_size,
                 matcher=matcher,
             )
             for shard in shards

@@ -258,16 +258,11 @@ class _Evaluator:
                 f"gen_{self.space.system}_batch",
                 [self.space.build(dict(enc)) for _, enc in pending],
             )
-            from ..tdf.engine.batch import resolve_batch_size
-
             executor = self._executor_for([enc for _, enc in pending])
             dynamic = executor.run_suite(
                 self.cluster_factory, self.static, suite,
                 warn=self.cfg.warn, telemetry=self.tel, engine=self.cfg.engine,
                 probe_store=self.cfg.probe_store_spec(),
-                # Cache hits were resolved above: only the misses enter
-                # a lockstep batch, so the width resolves against them.
-                batch_size=resolve_batch_size(self.cfg.batch_size, len(pending)),
                 matcher=self.cfg.matcher,
             )
             for name, _ in pending:

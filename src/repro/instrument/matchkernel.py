@@ -58,19 +58,17 @@ from ..obs.store.columns import (
 )
 from .probes import UseWithoutDefWarning, WriterKind
 
-#: ``(tags, payload_columns, strings, members)`` — the array quadruple
-#: the kernel consumes.  ``members`` is the per-row lockstep member
-#: column (or ``None``); the kernel ignores it, lanes mask on it.
-ColumnSet = Tuple[Any, Tuple, Sequence[str], Optional[Any]]
+#: ``(tags, payload_columns, strings)`` — the array triple the kernel
+#: consumes.
+ColumnSet = Tuple[Any, Tuple, Sequence[str]]
 
 
 def columns_of(buf: Any) -> Optional[ColumnSet]:
     """The per-field arrays of any batched probe buffer, or ``None``.
 
-    Columnar stores and store-backed member lanes expose
-    ``to_columns()`` (spilled chunks concatenate without ever decoding
-    tuples); a plain in-memory tuple buffer is packed through the same
-    chunk encoder once.  Returns ``None`` when numpy is unavailable —
+    Columnar stores expose ``to_columns()`` (spilled chunks concatenate
+    without ever decoding tuples); a plain in-memory tuple buffer is
+    packed through the same chunk encoder once.  Returns ``None`` when numpy is unavailable —
     the caller's signal to take the scan path.
     """
     if not HAVE_NUMPY or buf is None:
@@ -82,7 +80,7 @@ def columns_of(buf: Any) -> Optional[ColumnSet]:
     events = buf if isinstance(buf, list) else list(buf)
     payload = encode_chunk(events, {}, strings)
     tags = np.frombuffer(payload[2], dtype=np.uint8)
-    return tags, payload[3], strings, None
+    return tags, payload[3], strings
 
 
 def match_columns(
@@ -97,7 +95,7 @@ def match_columns(
     its ``pairs`` set and ``use_without_def`` list receive exactly what
     the scan matchers would produce for the same stream.
     """
-    tags, cols, strings, _members = columns
+    tags, cols, strings = columns
     tags = np.asarray(tags, dtype=np.uint8)
     n = int(tags.shape[0])
     if n == 0:

@@ -94,123 +94,6 @@ TAG_PR = 3
 _tag_of = itemgetter(0)
 
 
-class BatchProbeBuffer:
-    """Shared member-tagged event sink for lockstep batch runs.
-
-    When the batch engine executes several testcases in lockstep, each
-    member's :class:`ProbeRuntime` records through its own *lane* of
-    the buffer.  With a :class:`~repro.obs.store.ColumnarProbeStore`
-    built with ``member_column=True``, every lane appends into the one
-    shared store (which tags rows with the member index and demuxes on
-    ``iter_member``), so the whole batch spills to a single columnar
-    stream.  Without a store, each lane simply *owns* a private event
-    list: per-member recording order is all the matcher consumes, so
-    in-memory lockstep recording needs no member tagging and no demux
-    scan at all — and crucially the events a lane yields are the
-    instrumenter's own long-lived per-site tuples, which the batched
-    matcher memoizes by identity (see
-    :func:`~repro.instrument.matching._match_batched`); transient
-    demux copies would recycle ``id``\\ s mid-match and corrupt it.
-    Either way a lane iterates as exactly the flat buffer a serial
-    :class:`ProbeRuntime` would have recorded, so per-member match
-    results are byte-identical to a serial run.
-    """
-
-    __slots__ = ("_store", "_lanes")
-
-    def __init__(self, store: Optional[Any] = None) -> None:
-        self._store = store
-        self._lanes: List["_MemberLane"] = []
-
-    def lane(self, member: int) -> "_MemberLane":
-        """The append/iterate facade for one lockstep member."""
-        lane = _MemberLane(self._store, member)
-        self._lanes.append(lane)
-        return lane
-
-    def __len__(self) -> int:
-        if self._store is not None:
-            return len(self._store)
-        return sum(len(lane) for lane in self._lanes)
-
-    def close(self) -> None:
-        if self._store is not None:
-            self._store.close()
-
-
-class _MemberLane:
-    """One member's view of a :class:`BatchProbeBuffer`.
-
-    Quacks like the flat list buffer ``ProbeRuntime`` records into:
-    ``append`` records into the member's slice of the batch, iteration
-    yields the member's events in recording order.  The ``streaming``
-    flag mirrors the backing store's so the matcher picks its two-pass
-    algorithm for spilled columnar streams.
-    """
-
-    __slots__ = ("_store", "_member", "_events", "streaming", "append")
-
-    def __init__(self, store: Any, member: int) -> None:
-        self._store = store
-        self._member = member
-        self.streaming = getattr(store, "streaming", False)
-        # Resolve the append dispatch once: the probe closures capture
-        # ``lane.append`` and call it per event.
-        if store is not None:
-            self._events: Optional[list] = None
-            append_member = store.append_member
-            self.append = lambda event: append_member(member, event)
-        else:
-            self._events = []
-            self.append = self._events.append
-
-    def __iter__(self):
-        if self._events is not None:
-            return iter(self._events)
-        return self._store.iter_member(self._member)
-
-    def __len__(self) -> int:
-        if self._events is not None:
-            return len(self._events)
-        return sum(1 for _ in self)
-
-    def to_columns(self):
-        """This member's events as flat per-field arrays, or ``None``.
-
-        The vectorized matcher's per-lane demux: the shared store
-        yields its full column set once (cached across lanes) and each
-        lane selects its rows with one boolean mask over the member
-        column — instead of decoding and ownership-testing every event
-        tuple.  In-memory lanes pack their private list through the
-        chunk encoder.  ``None`` when numpy is unavailable.
-        """
-        from ..obs.store.columns import HAVE_NUMPY, _np, encode_chunk
-
-        if not HAVE_NUMPY:
-            return None
-        if self._events is not None:
-            strings: List[str] = []
-            payload = encode_chunk(self._events, {}, strings)
-            tags = _np.frombuffer(payload[2], dtype=_np.uint8)
-            return tags, payload[3], strings, None
-        full = self._store.to_columns()
-        if full is None:  # pragma: no cover - store saw numpy vanish
-            return None
-        tags, cols, strings, members = full
-        assert members is not None, "batched store lost its member column"
-        mask = members == self._member
-        return tags[mask], tuple(col[mask] for col in cols), strings, None
-
-    def clear(self) -> None:
-        """Drop this member's events (in-memory lanes only)."""
-        if self._events is not None:
-            self._events.clear()
-        else:  # pragma: no cover - stores don't support per-member clears
-            raise TypeError(
-                "per-member clear is not supported on a streaming store"
-            )
-
-
 class ProbeRuntime:
     """Collects all dynamic events of one testcase execution.
 

@@ -171,114 +171,6 @@ class DynamicAnalyzer:
             result.per_testcase[testcase.name] = self.run_testcase(testcase)
         return result
 
-    def run_suite_batched(self, suite: TestSuite, batch_size: int) -> DynamicResult:
-        """Run ``suite`` in lockstep batches of up to ``batch_size``.
-
-        Each testcase still gets its own fresh cluster, instrumentation
-        and probe runtime; only the *execution* interleaves — the block
-        engine's :class:`~repro.tdf.engine.batch.BatchExecutor` fires
-        all members window by window, sharing one compiled program and
-        time memo per topology group.  Every member records through its
-        own lane of a shared :class:`~repro.instrument.probes.BatchProbeBuffer`,
-        which tags events with the member index and demuxes them back
-        into per-testcase streams for the matcher, so the returned
-        result is byte-identical to :meth:`run_suite`.  A testcase that
-        raises does so here too, in suite order, after its batch ran
-        (later members of the batch did some extra lockstep work the
-        serial path would have skipped — unobservable, since the
-        exception discards the result either way).
-        """
-        from ..tdf.engine.batch import BatchMember, run_batch
-        from .probes import BatchProbeBuffer
-
-        if self.engine != "block":
-            raise ValueError(
-                "batch_size requires the block engine (--engine block/auto)"
-            )
-        width = max(int(batch_size), 1)
-        tel = self.telemetry
-        result = DynamicResult()
-        testcases = list(suite)
-        time_memo: Dict[int, object] = {}
-        for start in range(0, len(testcases), width):
-            chunk = testcases[start : start + width]
-            store = (
-                self.probe_store.make_batched(tel)
-                if self.probe_store is not None
-                else None
-            )
-            buffer = BatchProbeBuffer(store)
-            members = []
-            probes = []
-            try:
-                for lane, testcase in enumerate(chunk):
-                    cluster = self.cluster_factory()
-                    probe = ProbeRuntime(
-                        cluster.name, batched=True, store=buffer.lane(lane)
-                    )
-                    self._instrument(cluster, probe)
-                    self._install_hooks(cluster, probe)
-                    testcase.apply(cluster)
-                    simulator = Simulator(cluster, engine="block")
-                    simulator.initialize()
-                    members.append(
-                        BatchMember(
-                            testcase.name,
-                            simulator,
-                            simulator.now + testcase.duration,
-                        )
-                    )
-                    probes.append(probe)
-                with tel.span(
-                    "dynamic.batch", testcases=len(chunk), width=width
-                ):
-                    # Errors are re-raised below in *suite order*, like
-                    # the serial loop, not in lockstep-window order.
-                    run_batch(
-                        members,
-                        raise_errors=False,
-                        time_memo=time_memo,
-                        label="dynamic.suite",
-                    )
-                for testcase, member, probe in zip(chunk, members, probes):
-                    if member.error is not None:
-                        raise member.error
-                    member.sim.finish()
-                    cluster = member.sim.cluster
-                    initial_tokens = {
-                        sig.name: (
-                            sig.driver.delay if sig.driver is not None else 0
-                        )
-                        for sig in cluster.signals
-                    }
-                    with tel.span("dynamic.match", testcase=testcase.name):
-                        match = match_events(
-                            probe,
-                            testcase.name,
-                            self.static.model_start_lines,
-                            initial_tokens,
-                            warn=self.warn,
-                            matcher=self.matcher,
-                            telemetry=tel,
-                        )
-                    result.per_testcase[testcase.name] = match
-                    if tel.enabled:
-                        nv, nw, nr = probe.event_counts()
-                        for kind, count in (
-                            ("var_events", nv),
-                            ("port_writes", nw),
-                            ("port_reads", nr),
-                        ):
-                            tel.metrics.counter(
-                                f"instrument.{kind}", cluster=cluster.name
-                            ).inc(count)
-                        tel.metrics.counter(
-                            "instrument.testcases", cluster=cluster.name
-                        ).inc()
-            finally:
-                buffer.close()
-        return result
-
     # -- plumbing -----------------------------------------------------------------
 
     def _instrument(self, cluster: Cluster, probe: ProbeRuntime) -> None:

@@ -32,7 +32,7 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor as _Pool
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import avoids a cycle
     from ..core.config import DftConfig
@@ -285,302 +285,6 @@ def run_mutant(
     return MutantOutcome(spec, status, tuple(killed_by), timed_out, seconds)
 
 
-# -- lockstep batched execution ------------------------------------------------
-
-
-def _row_diverges(row_a: tuple, row_b: tuple, tolerance: float) -> bool:
-    """The per-row predicate of :func:`traces_diverge`, factored out so
-    the batched path's incremental check is the same code the serial
-    verdict runs."""
-    ta, va = row_a
-    tb, vb = row_b
-    if ta != tb:
-        return True
-    a_nan = isinstance(va, float) and va != va
-    b_nan = isinstance(vb, float) and vb != vb
-    if a_nan or b_nan:
-        return a_nan != b_nan
-    if va == vb:
-        return False
-    try:
-        return abs(va - vb) > tolerance
-    except TypeError:
-        return True
-
-
-def _check_divergence(member, baseline: TraceMap, tolerance: float) -> bool:
-    """Incrementally compare a member's fresh trace rows against the
-    baseline.  Returns True on (monotone) divergence.
-
-    The divergence verdict of a testcase is a pure prefix property:
-    once any row differs beyond tolerance — or the mutant produced more
-    rows than the baseline — no later sample can un-kill the mutant, so
-    the member can retire immediately (the batch engine's early-exit
-    mask for divergence).
-    """
-    cursors = member.payload["cursors"]
-    rows_map = member.traces.trace_map()
-    for name, rows in rows_map.items():
-        base_rows = baseline[name]
-        i = cursors[name]
-        n_base = len(base_rows)
-        while i < len(rows):
-            if i >= n_base or _row_diverges(base_rows[i], rows[i], tolerance):
-                return True
-            i += 1
-        cursors[name] = i
-    return False
-
-
-def compute_baselines_batched(
-    factory: Callable[[], Cluster],
-    testcases: Sequence[TestCase],
-    oracle: Sequence[str],
-    batch_size: int,
-    screen: Optional[Dict[str, Any]] = None,
-) -> Dict[str, TraceMap]:
-    """Batched counterpart of :func:`compute_baselines` (block engine,
-    deferred traces); rows are identical to the serial tracer's.
-
-    When ``screen`` (a dict) is passed, it is filled with per-testcase
-    :class:`~repro.mutation.screen.TcScreenData` — the deferred traces
-    then cover *every* driven signal (not just the oracle), recording
-    the full baseline token streams the mutant screener replays
-    against.
-    """
-    from ..tdf.engine.batch import BatchMember, DeferredTraces, run_batch
-    from .screen import collect_tc_screen_data, driven_signal_names
-
-    baselines: Dict[str, TraceMap] = {}
-    time_memo: Dict[int, Any] = {}
-    for start in range(0, len(testcases), max(batch_size, 1)):
-        chunk = testcases[start : start + max(batch_size, 1)]
-        members = []
-        for tc in chunk:
-            cluster = factory()
-            tc.apply(cluster)
-            extra = []
-            if screen is not None:
-                seen = set(oracle)
-                for n in driven_signal_names(cluster):
-                    if n not in seen:
-                        # Screen-only signals need raw token values, not
-                        # timestamped rows: pin their retention floor so
-                        # the window GC keeps every token and read the
-                        # buffers once at the end, skipping per-window
-                        # row reconstruction entirely.
-                        cluster._signals[n]._retain_from = 0
-                        extra.append(n)
-            traces = DeferredTraces(cluster, list(oracle), time_memo)
-            sim = Simulator(cluster, engine="block")
-            sim.initialize()
-            member = BatchMember(tc.name, sim, sim.now + tc.duration, traces=traces)
-            member.payload["screen_raw"] = extra
-            members.append(member)
-        run_batch(members, time_memo=time_memo, label="mutation.baseline")
-        for member in members:
-            member.sim.finish()
-            baselines[member.key] = {
-                name: member.traces.samples(name) for name in oracle
-            }
-            if screen is not None:
-                signals = member.sim.cluster._signals
-                raw = {
-                    name: list(signals[name]._tokens)
-                    for name in member.payload["screen_raw"]
-                }
-                screen[member.key] = collect_tc_screen_data(
-                    member.sim, member.traces.trace_map(), raw
-                )
-    return baselines
-
-
-def run_mutants_batched(
-    indexed_specs: Sequence[Tuple[int, MutantSpec]],
-    factory: Callable[[], Cluster],
-    testcases: Sequence[TestCase],
-    baselines: Dict[str, TraceMap],
-    oracle: Sequence[str],
-    tolerance: float,
-    budget_seconds: Optional[float],
-    batch_size: int,
-    telemetry=None,
-    screen_data: Optional[Dict[str, Any]] = None,
-) -> Dict[int, MutantOutcome]:
-    """Execute mutants through the lockstep batch engine.
-
-    Each batch member is one ``(mutant, testcase)`` simulation; mutants
-    are chunked so a chunk's members fill ``batch_size`` lockstep
-    slots.  Verdict semantics are exactly the serial
-    :func:`run_mutant`'s — elaboration failure at *any* testcase makes
-    the whole mutant nonviable, a runtime exception or a trace
-    divergence adds the testcase to ``killed_by`` — with one
-    performance addition: a member whose oracle trace already diverged
-    retires at the next window boundary instead of simulating out the
-    clock (the verdict is monotone, so the kill matrix is unchanged).
-
-    ``screen_data`` (per-testcase baseline recordings from
-    :func:`compute_baselines_batched`) enables mutant screening: a
-    ``(mutant, testcase)`` pair whose mutated module provably
-    reproduces the baseline streams is marked survived without a full
-    simulation; inconclusive pairs fall back to the lockstep run (see
-    :mod:`repro.mutation.screen`).
-    """
-    from ..tdf.engine.batch import BatchMember, DeferredTraces, run_batch
-    from .screen import DIRTY as SCREEN_DIRTY
-    from .screen import IDENTICAL as SCREEN_IDENTICAL
-    from .screen import screen_mutant_tc
-
-    tel = telemetry if telemetry is not None else get_telemetry()
-    outcomes: Dict[int, MutantOutcome] = {}
-    per_chunk = max(1, batch_size // max(len(testcases), 1))
-    time_memo: Dict[int, Any] = {}
-    oracle_set = frozenset(oracle)
-
-    def on_window(member) -> Optional[bool]:
-        payload = member.payload
-        if _check_divergence(member, baselines[payload["tc"]], tolerance):
-            payload["diverged"] = True
-            return False
-        return None
-
-    for start in range(0, len(indexed_specs), per_chunk):
-        chunk = indexed_specs[start : start + per_chunk]
-        with tel.span(
-            "mutation.batch",
-            mutants=len(chunk),
-            members=len(chunk) * len(testcases),
-        ):
-            members = []
-            build_seconds: Dict[int, float] = {}
-            nonviable: Dict[int, bool] = {}
-            screened = 0
-            for index, spec in chunk:
-                t0 = time.perf_counter()
-                spec_members = []
-                try:
-                    for tc in testcases:
-                        cluster = factory()
-                        apply_mutant(cluster, spec)
-                        tc.apply(cluster)
-                        sim = None
-                        if screen_data is not None:
-                            data = screen_data.get(tc.name)
-                            if data is not None:
-                                sim = Simulator(cluster, engine="block")
-                                sim.initialize()
-                                verdict = screen_mutant_tc(
-                                    sim, spec.target, data, time_memo,
-                                    oracle=oracle_set,
-                                )
-                                if verdict == SCREEN_IDENTICAL:
-                                    # Provably identical to the baseline
-                                    # for this testcase: survived, no
-                                    # member needed.
-                                    screened += 1
-                                    continue
-                                if verdict == SCREEN_DIRTY:
-                                    # The replay consumed this cluster —
-                                    # rebuild it for the full run.  A
-                                    # clean verdict reuses cluster and
-                                    # simulator as-is.
-                                    cluster = factory()
-                                    apply_mutant(cluster, spec)
-                                    tc.apply(cluster)
-                                    sim = None
-                        traces = DeferredTraces(cluster, oracle, time_memo)
-                        if sim is None:
-                            sim = Simulator(cluster, engine="block")
-                            sim.initialize()
-                        spec_members.append(
-                            BatchMember(
-                                (index, tc.name),
-                                sim,
-                                sim.now + tc.duration,
-                                traces=traces,
-                                payload={
-                                    "index": index,
-                                    "tc": tc.name,
-                                    "diverged": False,
-                                    "cursors": {name: 0 for name in oracle},
-                                },
-                            )
-                        )
-                except Exception:
-                    # Same rule as the serial path (MutantNotApplicable
-                    # or any elaboration error): a mutant that cannot be
-                    # applied or elaborated for any testcase is
-                    # nonviable for the whole suite.
-                    nonviable[index] = True
-                    outcomes[index] = MutantOutcome(
-                        spec, "nonviable", (), False, time.perf_counter() - t0
-                    )
-                    continue
-                members.extend(spec_members)
-                build_seconds[index] = time.perf_counter() - t0
-
-            if screen_data is not None and getattr(tel, "enabled", False):
-                tel.metrics.counter("mutation.screened_identical").inc(screened)
-                tel.metrics.counter("mutation.screen_fallback").inc(len(members))
-
-            if members:
-                run_batch(
-                    members,
-                    on_window=on_window,
-                    raise_errors=False,
-                    time_memo=time_memo,
-                    label="mutation",
-                )
-
-            killed_by: Dict[int, List[str]] = {}
-            seconds: Dict[int, float] = dict(build_seconds)
-            for member in members:
-                index = member.payload["index"]
-                tc_name = member.payload["tc"]
-                seconds[index] = seconds.get(index, 0.0) + member.seconds
-                killed = False
-                if member.status == "error" or member.payload["diverged"]:
-                    # Runtime crash or already-diverged prefix: killed,
-                    # exactly as the serial exception / full-trace diff
-                    # would conclude.
-                    killed = True
-                else:
-                    try:
-                        member.sim.finish()
-                    except Exception:
-                        killed = True
-                    else:
-                        baseline = baselines[tc_name]
-                        if _check_divergence(member, baseline, tolerance):
-                            killed = True
-                        else:
-                            # Prefix clean: any length mismatch left is a
-                            # truncated trace, which diverges.
-                            cursors = member.payload["cursors"]
-                            for name, base_rows in baseline.items():
-                                if cursors[name] != len(base_rows):
-                                    killed = True
-                                    break
-                if killed:
-                    killed_by.setdefault(index, []).append(tc_name)
-
-            for index, spec in chunk:
-                if nonviable.get(index):
-                    continue
-                kills = killed_by.get(index, [])
-                # killed_by in suite order, as the serial loop emits it.
-                ordered = tuple(
-                    tc.name for tc in testcases if tc.name in set(kills)
-                )
-                spent = seconds.get(index, 0.0)
-                timed_out = budget_seconds is not None and spent > budget_seconds
-                status = "killed" if ordered else "survived"
-                outcomes[index] = MutantOutcome(
-                    spec, status, ordered, timed_out, spent
-                )
-    return outcomes
-
-
 def _sample_specs(
     specs: Sequence[MutantSpec], max_mutants: Optional[int], seed: int
 ) -> List[MutantSpec]:
@@ -620,7 +324,6 @@ class _MutationJob:
     oracle_signals: Optional[Tuple[str, ...]]
     budget_seconds: Optional[float]
     record_telemetry: bool
-    batch_size: Optional[int] = None
 
 
 def _mutation_worker(job: _MutationJob) -> Tuple[List[Tuple[int, MutantOutcome]], List[dict], float]:
@@ -632,30 +335,17 @@ def _mutation_worker(job: _MutationJob) -> Tuple[List[Tuple[int, MutantOutcome]]
             generate_mutants(factory(), list(job.operators)), job.max_mutants, job.seed
         )
         oracle = _oracle_names(factory(), job.oracle_signals)
-        if job.batch_size is not None:
-            screen: Dict[str, Any] = {}
-            baselines = compute_baselines_batched(
-                factory, testcases, oracle, job.batch_size, screen=screen
+        baselines = compute_baselines(factory, testcases, oracle, job.engine)
+        results = [
+            (
+                index,
+                run_mutant(
+                    specs[index], factory, testcases, baselines, oracle,
+                    job.engine, job.tolerance, job.budget_seconds,
+                ),
             )
-            batched = run_mutants_batched(
-                [(index, specs[index]) for index in job.indices],
-                factory, testcases, baselines, oracle,
-                job.tolerance, job.budget_seconds, job.batch_size, tel,
-                screen_data=screen or None,
-            )
-            results = [(index, batched[index]) for index in job.indices]
-        else:
-            baselines = compute_baselines(factory, testcases, oracle, job.engine)
-            results = [
-                (
-                    index,
-                    run_mutant(
-                        specs[index], factory, testcases, baselines, oracle,
-                        job.engine, job.tolerance, job.budget_seconds,
-                    ),
-                )
-                for index in job.indices
-            ]
+            for index in job.indices
+        ]
         payload = tel.metrics.raw_records() if job.record_telemetry else []
     return results, payload, time.perf_counter() - t0
 
@@ -708,10 +398,6 @@ def run_mutation(
     testcases = _resolve_suite(suite_ref, suite_args)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if cfg.batch_size is not None and engine == "interp":
-        raise ValueError(
-            "batch_size requires the block engine (--engine block/auto)"
-        )
     op_names = list(operators) if operators else None
     with tel.span(
         "mutation", factory=factory_ref, workers=workers, testcases=len(testcases)
@@ -760,40 +446,19 @@ def run_mutation(
             if tel.enabled and reused:
                 tel.metrics.counter("mutation.warm_reused").inc(len(reused))
         pending = [i for i in range(len(specs)) if i not in reused]
-        from ..tdf.engine.batch import resolve_batch_size
-
-        batch = resolve_batch_size(
-            cfg.batch_size, len(pending) * max(len(testcases), 1)
-        )
-
         by_index: Dict[int, MutantOutcome] = dict(reused)
         if not pending:
             pass
         elif workers <= 1 or len(pending) < 2:
-            if batch is not None:
-                screen: Dict[str, Any] = {}
-                with tel.span("mutation.baseline", testcases=len(testcases)):
-                    baselines = compute_baselines_batched(
-                        factory, testcases, oracle, batch, screen=screen
+            with tel.span("mutation.baseline", testcases=len(testcases)):
+                baselines = compute_baselines(factory, testcases, oracle, engine)
+            for index in pending:
+                spec = specs[index]
+                with tel.span("mutation.mutant", mutant=spec.mutant_id):
+                    by_index[index] = run_mutant(
+                        spec, factory, testcases, baselines, oracle,
+                        engine, tolerance, budget_seconds,
                     )
-                by_index.update(
-                    run_mutants_batched(
-                        [(index, specs[index]) for index in pending],
-                        factory, testcases, baselines, oracle,
-                        tolerance, budget_seconds, batch, tel,
-                        screen_data=screen or None,
-                    )
-                )
-            else:
-                with tel.span("mutation.baseline", testcases=len(testcases)):
-                    baselines = compute_baselines(factory, testcases, oracle, engine)
-                for index in pending:
-                    spec = specs[index]
-                    with tel.span("mutation.mutant", mutant=spec.mutant_id):
-                        by_index[index] = run_mutant(
-                            spec, factory, testcases, baselines, oracle,
-                            engine, tolerance, budget_seconds,
-                        )
         else:
             shards = round_robin_shards(pending, workers)
             jobs = [
@@ -811,7 +476,6 @@ def run_mutation(
                     oracle_signals=tuple(oracle_signals) if oracle_signals else None,
                     budget_seconds=budget_seconds,
                     record_telemetry=tel.enabled,
-                    batch_size=batch,
                 )
                 for shard in shards
             ]

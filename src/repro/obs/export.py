@@ -174,29 +174,6 @@ def format_tree(run: Any, metrics: bool = True) -> str:
             if total:
                 label = f"{base}_hit_rate{_format_labels(dict(labels))}"
                 derived.append(f"  {'rate':<9s} {label:<58s} {hits / total:.4f}")
-        # Batched lockstep execution: aggregate the raw
-        # ``tdf.engine_batch_*`` counters into the two numbers that
-        # answer "did batching engage, and how well" — mean members per
-        # batch and the share of member-firings served by a vectorised
-        # batch op (the per-run gauges only keep the *last* batch).
-        for (name, labels), runs in sorted(counters.items()):
-            if name != "tdf.engine_batch_runs" or not runs:
-                continue
-            members = counters.get(("tdf.engine_batch_members", labels), 0)
-            label = f"tdf.engine_batch_mean_width{_format_labels(dict(labels))}"
-            derived.append(f"  {'rate':<9s} {label:<58s} {members / runs:.4f}")
-            fires = counters.get(("tdf.engine_batch_member_fires", labels), 0)
-            if fires:
-                vector = counters.get(
-                    ("tdf.engine_batch_vector_fires", labels), 0
-                )
-                label = (
-                    f"tdf.engine_batch_vector_share"
-                    f"{_format_labels(dict(labels))}"
-                )
-                derived.append(
-                    f"  {'rate':<9s} {label:<58s} {vector / fires:.4f}"
-                )
         # Coverage matching: what share of scanned probe events went
         # through the vectorised kernel, and how fast each path chews
         # through events.  ``instrument.match_events_scanned`` is

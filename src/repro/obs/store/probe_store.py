@@ -75,26 +75,6 @@ class ProbeStoreSpec:
             telemetry=telemetry,
         )
 
-    def make_batched(self, telemetry: Any = None) -> Optional["ColumnarProbeStore"]:
-        """Build one *shared* store for a lockstep batch.
-
-        Like :meth:`make`, but the columnar store carries the member
-        column so one spill stream can record every lane of a
-        :class:`~repro.instrument.probes.BatchProbeBuffer` and still
-        demux exactly per testcase.  ``None`` for in-memory (the batch
-        buffer then uses its plain tagged list).
-        """
-        if self.kind == "memory":
-            return None
-        if self.kind != "columnar":
-            raise ValueError(f"unknown probe store kind: {self.kind!r}")
-        return ColumnarProbeStore(
-            chunk_size=self.chunk_size or DEFAULT_CHUNK_SIZE,
-            spill_dir=self.spill_dir,
-            telemetry=telemetry,
-            member_column=True,
-        )
-
 
 class ColumnarProbeStore:
     """Append-only probe-event buffer with columnar disk spillover."""
@@ -107,7 +87,6 @@ class ColumnarProbeStore:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         spill_dir: Optional[str] = None,
         telemetry: Any = None,
-        member_column: bool = False,
     ) -> None:
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1 (got {chunk_size})")
@@ -117,11 +96,6 @@ class ColumnarProbeStore:
         self._file: Any = None
         self._tel = telemetry
         self._tail: List[tuple] = []
-        #: When recording a lockstep batch, every event carries the
-        #: member (testcase) index in a parallel column so the shared
-        #: stream demuxes after spilling (see ``iter_member``).
-        self.member_column = member_column
-        self._member_tail: Optional[List[int]] = [] if member_column else None
         self._chunks = 0
         self._spilled_rows = 0
         self._spilled_counts = (0, 0, 0)  # (var, write, read) on disk
@@ -142,14 +116,6 @@ class ColumnarProbeStore:
         if len(tail) >= self.chunk_size:
             self._flush()
 
-    def append_member(self, member: int, event: tuple) -> None:
-        """Record one event tagged with its lockstep member index."""
-        assert self._member_tail is not None, "store built without member_column"
-        self._tail.append(event)
-        self._member_tail.append(member)
-        if len(self._tail) >= self.chunk_size:
-            self._flush()
-
     def _flush(self) -> None:
         if not self._tail:
             return
@@ -157,11 +123,6 @@ class ColumnarProbeStore:
             raise ValueError("cannot record into a closed probe store")
         started = time.perf_counter()
         base = encode_chunk(self._tail, self._string_ids, self._strings)
-        if self._member_tail is not None:
-            payload: Any = (base, tuple(self._member_tail))
-            self._member_tail.clear()
-        else:
-            payload = base
         handle = self._file
         if handle is None:
             if self._spill_root is not None:
@@ -172,7 +133,7 @@ class ColumnarProbeStore:
             handle = self._file = os.fdopen(fd, "w+b")
         before = handle.tell()
         try:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump(base, handle, protocol=pickle.HIGHEST_PROTOCOL)
         except BaseException:
             # A partial frame would corrupt every later read; rewind so
             # the spill file stays a clean sequence of whole chunks.
@@ -216,47 +177,17 @@ class ColumnarProbeStore:
             self._file.flush()
             with open(self._path, "rb") as reader:
                 for _ in range(self._chunks):
-                    payload = pickle.load(reader)
-                    if self._member_tail is not None:
-                        payload = payload[0]
-                    for event in decode_chunk(payload, self._strings):
+                    for event in decode_chunk(pickle.load(reader), self._strings):
                         yield event
         for event in self._tail:
             yield event
 
-    def iter_member(self, member: int) -> Iterator[tuple]:
-        """Replay one lockstep member's events, in recording order.
-
-        Only available on a ``member_column=True`` store; this is what
-        a :class:`~repro.instrument.probes.BatchProbeBuffer` lane
-        iterates to hand the matcher a demuxed per-testcase stream.
-        """
-        members_tail = self._member_tail
-        assert members_tail is not None, "store built without member_column"
-        if self._closed:
-            raise ValueError("cannot iterate a closed probe store")
-        if self._chunks:
-            self._file.flush()
-            with open(self._path, "rb") as reader:
-                for _ in range(self._chunks):
-                    base, members = pickle.load(reader)
-                    for event, owner in zip(
-                        decode_chunk(base, self._strings), members
-                    ):
-                        if owner == member:
-                            yield event
-        for event, owner in zip(self._tail, members_tail):
-            if owner == member:
-                yield event
-
     def to_columns(self) -> Optional[tuple]:
         """The whole stream as flat per-field numpy arrays.
 
-        Returns ``(tags, payload_columns, strings, members)`` — tags
-        ``uint8``, each of the seven payload columns ``int64``,
-        ``members`` the per-row lockstep member column (``None`` on
-        stores built without one) — or ``None`` when numpy is
-        unavailable.  Spilled chunks are already columnar, so
+        Returns ``(tags, payload_columns, strings)`` — tags ``uint8``,
+        each of the seven payload columns ``int64`` — or ``None`` when
+        numpy is unavailable.  Spilled chunks are already columnar, so
         assembling the stream is frame unpickling plus one
         ``np.concatenate`` per column: no per-event tuple is ever
         decoded.  This is what the vectorized matching kernel
@@ -273,48 +204,30 @@ class ColumnarProbeStore:
             return cached[1]
         tag_parts: List[Any] = []
         col_parts: List[List[Any]] = [[] for _ in range(PAYLOAD_COLUMNS)]
-        member_parts: Optional[List[Any]] = (
-            [] if self._member_tail is not None else None
-        )
 
-        def take(base: tuple, members: Any) -> None:
+        def take(base: tuple) -> None:
             tag_parts.append(_np.frombuffer(base[2], dtype=_np.uint8))
             for j, col in enumerate(base[3]):
                 col_parts[j].append(_np.asarray(col, dtype=_np.int64))
-            if member_parts is not None:
-                member_parts.append(_np.asarray(members, dtype=_np.int64))
 
         if self._chunks:
             self._file.flush()
             with open(self._path, "rb") as reader:
                 for _ in range(self._chunks):
-                    payload = pickle.load(reader)
-                    if self._member_tail is not None:
-                        take(payload[0], payload[1])
-                    else:
-                        take(payload, None)
+                    take(pickle.load(reader))
         if self._tail:
             # Transient encode of the live tail through the store's own
             # string table (ids stay consistent with spilled chunks).
-            base = encode_chunk(self._tail, self._string_ids, self._strings)
-            take(base, tuple(self._member_tail or ()))
+            take(encode_chunk(self._tail, self._string_ids, self._strings))
         if tag_parts:
             tags = _np.concatenate(tag_parts)
             cols = tuple(_np.concatenate(parts) for parts in col_parts)
-            members = (
-                _np.concatenate(member_parts)
-                if member_parts is not None else None
-            )
         else:
             tags = _np.zeros(0, dtype=_np.uint8)
             cols = tuple(
                 _np.zeros(0, dtype=_np.int64) for _ in range(PAYLOAD_COLUMNS)
             )
-            members = (
-                _np.zeros(0, dtype=_np.int64)
-                if member_parts is not None else None
-            )
-        value = (tags, cols, self._strings, members)
+        value = (tags, cols, self._strings)
         self._columns_cache = (key, value)
         return value
 
@@ -338,8 +251,6 @@ class ColumnarProbeStore:
     def clear(self) -> None:
         """Drop all recorded events, in place (closures keep working)."""
         self._tail.clear()
-        if self._member_tail is not None:
-            self._member_tail.clear()
         if self._file is not None:
             self._file.seek(0)
             self._file.truncate()
@@ -367,8 +278,6 @@ class ColumnarProbeStore:
         if tel is not None and getattr(tel, "enabled", False):
             tel.metrics.counter("obs.store_rows").inc(len(self))
         self._tail.clear()
-        if self._member_tail is not None:
-            self._member_tail.clear()
         self._columns_cache = None
         self._discard_file()
 

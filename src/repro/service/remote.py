@@ -132,7 +132,6 @@ class RemoteExecutor(DynamicExecutor):
         record_telemetry: bool,
         engine: Optional[str],
         probe_store,
-        batch_size: Optional[int],
         matcher: str,
     ) -> Dict[str, Any]:
         job: Dict[str, Any] = {
@@ -146,7 +145,6 @@ class RemoteExecutor(DynamicExecutor):
             "warn": warn,
             "record_telemetry": record_telemetry,
             "engine": engine if engine is not None else "auto",
-            "batch_size": batch_size,
             "matcher": matcher,
         }
         if probe_store is not None:
@@ -201,7 +199,6 @@ class RemoteExecutor(DynamicExecutor):
         telemetry: Optional[Telemetry] = None,
         engine: Optional[str] = "auto",
         probe_store=None,
-        batch_size: Optional[int] = None,
         matcher: str = "auto",
     ) -> "DynamicResult":
         from ..instrument.runner import DynamicResult
@@ -226,8 +223,7 @@ class RemoteExecutor(DynamicExecutor):
         shards = round_robin_shards(names, self.workers)
         jobs = [
             self._shard_job(
-                shard, static, warn, tel.enabled, engine,
-                probe_store, batch_size, matcher,
+                shard, static, warn, tel.enabled, engine, probe_store, matcher,
             )
             for shard in shards
         ]

@@ -75,8 +75,7 @@ def execute_shard(
     ``fingerprint``
         Content-address of the design (static fingerprint); the memo
         key prefix for the worker-local result cache.
-    ``warn`` / ``engine`` / ``matcher`` / ``batch_size`` /
-    ``record_telemetry``
+    ``warn`` / ``engine`` / ``matcher`` / ``record_telemetry``
         The usual execution knobs (see
         :meth:`repro.exec.base.DynamicExecutor.run_suite`).
     """
@@ -139,19 +138,8 @@ def execute_shard(
                 probe_store=probe_store,
                 matcher=job.get("matcher") or "auto",
             )
-            batch_size = job.get("batch_size")
-            if batch_size is not None and batch_size > 1:
-                from ..testing.testcase import TestSuite
-
-                shard = TestSuite(
-                    "shard", [testcases[name] for name in pending]
-                )
-                dynamic = analyzer.run_suite_batched(shard, batch_size)
-                for name in pending:
-                    results[name] = dynamic.per_testcase[name]
-            else:
-                for name in pending:
-                    results[name] = analyzer.run_testcase(testcases[name])
+            for name in pending:
+                results[name] = analyzer.run_testcase(testcases[name])
             if record_telemetry:
                 payload = tel.metrics.raw_records()
         if cache is not None:

@@ -10,60 +10,34 @@ samples moves through ``processing_block()`` in one call — results stay
 bit-identical to the interpreter, including probe event streams.
 """
 
-from .batch import (
-    AUTO_BATCH_MAX,
-    BatchExecutor,
-    BatchMember,
-    DeferredTraces,
-    resolve_batch_size,
-    run_batch,
-)
 from .blocks import (
-    BatchBlock,
     FiringBlock,
-    add_batch,
     add_blocks,
     consume_block,
-    mul_batch,
     mul_blocks,
-    offset_batch,
     offset_block,
     produce_block,
     rollback_block,
-    scale_batch,
     scale_block,
-    sub_batch,
     sub_blocks,
 )
 from .compiler import CompiledProgram, WINDOW_PERIODS, compile_program
 from .executor import ENGINES, BlockEngine, resolve_engine
 
 __all__ = [
-    "AUTO_BATCH_MAX",
-    "BatchBlock",
-    "BatchExecutor",
-    "BatchMember",
     "BlockEngine",
     "CompiledProgram",
-    "DeferredTraces",
     "ENGINES",
     "FiringBlock",
     "WINDOW_PERIODS",
-    "add_batch",
     "add_blocks",
     "compile_program",
     "consume_block",
-    "mul_batch",
     "mul_blocks",
-    "offset_batch",
     "offset_block",
     "produce_block",
-    "resolve_batch_size",
     "resolve_engine",
     "rollback_block",
-    "run_batch",
-    "scale_batch",
     "scale_block",
-    "sub_batch",
     "sub_blocks",
 ]

@@ -172,107 +172,6 @@ def _vectorizable(values: List[Any]) -> bool:
     )
 
 
-class BatchBlock:
-    """Structure-of-arrays view over one program slot of a whole batch.
-
-    Wraps the per-member :class:`FiringBlock` of the *same* module slot
-    across ``B`` lockstep batch members (one independent cluster each).
-    ``read``/``write`` move member-major 2-D sample arrays — row ``i``
-    is member ``i``'s block — so a module's ``processing_block_batch``
-    classmethod can compute all members in one vectorised call (the
-    members are distinct module instances, hence the classmethod).
-    Ports are addressed by attribute name (``"ip"``, ``"op"``) because
-    the port *objects* differ per member.
-    """
-
-    __slots__ = ("blocks", "modules", "n")
-
-    def __init__(self, blocks: List["FiringBlock"]) -> None:
-        self.blocks = blocks
-        self.modules = [block.module for block in blocks]
-        self.n = blocks[0].n
-
-    def read(self, port_attr: str) -> List[List[Any]]:
-        """Member-major samples of port ``port_attr`` for every member."""
-        return [
-            block.read(getattr(block.module, port_attr)) for block in self.blocks
-        ]
-
-    def write(self, port_attr: str, rows: List[List[Any]]) -> None:
-        """Stage member-major output samples for every member."""
-        for block, values in zip(self.blocks, rows):
-            block.write(getattr(block.module, port_attr), values)
-
-    def params(self, attr: str) -> List[Any]:
-        """Per-member values of module attribute ``attr`` (e.g. gains)."""
-        return [getattr(module, attr) for module in self.modules]
-
-
-def _batch_vectorizable(rows: List[List[Any]]) -> bool:
-    """Whether a member-major 2-D batch is bit-safe for numpy.
-
-    Requires rectangular rows (lockstep guarantees it), enough total
-    samples to amortise the round trip, and all-float payloads — the
-    same bit-identity argument as :func:`_vectorizable`, applied over
-    the flattened ``members × samples`` axis.
-    """
-    if _np is None or not rows:
-        return False
-    n = len(rows[0])
-    if len(rows) * n < _NUMPY_MIN:
-        return False
-    for row in rows:
-        if len(row) != n:
-            return False
-        for v in row:
-            if type(v) is not float:
-                return False
-    return True
-
-
-def _all_floats(values: List[Any]) -> bool:
-    return all(type(v) is float for v in values)
-
-
-def scale_batch(rows: List[List[Any]], factors: List[Any]) -> List[List[Any]]:
-    """Per-member ``[v * factors[i] for v in rows[i]]``, vectorised when
-    bit-safe (one broadcast multiply for the whole batch)."""
-    if _all_floats(factors) and _batch_vectorizable(rows):
-        out = _np.asarray(rows) * _np.asarray(factors)[:, None]
-        return out.tolist()
-    return [scale_block(row, factor) for row, factor in zip(rows, factors)]
-
-
-def offset_batch(rows: List[List[Any]], offsets: List[Any]) -> List[List[Any]]:
-    """Per-member ``[v + offsets[i] for v in rows[i]]``, vectorised when
-    bit-safe."""
-    if _all_floats(offsets) and _batch_vectorizable(rows):
-        out = _np.asarray(rows) + _np.asarray(offsets)[:, None]
-        return out.tolist()
-    return [offset_block(row, offset) for row, offset in zip(rows, offsets)]
-
-
-def add_batch(a: List[List[Any]], b: List[List[Any]]) -> List[List[Any]]:
-    """Elementwise ``a + b`` over the whole batch, vectorised when bit-safe."""
-    if _batch_vectorizable(a) and _batch_vectorizable(b):
-        return (_np.asarray(a) + _np.asarray(b)).tolist()
-    return [add_blocks(x, y) for x, y in zip(a, b)]
-
-
-def sub_batch(a: List[List[Any]], b: List[List[Any]]) -> List[List[Any]]:
-    """Elementwise ``a - b`` over the whole batch, vectorised when bit-safe."""
-    if _batch_vectorizable(a) and _batch_vectorizable(b):
-        return (_np.asarray(a) - _np.asarray(b)).tolist()
-    return [sub_blocks(x, y) for x, y in zip(a, b)]
-
-
-def mul_batch(a: List[List[Any]], b: List[List[Any]]) -> List[List[Any]]:
-    """Elementwise ``a * b`` over the whole batch, vectorised when bit-safe."""
-    if _batch_vectorizable(a) and _batch_vectorizable(b):
-        return (_np.asarray(a) * _np.asarray(b)).tolist()
-    return [mul_blocks(x, y) for x, y in zip(a, b)]
-
-
 def scale_block(values: List[Any], factor: Any) -> List[Any]:
     """``[v * factor for v in values]``, vectorized when bit-safe."""
     if type(factor) is float and _vectorizable(values):

@@ -220,39 +220,9 @@ def _make_event_op(port, infos, cell, batched_buf):
     return op
 
 
-class SisoSlot:
-    """Raw port/signal references of one specialised SISO core op.
-
-    Recorded alongside the op closure (``CompiledProgram.core_meta``)
-    so the lockstep batch executor can run the *same* slot of many
-    batch members as one structure-of-arrays operation (gather the
-    member inputs, one vectorised multiply, scatter the outputs)
-    instead of ``B`` closure calls.
-    """
-
-    __slots__ = (
-        "kind", "module", "in_port", "out_port", "in_sig", "out_sig",
-        "in_key", "event", "is_gain",
-    )
-
-    def __init__(self, kind, module, in_port, out_port, event) -> None:
-        self.kind = kind
-        self.module = module
-        self.in_port = in_port
-        self.out_port = out_port
-        self.in_sig = in_port.signal
-        self.out_sig = out_port.signal
-        self.in_key = id(in_port)
-        self.event = event
-        self.is_gain = kind == "gain"
-
-
 def _make_siso_op(module, kind, event_infos):
     """Specialised per-firing op for uninstrumented gain/delay/buffer:
-    direct token move with an inline probe event, no FiringBlock.
-
-    Returns ``(op, slot)`` — the closure plus its :class:`SisoSlot`
-    descriptor for the batch executor's slot-major lane."""
+    direct token move with an inline probe event, no FiringBlock."""
     in_port = module.in_ports()[0]
     out_port = module.out_ports()[0]
     in_sig = in_port.signal
@@ -311,18 +281,13 @@ def _make_siso_op(module, kind, event_infos):
             event(index)
         object.__setattr__(module, "activation_count", module.activation_count + 1)
 
-    return op, SisoSlot(kind, module, in_port, out_port, event)
+    return op
 
 
-def _make_generic_op(module, offset_fs, time_memo=None):
+def _make_generic_op(module, offset_fs):
     """One interpreted firing with the framing decisions precomputed:
     prebound port lists, inline rate-1 flush when unobserved, a single
-    resolved processing callable.
-
-    ``time_memo`` (optional ``{femtoseconds: ScaTime}`` dict) memoizes
-    activation timestamps — lockstep batch members execute the same
-    firing times over and over, so sharing one memo across a batch
-    replaces most ScaTime constructions with a dict hit."""
+    resolved processing callable."""
     ins = tuple(
         (port, port.signal, id(port), port.rate) for port in module.in_ports()
     )
@@ -338,20 +303,11 @@ def _make_generic_op(module, offset_fs, time_memo=None):
     processing = module.resolved_processing()
     from_fs = ScaTime.from_femtoseconds
     setattr_ = object.__setattr__
-    memo_get = time_memo.get if time_memo is not None else None
 
     def op(base_fs, module=module, offset_fs=offset_fs, ins=ins,
            fast_outs=fast_outs, slow_outs=slow_outs, processing=processing,
-           from_fs=from_fs, setattr_=setattr_, memo_get=memo_get,
-           time_memo=time_memo):
-        fs = base_fs + offset_fs
-        if memo_get is None:
-            t = from_fs(fs)
-        else:
-            t = memo_get(fs)
-            if t is None:
-                t = from_fs(fs)
-                time_memo[fs] = t
+           from_fs=from_fs, setattr_=setattr_):
+        t = from_fs(base_fs + offset_fs)
         setattr_(module, "_time", t)
         for port, _sig, _key, _rate in ins:
             port._in_activation = True
@@ -391,7 +347,6 @@ class CompiledProgram:
         "period_fs",
         "pre_ops",
         "core_ops",
-        "core_meta",
         "post_ops",
         "event_cells",
         "dynamic_watch",
@@ -399,24 +354,17 @@ class CompiledProgram:
         "full_dynamic",
         "signature",
         "stats",
-        "batch_shape",
     )
 
     def __init__(self) -> None:
         self.pre_ops: List[_BlockFireOp] = []
         self.core_ops: List = []
-        #: Parallel to ``core_ops``: a :class:`SisoSlot` descriptor for
-        #: specialised SISO ops, ``None`` for everything else.  The batch
-        #: executor uses it to fuse the same slot across batch members.
-        self.core_meta: List[Optional[SisoSlot]] = []
         self.post_ops: List[_BlockFireOp] = []
         self.event_cells: List[tuple] = []
         self.dynamic_watch: List[TdfModule] = []
         self.window = WINDOW_PERIODS
         self.full_dynamic = False
         self.stats: Dict[str, Any] = {}
-        #: Lazily computed alignment key (see ``repro.tdf.engine.batch``).
-        self.batch_shape: Optional[tuple] = None
 
 
 def program_signature(simulator) -> tuple:
@@ -435,12 +383,8 @@ def program_signature(simulator) -> tuple:
     return tuple(parts)
 
 
-def compile_program(simulator, schedule, time_memo=None) -> CompiledProgram:
-    """Compile ``schedule`` into a :class:`CompiledProgram`.
-
-    ``time_memo`` threads a shared ``{fs: ScaTime}`` cache into the
-    interpreted-fallback ops (see :func:`_make_generic_op`); the batch
-    executor passes one memo for the whole batch."""
+def compile_program(simulator, schedule) -> CompiledProgram:
+    """Compile ``schedule`` into a :class:`CompiledProgram`."""
     cluster = simulator.cluster
     modules = list(cluster.modules)
     reps = schedule.repetitions
@@ -523,7 +467,6 @@ def compile_program(simulator, schedule, time_memo=None) -> CompiledProgram:
                 program.core_ops.append(
                     _make_event_op(port, infos, cell_map[id(port)], batched_buf)
                 )
-                program.core_meta.append(None)
             block_firings += 1
             i += 1
             continue
@@ -533,9 +476,7 @@ def compile_program(simulator, schedule, time_memo=None) -> CompiledProgram:
             continue
         if info.siso is not None:
             specs = info.event_specs[0] if info.event_specs else None
-            op, slot = _make_siso_op(module, info.siso, specs)
-            program.core_ops.append(op)
-            program.core_meta.append(slot)
+            program.core_ops.append(_make_siso_op(module, info.siso, specs))
             block_firings += 1
             i += 1
             continue
@@ -553,14 +494,12 @@ def compile_program(simulator, schedule, time_memo=None) -> CompiledProgram:
             program.core_ops.append(
                 _BlockFireOp(module, q, ts_fs[module.name]).fire_period
             )
-            program.core_meta.append(None)
             program.dynamic_watch.append(module)
             block_firings += q
             i += q
             continue
         offset = ts_fs[module.name] * fidx
-        program.core_ops.append(_make_generic_op(module, offset, time_memo))
-        program.core_meta.append(None)
+        program.core_ops.append(_make_generic_op(module, offset))
         if fidx == 0:
             generic_modules.append(module)
         i += 1

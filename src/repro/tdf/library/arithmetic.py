@@ -9,16 +9,7 @@ gain/delay/buffer (see :mod:`repro.tdf.library.siso`).
 
 from __future__ import annotations
 
-from ..engine.blocks import (
-    add_batch,
-    add_blocks,
-    mul_batch,
-    mul_blocks,
-    offset_batch,
-    offset_block,
-    sub_batch,
-    sub_blocks,
-)
+from ..engine.blocks import add_blocks, mul_blocks, offset_block, sub_blocks
 from ..module import TdfModule
 from ..ports import TdfIn, TdfOut
 
@@ -42,10 +33,6 @@ class AdderTdf(TdfModule):
     def processing_block(self, block) -> None:
         block.write(self.op, add_blocks(block.read(self.ip_a), block.read(self.ip_b)))
 
-    @classmethod
-    def processing_block_batch(cls, batch) -> None:
-        batch.write("op", add_batch(batch.read("ip_a"), batch.read("ip_b")))
-
 
 class SubtractorTdf(TdfModule):
     """Writes ``a - b``."""
@@ -65,10 +52,6 @@ class SubtractorTdf(TdfModule):
 
     def processing_block(self, block) -> None:
         block.write(self.op, sub_blocks(block.read(self.ip_a), block.read(self.ip_b)))
-
-    @classmethod
-    def processing_block_batch(cls, batch) -> None:
-        batch.write("op", sub_batch(batch.read("ip_a"), batch.read("ip_b")))
 
 
 class MultiplierTdf(TdfModule):
@@ -90,10 +73,6 @@ class MultiplierTdf(TdfModule):
     def processing_block(self, block) -> None:
         block.write(self.op, mul_blocks(block.read(self.ip_a), block.read(self.ip_b)))
 
-    @classmethod
-    def processing_block_batch(cls, batch) -> None:
-        batch.write("op", mul_batch(batch.read("ip_a"), batch.read("ip_b")))
-
 
 class OffsetTdf(TdfModule):
     """Adds a constant offset to the input."""
@@ -113,10 +92,6 @@ class OffsetTdf(TdfModule):
 
     def processing_block(self, block) -> None:
         block.write(self.op, offset_block(block.read(self.ip), self.m_offset))
-
-    @classmethod
-    def processing_block_batch(cls, batch) -> None:
-        batch.write("op", offset_batch(batch.read("ip"), batch.params("m_offset")))
 
 
 class SaturatorTdf(TdfModule):

@@ -15,7 +15,7 @@ anchors are the netlist bind sites of their ports (paper §V).
 
 from __future__ import annotations
 
-from ..engine.blocks import scale_batch, scale_block
+from ..engine.blocks import scale_block
 from ..module import TdfModule
 from ..ports import TdfIn, TdfOut
 
@@ -38,10 +38,6 @@ class GainTdf(TdfModule):
 
     def processing_block(self, block) -> None:
         block.write(self.op, scale_block(block.read(self.ip), self.m_gain))
-
-    @classmethod
-    def processing_block_batch(cls, batch) -> None:
-        batch.write("op", scale_batch(batch.read("ip"), batch.params("m_gain")))
 
 
 class DelayTdf(TdfModule):
@@ -73,10 +69,6 @@ class DelayTdf(TdfModule):
     def processing_block(self, block) -> None:
         block.write(self.op, block.read(self.ip))
 
-    @classmethod
-    def processing_block_batch(cls, batch) -> None:
-        batch.write("op", batch.read("ip"))
-
 
 class BufferTdf(TdfModule):
     """Regenerates the input signal unchanged (unit buffer)."""
@@ -95,7 +87,3 @@ class BufferTdf(TdfModule):
 
     def processing_block(self, block) -> None:
         block.write(self.op, block.read(self.ip))
-
-    @classmethod
-    def processing_block_batch(cls, batch) -> None:
-        batch.write("op", batch.read("ip"))

@@ -47,7 +47,6 @@ class Signal:
         "_cursors",
         "_write_observers",
         "_read_observers",
-        "_retain_from",
         "last_write_time",
     )
 
@@ -67,12 +66,6 @@ class Signal:
         self._cursors: Dict[int, int] = {}
         self._write_observers: List[WriteObserver] = []
         self._read_observers: List[ReadObserver] = []
-        #: Garbage-collection floor: tokens at or above this global index
-        #: are kept even after every reader consumed them.  Used by the
-        #: batch engine's deferred trace capture, which reads committed
-        #: tokens back out of the buffer at window end; ``None`` (the
-        #: default) means no retention.
-        self._retain_from: Optional[int] = None
         #: Timestamp of the most recent write (set by the simulator).
         self.last_write_time: Optional[ScaTime] = None
 
@@ -236,8 +229,6 @@ class Signal:
             return
         min_cursor = min(self._cursors[id(p)] for p in self.readers)
         limit = min(min_cursor, self._write_count)
-        if self._retain_from is not None and self._retain_from < limit:
-            limit = self._retain_from
         drop = limit - self._base_index
         for _ in range(max(drop, 0)):
             self._tokens.popleft()

@@ -80,8 +80,8 @@ class TestPipelineResultCache:
 class TestBatchedPipelineCache:
     def test_cache_hits_never_enter_a_batch(self):
         # Resolution order: cached testcases are served from the cache
-        # *before* lockstep batch assembly, so a warm cache costs zero
-        # cluster builds for its hits even in batched mode.
+        # *before* the pending suite is assembled, so a warm cache costs
+        # zero cluster builds for its hits.
         builds = []
 
         def counting_factory():
@@ -96,7 +96,7 @@ class TestBatchedPipelineCache:
         result = run_dft(
             counting_factory,
             suite,
-            DftConfig(result_cache=cache, batch_size=8, engine="block"),
+            DftConfig(result_cache=cache, engine="block"),
         )
         pending = len(suite) - len(warmup)
         # One build for the static stage, one per *pending* testcase.

@@ -1,7 +1,5 @@
 """End-to-end tests for coverage-guided generation (repro.generation)."""
 
-import pytest
-
 from repro import DftConfig, GenerationCampaign, TestSuite
 from repro.core.associations import AssocClass
 from repro.exec.cache import DynamicResultCache
@@ -120,22 +118,6 @@ class TestDeterminism:
         a = _generate(DftConfig(seed=0, budget_simulations=20))
         b = _generate(DftConfig(seed=42, budget_simulations=20))
         assert suite_bytes(a) != suite_bytes(b)
-
-    @pytest.mark.parametrize("batch_size", [1, 4, "auto"])
-    def test_batching_does_not_change_the_suite(self, batch_size):
-        """Lockstep candidate evaluation is invisible in the result:
-        the generated suite is byte-identical at every batch size."""
-        serial = _generate(DftConfig(seed=0, budget_simulations=30))
-        batched = _generate(
-            DftConfig(seed=0, budget_simulations=30, engine="block",
-                      batch_size=batch_size),
-        )
-        assert suite_bytes(batched) == suite_bytes(serial)
-        assert batched.closed == serial.closed
-        assert batched.simulations == serial.simulations
-        assert [t.status for t in batched.targets] == [
-            t.status for t in serial.targets
-        ]
 
 
 class TestGenerationCampaign:

@@ -308,44 +308,19 @@ class TestKernelSemantics:
         assert result.pairs == set() and result.use_without_def == []
 
 
-@needs_numpy
-class TestLaneColumns:
-    def test_batched_lanes_demux_columns_per_member(self):
-        factory = lambda: build_cluster([0.5, -0.25, 1.0], 2, 3)
-        static = analyze_cluster(factory())
-        suite = TestSuite("random", random_suite(3))
-        spec = ProbeStoreSpec(kind="columnar", chunk_size=16)
-        scan = DynamicAnalyzer(
-            factory, static, probe_store=spec, matcher="scan"
-        ).run_suite_batched(suite, 3)
-        vector = DynamicAnalyzer(
-            factory, static, probe_store=spec, matcher="vector"
-        ).run_suite_batched(suite, 3)
-        assert list(vector.per_testcase) == list(scan.per_testcase)
-        for name, match in scan.per_testcase.items():
-            assert vector.per_testcase[name].pairs == match.pairs
-            assert (
-                vector.per_testcase[name].use_without_def
-                == match.use_without_def
-            )
-
-
 @settings(max_examples=6, deadline=None)
 @given(
     values=values_strategy(max_size=6),
     up=rate_strategy(),
     down=rate_strategy(),
     store=st.sampled_from(["memory", "columnar"]),
-    batch_size=st.sampled_from([1, 3]),
     use_numpy=st.booleans(),
 )
-def test_vector_equals_scan_property(
-    values, up, down, store, batch_size, use_numpy
-):
+def test_vector_equals_scan_property(values, up, down, store, use_numpy):
     """Property (issue satellite): on random multirate clusters the
     vector matcher's pairs, diagnostics order and warning count equal
-    the scan matcher's — per store backend, per batch width, and with
-    numpy masked out (where vector degrades to scan)."""
+    the scan matcher's — per store backend, and with numpy masked out
+    (where vector degrades to scan)."""
     from _pytest.monkeypatch import MonkeyPatch
 
     factory = lambda: build_cluster(values, up, down)
@@ -363,7 +338,7 @@ def test_vector_equals_scan_property(
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = analyzer.run_suite_batched(suite, batch_size)
+            result = analyzer.run_suite(suite)
         warned = sum(
             1 for w in caught if issubclass(w.category, UseWithoutDefWarning)
         )

@@ -2,8 +2,8 @@
 
 The expensive acceptance properties — the kill matrix is byte-identical
 across worker counts and across execution engines — run here on the
-small seeded random cluster; the case-study systems are covered by the
-CI smoke job and the capped CLI test.
+small seeded random cluster.  One case-study sample (buck_boost, seed
+1123) pins its kill rows, netlist mutants included.
 """
 
 import pytest
@@ -170,3 +170,31 @@ class TestBackendDeterminism:
         # A zero budget flags every mutant, but kills nothing extra.
         assert strict.timeouts == len(strict.specs)
         assert generous.timeouts == 0
+
+
+class TestCaseStudyKillRows:
+    def test_buck_boost_sample_kill_rows(self):
+        """Seed 1123's six-mutant sample on the buck-boost base suite:
+        every verdict, including the two SISO netlist mutants that only
+        some testcases kill."""
+        run = run_mutation(
+            "repro.systems.buck_boost:BuckBoostTop",
+            "repro.systems.campaigns:buck_boost_base_suite",
+            DftConfig(seed=1123),
+            max_mutants=6,
+        )
+        suite = tuple(run.testcase_names)
+        assert len(suite) == 10
+        rows = {o.spec.mutant_id: (o.status, o.killed_by) for o in run.outcomes}
+        assert rows == {
+            "aor:007:sw_ctrl": ("killed", suite),
+            "aor:023:limiter": ("killed", suite),
+            "sdl:059:thermal": ("killed", suite),
+            "swap:001:sw_ctrl": ("nonviable", ()),
+            "gain:000:i_vout_delay": ("killed", suite[:5]),
+            "drop:001:i_sense_gain": ("killed", ("bb_boost_8v0",)),
+        }
+        assert suite[:5] == (
+            "bb_buck_0v9", "bb_buck_1v2", "bb_buck_1v8", "bb_buck_2v5",
+            "bb_buck_3v0",
+        )

@@ -49,14 +49,6 @@ class TestClose:
         with pytest.raises(ValueError, match="closed probe store"):
             list(store)
 
-    def test_iter_member_after_close_raises(self):
-        store = ColumnarProbeStore(chunk_size=2, member_column=True)
-        for i, event in enumerate(EVENTS):
-            store.append_member(i % 2, event)
-        store.close()
-        with pytest.raises(ValueError, match="closed probe store"):
-            list(store.iter_member(0))
-
     def test_record_past_chunk_boundary_after_close_raises(self):
         store = _filled(chunk_size=2)
         store.close()
@@ -118,8 +110,7 @@ class TestFlushIntegrity:
 class TestToColumns:
     def test_columns_match_decoded_tuples(self):
         store = _filled(chunk_size=3, rounds=4)
-        tags, cols, strings, members = store.to_columns()
-        assert members is None
+        tags, cols, strings = store.to_columns()
         decoded = list(store)
         assert tags.tolist() == [event[0] for event in decoded]
         assert len(tags) == len(store)
@@ -127,15 +118,6 @@ class TestToColumns:
         var_rows = [i for i, event in enumerate(decoded) if event[0] <= 1]
         for i in var_rows:
             assert strings[cols[0][i]] == decoded[i][1]
-        store.close()
-
-    def test_member_column_demuxes(self):
-        store = ColumnarProbeStore(chunk_size=2, member_column=True)
-        for i, event in enumerate(EVENTS * 3):
-            store.append_member(i % 2, event)
-        tags, _cols, _strings, members = store.to_columns()
-        assert members is not None and len(members) == len(tags)
-        assert (members == 0).sum() == len(store) // 2
         store.close()
 
     def test_cache_invalidated_by_append(self):
@@ -152,6 +134,6 @@ class TestToColumns:
         store = _filled(chunk_size=4, rounds=1)
         store.to_columns()
         store.clear()
-        tags, _cols, _strings, _members = store.to_columns()
+        tags, _cols, _strings = store.to_columns()
         assert len(tags) == 0
         store.close()

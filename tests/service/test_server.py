@@ -94,13 +94,14 @@ class TestSubmitValidation:
 
     def test_unknown_config_field_is_400(self, server):
         _, addr = server
-        with pytest.raises(ServiceError) as err:
-            submit_job(
-                addr,
-                {"kind": "run", "system": "sensor", "config": {"tpyo": 1}},
-            )
-        assert err.value.status == 400
-        assert "tpyo" in str(err.value)
+        for field in ("tpyo", "batch_size"):
+            with pytest.raises(ServiceError) as err:
+                submit_job(
+                    addr,
+                    {"kind": "run", "system": "sensor", "config": {field: 1}},
+                )
+            assert err.value.status == 400
+            assert field in str(err.value)
 
     def test_unknown_spec_field_is_400(self, server):
         _, addr = server

@@ -557,10 +557,10 @@ class TestBenchSectionFlag:
     ):
         captured = self._capture(monkeypatch)
         assert main([
-            "bench", "--sections", "engine", "batch",
+            "bench", "--sections", "engine", "store",
             "--section", "match", "--section", "engine",
         ]) == 0
-        assert captured["sections"] == ["engine", "batch", "match"]
+        assert captured["sections"] == ["engine", "store", "match"]
         capsys.readouterr()
 
     def test_unknown_section_rejected(self):

@@ -36,9 +36,10 @@ baselines and emits one machine-readable JSON document (the
   backend), and a byte-identical coverage check across every bundled
   system with a spill-forcing chunk size.
 * **match** — the PR-8 headline: the vectorized columnar matching
-  kernel (:mod:`repro.instrument.matchkernel`) versus the per-event
-  scan matcher on a ~10⁶-event columnar stream, plus a byte-identical
-  coverage check per matcher across every bundled system.
+  kernel (:mod:`repro.instrument.matchkernel`) versus the two-pass
+  streaming scan on a ~10⁶-event columnar stream, plus a byte-identical
+  coverage check of the memory store (scan) against the columnar store
+  (vector) across every bundled system.
 
 Every section records its own wall-clock seconds, so regressions are
 attributable to a layer, not just "the benchmark got slower".
@@ -531,6 +532,32 @@ def _store_rss_subprocess(
     return json.loads(out.stdout)
 
 
+def _store_coverage_identical(systems: List[str]) -> Dict[str, bool]:
+    """Per system: is the coverage export of an in-memory-buffer run
+    (scan matcher) byte-identical to one on a spill-forcing columnar
+    store (vector kernel, or the streaming scan without numpy)?  Block
+    engine both times."""
+    from .core import coverage_to_dict
+    from .exec.refs import resolve_ref
+
+    identical: Dict[str, bool] = {}
+    for name in systems:
+        refs = PARALLEL_REFS[name]
+        factory = resolve_ref(refs["factory"])
+
+        def blob(cfg: DftConfig) -> str:
+            suite = TestSuite(name, resolve_ref(refs["suite"])())
+            result = run_dft(factory, suite, cfg)
+            return json.dumps(coverage_to_dict(result.coverage), sort_keys=True)
+
+        identical[name] = blob(DftConfig(engine="block")) == blob(
+            DftConfig(
+                engine="block", probe_store="columnar", store_chunk_size=4096
+            )
+        )
+    return identical
+
+
 def bench_store(
     events: int = 1_000_000, chunk_size: int = 65536
 ) -> Dict[str, Any]:
@@ -549,8 +576,6 @@ def bench_store(
       backend (block engine, spill-forcing chunk size), comparing the
       machine-readable coverage exports byte for byte.
     """
-    from .core import coverage_to_dict
-    from .exec.refs import resolve_ref
     from .obs.store import ColumnarProbeStore
 
     store = ColumnarProbeStore(chunk_size=chunk_size)
@@ -571,20 +596,7 @@ def bench_store(
     # peak unchanged (the in-memory peak doubles with the event count).
     rss["columnar_2x"] = _store_rss_subprocess("columnar", 2 * events, chunk_size)
 
-    coverage_identical: Dict[str, bool] = {}
-    for name, refs in PARALLEL_REFS.items():
-        factory = resolve_ref(refs["factory"])
-
-        def blob(cfg: DftConfig) -> str:
-            suite = TestSuite(name, resolve_ref(refs["suite"])())
-            result = run_dft(factory, suite, cfg)
-            return json.dumps(coverage_to_dict(result.coverage), sort_keys=True)
-
-        coverage_identical[name] = blob(DftConfig(engine="block")) == blob(
-            DftConfig(
-                engine="block", probe_store="columnar", store_chunk_size=4096
-            )
-        )
+    coverage_identical = _store_coverage_identical(sorted(PARALLEL_REFS))
 
     memory_kb = rss["memory"]["peak_rss_kb"]
     columnar_kb = rss["columnar"]["peak_rss_kb"]
@@ -659,19 +671,20 @@ def bench_match(
     """The PR-8 headline: vectorized versus scan event matching.
 
     Records ``events`` synthetic probe events into a columnar store and
-    times :func:`~repro.instrument.matching.match_events` over the same
-    store under ``matcher="scan"`` (the two-pass streaming matcher) and
-    ``matcher="vector"`` (the columnar array kernel), checking the pair
-    sets and use-without-def diagnostics are identical.  Then runs
-    every bundled system once per matcher (block engine, spill-forcing
-    columnar store) and compares the machine-readable coverage exports
-    byte for byte.  Without numpy the vector leg degrades to the scan
-    fallback; ``numpy`` in the payload records which was measured.
+    times the two-pass streaming matcher
+    (:func:`~repro.instrument.matching._match_streaming`) and the
+    columnar array kernel
+    (:func:`~repro.instrument.matchkernel.match_columns`) over the same
+    store, checking the pair sets and use-without-def diagnostics are
+    identical.  Then runs every bundled system once on the in-memory
+    buffer (scan) and once on a spill-forcing columnar store (vector;
+    block engine both times) and compares the machine-readable coverage
+    exports byte for byte.  Without numpy the vector leg degrades to
+    the streaming scan; ``numpy`` in the payload records which was
+    measured.
     """
-    from .core import coverage_to_dict
-    from .exec.refs import resolve_ref
-    from .instrument.matching import match_events
-    from .instrument.probes import ProbeRuntime
+    from .instrument.matching import MatchResult, _match_streaming
+    from .instrument.matchkernel import match_columns
     from .obs.store import ColumnarProbeStore
     from .obs.store.columns import HAVE_NUMPY
 
@@ -680,16 +693,24 @@ def bench_match(
         for event in _synthetic_match_events(events):
             store.append(event)
         rows = len(store)
-        probe = ProbeRuntime("cluster", store=store)
         start_lines = {"reader": 1}
-        results: Dict[str, Any] = {}
-        for matcher in ("scan", "vector"):
-            match, seconds = _timed(
-                lambda m=matcher: match_events(
-                    probe, "bench", start_lines, {}, warn=False, matcher=m
-                )
-            )
-            results[matcher] = (match, seconds)
+
+        def scan_match() -> MatchResult:
+            match = MatchResult(testcase="bench")
+            _match_streaming(store, start_lines, match, False)
+            return match
+
+        def vector_match() -> MatchResult:
+            if not HAVE_NUMPY:
+                return scan_match()
+            match = MatchResult(testcase="bench")
+            match_columns(store.to_columns(), start_lines, match, False)
+            return match
+
+        results: Dict[str, Any] = {
+            "scan": _timed(scan_match),
+            "vector": _timed(vector_match),
+        }
     finally:
         store.close()
 
@@ -700,22 +721,9 @@ def bench_match(
         and scan.use_without_def == vector.use_without_def
     )
 
-    coverage_identical: Dict[str, bool] = {}
-    for name in coverage_systems if coverage_systems is not None else sorted(
-        PARALLEL_REFS
-    ):
-        refs = PARALLEL_REFS[name]
-        factory = resolve_ref(refs["factory"])
-
-        def blob(matcher: str) -> str:
-            suite = TestSuite(name, resolve_ref(refs["suite"])())
-            result = run_dft(factory, suite, DftConfig(
-                engine="block", probe_store="columnar",
-                store_chunk_size=4096, matcher=matcher,
-            ))
-            return json.dumps(coverage_to_dict(result.coverage), sort_keys=True)
-
-        coverage_identical[name] = blob("scan") == blob("vector")
+    coverage_identical = _store_coverage_identical(
+        coverage_systems if coverage_systems is not None else sorted(PARALLEL_REFS)
+    )
 
     return {
         "events": rows,

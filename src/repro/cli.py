@@ -233,14 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "compiled block engine (auto = block, the default); "
              "results are bit-identical either way",
     )
-    engine_opts.add_argument(
-        "--matcher", choices=["auto", "scan", "vector"],
-        default=argparse.SUPPRESS,
-        help="def-use event-matching implementation: the per-event scan "
-             "or the vectorized columnar kernel (auto = vector when "
-             "numpy is available and the probe store is columnar); "
-             "coverage results are byte-identical either way",
-    )
 
     history_opts = argparse.ArgumentParser(add_help=False)
     history_opts.add_argument(
@@ -795,9 +787,7 @@ def _cmd_mutate(args) -> int:
         factory = factory_obj(*factory_args) if factory_args else factory_obj
         testcases = list(resolve_ref(suite_ref)(*suite_args))
         suite = TestSuite(args.system, testcases)
-        pipeline = run_dft(
-            factory, suite, DftConfig(engine=cfg.engine, matcher=cfg.matcher)
-        )
+        pipeline = run_dft(factory, suite, DftConfig(engine=cfg.engine))
         coverage = pipeline.coverage
         if args.targets == "frontier":
             from .analysis import analyze_subsumption

@@ -55,13 +55,6 @@ class DftConfig:
         stage fan-out (``None`` = automatic heuristic, ``1`` = serial).
         ``executor`` — an explicit :class:`~repro.exec.DynamicExecutor`
         instance; when set it wins over ``workers``.
-        ``matcher`` — the def-use event-matching implementation
-        (``"auto"``/``"scan"``/``"vector"``; see
-        :func:`repro.instrument.matching.match_events`).  ``auto`` takes
-        the vectorized columnar kernel when numpy is present and the
-        probe buffer is a streaming columnar store, the per-event scan
-        otherwise.  All paths are result-identical, so like ``workers``
-        ``matcher`` never enters the config hash.
     caches
         ``result_cache`` — an explicit per-testcase
         :class:`~repro.exec.DynamicResultCache` for ``run_dft``;
@@ -83,7 +76,9 @@ class DftConfig:
         (mutant sampling, stimulus search).
     recording / history
         ``probe_store`` — the probe recording backend (``"memory"`` or
-        ``"columnar"``; coverage results are identical either way);
+        ``"columnar"``; coverage results are identical either way, and
+        the backend picks the event matcher, see
+        :func:`repro.instrument.matching.match_events`);
         ``store_chunk_size`` / ``store_dir`` — columnar spill tuning;
         ``history_dir`` — when set, every run appends one record to the
         run-history ledger there; ``warm_start`` — let mutation and
@@ -92,7 +87,6 @@ class DftConfig:
 
     engine: str = "auto"
     workers: Optional[int] = 1
-    matcher: str = "auto"
     executor: Optional["DynamicExecutor"] = None
     result_cache: Optional["DynamicResultCache"] = None
     reuse_dynamic_results: bool = True
@@ -137,7 +131,6 @@ class DftConfig:
         field_map = {
             "engine": "engine",
             "workers": "workers",
-            "matcher": "matcher",
             "seed": "seed",
             "tolerance": "tolerance",
             "budget_seconds": "budget_seconds",

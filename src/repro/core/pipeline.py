@@ -118,7 +118,6 @@ def run_dft(
             dynamic = _run_dynamic(
                 counted_factory, static, suite, cfg.warn, tel, cfg.executor,
                 cfg.result_cache, cfg.engine, cfg.probe_store_spec(),
-                cfg.matcher,
             )
         with tel.span("coverage") as span_coverage:
             coverage = CoverageResult(static, dynamic)
@@ -178,7 +177,6 @@ def _run_dynamic(
     result_cache: Optional["DynamicResultCache"],
     engine: Optional[str] = "auto",
     probe_store=None,
-    matcher: str = "auto",
 ) -> "DynamicResult":
     """Execute the dynamic stage through the chosen backend and cache.
 
@@ -210,7 +208,7 @@ def _run_dynamic(
         pending_suite = TestSuite(suite.name, pending)
         fresh = executor.run_suite(
             cluster_factory, static, pending_suite, warn=warn, telemetry=tel,
-            engine=engine, probe_store=probe_store, matcher=matcher,
+            engine=engine, probe_store=probe_store,
         )
     else:
         fresh = DynamicResult()

@@ -60,7 +60,6 @@ class DynamicExecutor(abc.ABC):
         telemetry: Optional[Telemetry] = None,
         engine: Optional[str] = "auto",
         probe_store=None,
-        matcher: str = "auto",
     ) -> "DynamicResult":
         """Run every testcase of ``suite`` and merge the results.
 
@@ -71,9 +70,7 @@ class DynamicExecutor(abc.ABC):
         the simulations (see :mod:`repro.tdf.engine`); ``probe_store``
         is an optional :class:`~repro.obs.store.ProbeStoreSpec`
         selecting the probe recording backend (results are identical
-        whichever backend records).  ``matcher`` selects the def-use
-        event-matching implementation (``auto``/``scan``/``vector`` —
-        result-identical; see :func:`repro.instrument.matching.match_events`).
+        whichever backend records).
         """
 
 
@@ -91,12 +88,11 @@ class SerialExecutor(DynamicExecutor):
         telemetry: Optional[Telemetry] = None,
         engine: Optional[str] = "auto",
         probe_store=None,
-        matcher: str = "auto",
     ) -> "DynamicResult":
         from ..instrument.runner import DynamicAnalyzer
 
         analyzer = DynamicAnalyzer(
             cluster_factory, static, warn=warn, telemetry=telemetry,
-            engine=engine, probe_store=probe_store, matcher=matcher,
+            engine=engine, probe_store=probe_store,
         )
         return analyzer.run_suite(suite)

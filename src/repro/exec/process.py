@@ -63,8 +63,6 @@ class _WorkerJob:
     #: Optional probe-store spec (frozen dataclass of primitives, so it
     #: pickles to every worker; each worker builds its own stores).
     probe_store: Optional[Any] = None
-    #: Event-matching implementation (``auto``/``scan``/``vector``).
-    matcher: str = "auto"
 
 
 def _run_worker(job: _WorkerJob) -> Tuple[List[Tuple[str, "MatchResult"]], List[dict], float]:
@@ -93,7 +91,6 @@ def _run_worker(job: _WorkerJob) -> Tuple[List[Tuple[str, "MatchResult"]], List[
             factory, static, warn=job.warn,
             telemetry=tel if job.record_telemetry else None,
             engine=job.engine, probe_store=job.probe_store,
-            matcher=job.matcher,
         )
         for name in job.names:
             results.append((name, analyzer.run_testcase(testcases[name])))
@@ -139,7 +136,6 @@ class ProcessExecutor(DynamicExecutor):
         telemetry: Optional[Telemetry] = None,
         engine: Optional[str] = "auto",
         probe_store=None,
-        matcher: str = "auto",
     ) -> "DynamicResult":
         from ..instrument.runner import DynamicResult
 
@@ -171,7 +167,6 @@ class ProcessExecutor(DynamicExecutor):
                 engine=engine if engine is not None else "auto",
                 suite_args=self.suite_args,
                 probe_store=probe_store,
-                matcher=matcher,
             )
             for shard in shards
         ]

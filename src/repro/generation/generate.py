@@ -263,7 +263,6 @@ class _Evaluator:
                 self.cluster_factory, self.static, suite,
                 warn=self.cfg.warn, telemetry=self.tel, engine=self.cfg.engine,
                 probe_store=self.cfg.probe_store_spec(),
-                matcher=self.cfg.matcher,
             )
             for name, _ in pending:
                 match = dynamic.per_testcase[name]

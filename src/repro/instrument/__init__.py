@@ -7,31 +7,20 @@ from .instrumenter import (
     instrument_processing,
     restore_processing,
 )
-from .matching import MATCHERS, MatchResult, match_events
+from .matching import MatchResult, match_events
 from .parallel_print import ParallelPrint, tap_signal
-from .probes import (
-    PortReadEvent,
-    PortWriteEvent,
-    ProbeRuntime,
-    UseWithoutDefWarning,
-    VarEvent,
-    WriterKind,
-)
+from .probes import ProbeRuntime, UseWithoutDefWarning, WriterKind
 from .runner import ClusterFactory, DynamicAnalyzer, DynamicResult
 
 __all__ = [
     "ClusterFactory",
-    "MATCHERS",
     "DynamicAnalyzer",
     "DynamicResult",
     "MatchResult",
     "PROBE_NAME",
     "ParallelPrint",
-    "PortReadEvent",
-    "PortWriteEvent",
     "ProbeRuntime",
     "UseWithoutDefWarning",
-    "VarEvent",
     "WriterKind",
     "compile_processing_ast",
     "install_processing_ast",

@@ -4,32 +4,24 @@ The instrumenter rewrites a model's processing source so that every
 definition and use reports itself to the :class:`ProbeRuntime` at
 execution time, without changing behaviour:
 
-* loads of tracked locals/members are wrapped:
-  ``x``  ->  ``__dft_probe__.u(self, 'x', <line>, x)``;
+* every def/use site ``N`` of a tracked local/member appends its event
+  to the probe buffer with a bare ``__dft_a__(__dft_tN__)`` — one
+  C-level ``list.append`` of a tuple *preallocated at instrumentation
+  time* (``(tag, var, model, line)`` is fully static per site).  Loads
+  become ``(x, __dft_a__(__dft_tN__))[0]``; a def append statement
+  follows every assignment (and opens the body for loop targets);
 * port accesses are routed through the probe:
   ``self.ip.read(i)``     -> ``__dft_probe__.pr(self, self.ip, <line>, i)``
-  ``self.op.write(v, i)`` -> ``__dft_probe__.pw(self, self.op, <line>, v, i)``;
-* a ``__dft_probe__.d(self, 'x', <line>)`` statement is appended after
-  every assignment (and as the first body statement for loop targets).
+  ``self.op.write(v, i)`` -> ``__dft_probe__.pw(self, self.op, <line>, v, i)``.
 
-All ``<line>`` arguments are *absolute* file lines, so dynamic events
+All ``<line>`` values are *absolute* file lines, so dynamic events
 join directly against the static anchors.  The rewritten function is
-compiled in a copy of the original function's globals (plus the probe)
-and installed on the module instance via ``register_processing`` —
-the class and all other instances stay untouched.
+compiled in a copy of the original function's globals (plus the probe
+bindings) and installed on the module instance via
+``register_processing`` — the class and all other instances stay
+untouched.
 
-Two emission variants exist, selected by the probe's recording mode:
-
-* **per-event** (default): every def/use calls ``__dft_probe__.u``/
-  ``.d`` as sketched above;
-* **batched** (block engine): every def/use site ``N`` becomes a bare
-  ``__dft_a__(__dft_tN__)`` — one C-level ``list.append`` of a tuple
-  *preallocated at instrumentation time* (``(tag, var, model, line)``
-  is fully static per site).  No Python frame and no tuple
-  construction on the hot path; the event content and order are
-  identical to the per-event variant by construction.
-
-Compilation is memoized per ``(function, ports, variant)`` in
+Compilation is memoized per ``(function, ports)`` in
 :data:`_CODE_CACHE` — repeated instrumentation (one fresh cluster per
 testcase) only pays the ``exec`` of the cached code object.
 """
@@ -53,12 +45,12 @@ from ..tdf.module import TdfModule
 from .probes import TAG_DEF, TAG_USE
 
 PROBE_NAME = "__dft_probe__"
-#: Batched mode: the probe buffer's ``append`` bound method.
+#: The probe buffer's ``append`` bound method.
 APPEND_NAME = "__dft_a__"
-#: Batched mode: per-site preallocated event tuples ``__dft_t<N>__``.
+#: Per-site preallocated event tuples ``__dft_t<N>__``.
 SITE_PREFIX = "__dft_t"
 
-#: ``(underlying function, in ports, out ports, batched)`` ->
+#: ``(underlying function, in ports, out ports)`` ->
 #: ``(code object, function name, site templates)``.  Site templates
 #: are ``(tag, var, line)`` triples in emission order; the model name
 #: is added per instance at exec time.
@@ -86,14 +78,12 @@ class _Rewriter(ast.NodeTransformer):
         out_ports: Set[str],
         local_names: Set[str],
         line_offset: int,
-        batched: bool = False,
     ) -> None:
         self.in_ports = in_ports
         self.out_ports = out_ports
         self.local_names = local_names
         self.line_offset = line_offset
-        self.batched = batched
-        #: Batched mode: ``(tag, var, line)`` per emitted u/d site, in
+        #: ``(tag, var, line)`` per emitted use/def site, in
         #: emission order (site N reads global ``__dft_t<N>__``).
         self.sites: List[tuple] = []
 
@@ -104,7 +94,7 @@ class _Rewriter(ast.NodeTransformer):
         return ast.Constant(value=self._abs(node))
 
     def _site_append(self, tag: int, var: str, line: int) -> ast.Call:
-        """``__dft_a__(__dft_tN__)`` for a new batched event site."""
+        """``__dft_a__(__dft_tN__)`` for a new event site."""
         idx = len(self.sites)
         self.sites.append((tag, var, line))
         return ast.Call(
@@ -115,31 +105,20 @@ class _Rewriter(ast.NodeTransformer):
 
     def _u_event(self, var: str, line: int, value_node: ast.expr) -> ast.expr:
         """A use event wrapping ``value_node`` (returns its value)."""
-        if self.batched:
-            # (value, append(site))[0]: value first, then the event —
-            # the same order as evaluating u()'s arguments then its body.
-            return ast.Subscript(
-                value=ast.Tuple(
-                    elts=[value_node, self._site_append(TAG_USE, var, line)],
-                    ctx=ast.Load(),
-                ),
-                slice=ast.Constant(value=0),
+        # (value, append(site))[0]: the value is evaluated first, then
+        # the event is recorded.
+        return ast.Subscript(
+            value=ast.Tuple(
+                elts=[value_node, self._site_append(TAG_USE, var, line)],
                 ctx=ast.Load(),
-            )
-        return _probe_call(
-            "u",
-            [_load("self"), ast.Constant(var), ast.Constant(line), value_node],
+            ),
+            slice=ast.Constant(value=0),
+            ctx=ast.Load(),
         )
 
     def _d_stmt(self, var: str, line: int) -> ast.Expr:
         """A definition event statement."""
-        if self.batched:
-            return ast.Expr(value=self._site_append(TAG_DEF, var, line))
-        return ast.Expr(
-            value=_probe_call(
-                "d", [_load("self"), ast.Constant(var), ast.Constant(line)]
-            )
-        )
+        return ast.Expr(value=self._site_append(TAG_DEF, var, line))
 
     # -- expression wrapping ---------------------------------------------------
 
@@ -373,24 +352,23 @@ def instrument_processing(module: TdfModule, probe: Any) -> Callable[[], None]:
 
     The expensive part — source recovery, AST rewrite, ``compile()`` —
     is memoized on the *underlying function* (shared by every instance
-    of a class and every testcase), keyed with the port-name sets and
-    the probe's recording mode that shape the rewrite.  Per call only a
-    fresh ``exec`` binds the probe (and, in batched mode, the per-site
-    event tuples carrying this instance's model name).
+    of a class and every testcase), keyed with the port-name sets that
+    shape the rewrite.  Per call only a fresh ``exec`` binds the probe,
+    its buffer's ``append`` and the per-site event tuples carrying this
+    instance's model name.
     """
     original_registration = module._processing_fn
     fn = module.resolved_processing()
     underlying = fn.__func__ if isinstance(fn, types.MethodType) else fn
-    batched = getattr(probe, "batched", False)
     in_ports = frozenset(p.name for p in module.in_ports())
     out_ports = frozenset(p.name for p in module.out_ports())
-    cache_key = (underlying, in_ports, out_ports, batched)
+    cache_key = (underlying, in_ports, out_ports)
     cached = _CODE_CACHE.get(cache_key)
     if cached is None:
         info = get_source_info(fn)
         local_names = assigned_local_names(info.func)
         rewriter = _Rewriter(
-            set(in_ports), set(out_ports), local_names, info.line_offset, batched
+            set(in_ports), set(out_ports), local_names, info.line_offset
         )
         func = info.func
         # Rewrite the body directly: visit_FunctionDef keeps *nested*
@@ -401,12 +379,10 @@ def instrument_processing(module: TdfModule, probe: Any) -> Callable[[], None]:
         _CODE_CACHE[cache_key] = cached
 
     code, func_name, sites = cached
-    extra: Dict[str, Any] = {PROBE_NAME: probe}
-    if batched:
-        extra[APPEND_NAME] = probe._buf.append
-        model = module.name
-        for idx, (tag, var, line) in enumerate(sites):
-            extra[f"{SITE_PREFIX}{idx}__"] = (tag, var, model, line)
+    extra: Dict[str, Any] = {PROBE_NAME: probe, APPEND_NAME: probe._buf.append}
+    model = module.name
+    for idx, (tag, var, line) in enumerate(sites):
+        extra[f"{SITE_PREFIX}{idx}__"] = (tag, var, model, line)
     install_processing_ast(module, code, func_name, extra)
     return original_registration
 

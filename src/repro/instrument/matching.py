@@ -35,19 +35,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.associations import ExercisedPair
-from .probes import (
-    PortReadEvent,
-    PortWriteEvent,
-    ProbeRuntime,
-    UseWithoutDefWarning,
-    VarEvent,
-    WriterKind,
-)
+from .probes import ProbeRuntime, UseWithoutDefWarning, WriterKind
 
 PairKey = Tuple[str, str, int, str, int]
-
-#: Valid values of the ``matcher`` knob (``DftConfig.matcher``).
-MATCHERS = ("auto", "scan", "vector")
 
 
 @dataclass
@@ -71,110 +61,69 @@ def match_events(
     probe: ProbeRuntime,
     testcase: str,
     model_start_lines: Dict[str, int],
-    initial_tokens: Dict[str, int],
     warn: bool = True,
-    matcher: str = "auto",
     telemetry: Any = None,
 ) -> MatchResult:
-    """Join the probe's event streams into exercised pairs.
+    """Join the probe's event stream into exercised pairs.
 
     ``model_start_lines`` maps model name to the placeholder definition
-    line (the ``def processing`` line); ``initial_tokens`` maps signal
-    name to the number of priming (output-delay) tokens, which must not
-    be treated as definitions.
+    line (the ``def processing`` line).
 
-    ``matcher`` picks the join implementation — every path produces
-    identical results:
+    The join implementation follows from the buffer type — every path
+    produces identical results:
 
-    * ``"scan"`` — the per-event Python matchers below (single-pass
-      over batched buffers, two-pass over streaming stores, dataclass
-      join for per-event probes);
-    * ``"vector"`` — the columnar array kernel
-      (:mod:`repro.instrument.matchkernel`); falls back to ``scan``
-      when numpy is unavailable or the probe records per-event
-      dataclasses (which have no tuple buffer to columnize);
-    * ``"auto"`` — ``vector`` when numpy is present and the buffer is
-      a streaming columnar store (whose columns are already packed),
-      ``scan`` otherwise.
+    * in-memory tuple list → :func:`_match_batched`, a single pass
+      (columnizing it for the vector kernel would cost an O(n) encode
+      pass first);
+    * streaming columnar store with numpy → the columnar array kernel
+      (:mod:`repro.instrument.matchkernel`), whose columns are already
+      packed;
+    * streaming columnar store without numpy → :func:`_match_streaming`,
+      two O(1)-memory passes.
 
     The path taken, events scanned, and any fallback reason land in
     ``instrument.match_*`` telemetry when a session is recording.
     """
-    if matcher not in MATCHERS:
-        raise ValueError(
-            f"unknown matcher {matcher!r} (expected one of {', '.join(MATCHERS)})"
-        )
     result = MatchResult(testcase=testcase)
-    buf = getattr(probe, "_buf", None)
-    path, reason = _matcher_path(matcher, buf)
+    buf = probe._buf
+    path, reason = _matcher_path(buf)
     started = time.perf_counter()
     scanned = 0
     if path == "vector":
-        from .matchkernel import columns_of, match_columns
+        from .matchkernel import match_columns
 
-        columns = columns_of(buf)
-        if columns is None:  # pragma: no cover - numpy lost post-policy
-            path, reason = "scan", "no_numpy"
-        else:
-            scanned = match_columns(columns, model_start_lines, result, warn)
-    if path == "scan":
-        if buf is not None:
-            if getattr(buf, "streaming", False):
-                # Columnar store: two passes over the (re-iterable)
-                # stream; decoded tuples are transient, so nothing here
-                # may key on object identity or retain events.
-                _match_streaming(buf, model_start_lines, result, warn)
-            else:
-                # Batched probe: consume the flat tuple buffer directly
-                # (it is already in sequence order) without
-                # materialising dataclasses.
-                _match_batched(buf, model_start_lines, result, warn)
-        else:
-            _match_var_events(probe.var_events, result)
-            _match_port_events(
-                probe.port_writes,
-                probe.port_reads,
-                model_start_lines,
-                initial_tokens,
-                result,
-                warn,
-            )
+        scanned = match_columns(buf.to_columns(), model_start_lines, result, warn)
+    elif getattr(buf, "streaming", False):
+        # Columnar store: two passes over the (re-iterable) stream;
+        # decoded tuples are transient, so nothing here may key on
+        # object identity or retain events.
+        _match_streaming(buf, model_start_lines, result, warn)
+    else:
+        # In-memory buffer: already in sequence order, one pass.
+        _match_batched(buf, model_start_lines, result, warn)
     _record_match_telemetry(
-        telemetry, probe, buf, path, reason, scanned,
-        time.perf_counter() - started,
+        telemetry, buf, path, reason, scanned, time.perf_counter() - started
     )
     return result
 
 
-def _matcher_path(matcher: str, buf: Any) -> Tuple[str, Optional[str]]:
-    """Resolve the knob to the path taken plus a fallback reason.
+def _matcher_path(buf: Any) -> Tuple[str, Optional[str]]:
+    """The path taken for ``buf`` plus a fallback reason.
 
-    A non-``None`` reason is recorded whenever a vector-eligible
-    request (``auto`` or explicit ``vector``) degraded to scan — it
+    A non-``None`` reason is recorded whenever the scan path runs — it
     explains a low ``instrument.match_vector_share``.
     """
-    if matcher == "scan":
-        return "scan", None
-    if buf is None:
-        # Per-event dataclass probe (interpreter engine): there is no
-        # flat tuple buffer to columnize.
-        return "scan", "per_event_probe"
     from .matchkernel import HAVE_NUMPY
 
     if not HAVE_NUMPY:
         return "scan", "no_numpy"
-    if matcher == "vector":
-        return "vector", None
     if getattr(buf, "streaming", False):
         return "vector", None
-    # auto + in-memory tuple buffer: columnizing would pay an O(n)
-    # encode pass first, so the single-pass scan stays the default.
     return "scan", "memory_buffer"
 
 
 def _record_match_telemetry(
     telemetry: Any,
-    probe: ProbeRuntime,
     buf: Any,
     path: str,
     reason: Optional[str],
@@ -189,7 +138,7 @@ def _record_match_telemetry(
     if not getattr(tel, "enabled", False):
         return
     if path == "scan":  # the vector kernel already counted its rows
-        scanned = len(buf) if buf is not None else sum(probe.event_counts())
+        scanned = len(buf)
     metrics = tel.metrics
     metrics.counter("instrument.match_runs", path=path).inc()
     metrics.counter("instrument.match_events_scanned", path=path).inc(scanned)
@@ -204,14 +153,12 @@ def _match_batched(
     result: MatchResult,
     warn: bool,
 ) -> None:
-    """Single-pass matcher over the batched probe buffer.
+    """Single-pass matcher over an in-memory probe buffer.
 
-    Semantically identical to :func:`_match_var_events` +
-    :func:`_match_port_events`: var events pair inline against the
-    running last-def map, port writes build the per-signal index maps
-    (later writes of the same token overwrite earlier ones, i.e. last
-    by sequence wins), and port reads resolve after all writes — the
-    same order the dataclass path imposes by sorting on ``seq``.
+    Var events pair inline against the running last-def map, port
+    writes build the per-signal index maps (later writes of the same
+    token overwrite earlier ones, i.e. last by sequence wins), and port
+    reads resolve after all writes.
     """
     last_def: Dict[Tuple[str, str], int] = {}
     pairs = result.pairs
@@ -220,7 +167,7 @@ def _match_batched(
     reads: List[tuple] = []
     append_read = reads.append
     last_def_get = last_def.get
-    # Use events are *shared per-site tuples* (the batched instrumenter
+    # Use events are *shared per-site tuples* (the instrumenter
     # preallocates one tuple per def/use site), and the buffer keeps
     # every event alive for the duration of the match — so ``id(ev)``
     # is a stable, collision-free key.  Memoizing the unpacked site and
@@ -449,72 +396,3 @@ def _match_streaming(
             add_pair((ev[3], ev[4], start, ev[5], ev[6]))
         else:
             add_pair((site[0], site[1], site[2], ev[5], ev[6]))
-
-
-def _match_var_events(events: List[VarEvent], result: MatchResult) -> None:
-    last_def: Dict[Tuple[str, str], int] = {}
-    # Events are appended in execution order; no re-sort needed.
-    for ev in events:
-        key = (ev.model, ev.var)
-        if ev.is_def:
-            last_def[key] = ev.line
-        else:
-            def_line = last_def.get(key)
-            if def_line is None:
-                # Value predates processing (initialize()/constructor):
-                # not a def-use pair within the analysed scope.
-                continue
-            result.pairs.add((ev.var, ev.model, def_line, ev.model, ev.line))
-
-
-def _match_port_events(
-    writes: List[PortWriteEvent],
-    reads: List[PortReadEvent],
-    model_start_lines: Dict[str, int],
-    initial_tokens: Dict[str, int],
-    result: MatchResult,
-    warn: bool,
-) -> None:
-    # Per signal: sorted token indices with their (last-by-seq) write event.
-    per_signal: Dict[str, Dict[int, PortWriteEvent]] = {}
-    for w in sorted(writes, key=lambda w: w.seq):
-        per_signal.setdefault(w.signal, {})[w.token_index] = w
-    sorted_indices: Dict[str, List[int]] = {
-        sig: sorted(idx_map) for sig, idx_map in per_signal.items()
-    }
-
-    warned: Set[str] = set()
-    for r in reads:
-        if r.undriven:
-            desc = f"{r.reader_model}.{r.port}"
-            if desc not in warned:
-                warned.add(desc)
-                result.use_without_def.append(desc)
-                if warn:
-                    warnings.warn(
-                        f"use of port {desc} without any definition "
-                        f"(signal {r.signal!r} has no driver): undefined "
-                        f"behaviour per the SystemC-AMS standard",
-                        UseWithoutDefWarning,
-                        stacklevel=2,
-                    )
-            continue
-        if r.token_index < 0:
-            continue  # reader-side delay: initial value, not a definition
-        indices = sorted_indices.get(r.signal, [])
-        pos = bisect.bisect_right(indices, r.token_index) - 1
-        if pos < 0:
-            # No write at or before this token: priming tokens are
-            # initial values; anything else is a repetition of the
-            # initial value and likewise carries no definition.
-            continue
-        w = per_signal[r.signal][indices[pos]]
-        if w.kind is WriterKind.TESTBENCH:
-            start = model_start_lines.get(r.reader_model)
-            if start is None:
-                continue
-            result.pairs.add(
-                (r.port, r.reader_model, start, r.anchor_model, r.anchor_line)
-            )
-        else:
-            result.pairs.add((w.var, w.model, w.line, r.anchor_model, r.anchor_line))

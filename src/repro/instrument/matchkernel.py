@@ -4,8 +4,8 @@
 :mod:`repro.instrument.matching`: it consumes the columnar probe
 store's per-field arrays directly — tag stream plus seven unified
 ``int64`` payload columns over a string dictionary — and never
-materialises per-event tuples, dataclass views, or Python dicts keyed
-per event.  The three scan joins become three array passes:
+materialises per-event tuples or Python dicts keyed per event.  The
+three scan joins become three array passes:
 
 * **var last-def join** — factorize ``(model, var)`` into one dense
   integer key, stable-sort the var events by key (stream order is
@@ -31,16 +31,17 @@ per event.  The three scan joins become three array passes:
 The emitted :class:`~repro.instrument.matching.MatchResult` contents
 (pair set, diagnostic order, warning count) are byte-identical to the
 scan matchers by construction and verified by a Hypothesis equivalence
-property.  The kernel requires numpy; callers go through
-:func:`columns_of`, which returns ``None`` when numpy is unavailable so
-:func:`~repro.instrument.matching.match_events` can fall back to the
-scan path (numpy stays an optional dependency).
+property.  The kernel requires numpy (an optional dependency);
+:func:`~repro.instrument.matching.match_events` runs it only on a
+columnar store when :data:`HAVE_NUMPY` holds, and takes the streaming
+scan otherwise.
 
 Memory note: the vector path materialises the full column set (~9
 bytes/row plus masks), trading the store's O(1) streaming footprint
 for array passes.  At a million events that is tens of megabytes —
-fine on analysis hosts; the scan matcher remains the O(1)-memory
-option and the ``matcher`` knob picks between them.
+fine on analysis hosts; without numpy the streaming scan keeps the
+O(1) footprint.  In-memory buffers never take this path: columnizing
+them would cost an encode pass that the single-pass scan beats.
 """
 
 from __future__ import annotations
@@ -48,39 +49,12 @@ from __future__ import annotations
 import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..obs.store.columns import (
-    HAVE_NUMPY,
-    TAG_DEF,
-    TAG_PR,
-    TAG_PW,
-    _np as np,
-    encode_chunk,
-)
+from ..obs.store.columns import HAVE_NUMPY, TAG_DEF, TAG_PR, TAG_PW, _np as np
 from .probes import UseWithoutDefWarning, WriterKind
 
 #: ``(tags, payload_columns, strings)`` — the array triple the kernel
-#: consumes.
+#: consumes (:meth:`repro.obs.store.ColumnarProbeStore.to_columns`).
 ColumnSet = Tuple[Any, Tuple, Sequence[str]]
-
-
-def columns_of(buf: Any) -> Optional[ColumnSet]:
-    """The per-field arrays of any batched probe buffer, or ``None``.
-
-    Columnar stores expose ``to_columns()`` (spilled chunks concatenate
-    without ever decoding tuples); a plain in-memory tuple buffer is
-    packed through the same chunk encoder once.  Returns ``None`` when numpy is unavailable —
-    the caller's signal to take the scan path.
-    """
-    if not HAVE_NUMPY or buf is None:
-        return None
-    to_columns = getattr(buf, "to_columns", None)
-    if to_columns is not None:
-        return to_columns()
-    strings: List[str] = []
-    events = buf if isinstance(buf, list) else list(buf)
-    payload = encode_chunk(events, {}, strings)
-    tags = np.frombuffer(payload[2], dtype=np.uint8)
-    return tags, payload[3], strings
 
 
 def match_columns(

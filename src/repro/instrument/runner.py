@@ -79,19 +79,12 @@ class DynamicAnalyzer:
         telemetry=None,
         engine: Optional[str] = "auto",
         probe_store=None,
-        matcher: str = "auto",
     ) -> None:
         self.cluster_factory = cluster_factory
         self.static = static
         self.warn = warn
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
-        #: Event-matching implementation knob (``DftConfig.matcher``):
-        #: ``auto``/``scan``/``vector`` — all result-identical.
-        self.matcher = matcher
         #: Resolved TDF engine for the simulations ("interp" or "block").
-        #: Block runs also switch the probe to batched recording — probe
-        #: *semantics* (event content and order) are identical; only the
-        #: storage format changes.
         self.engine = resolve_engine(engine)
         #: Optional :class:`~repro.obs.store.ProbeStoreSpec` selecting
         #: the recording backend; each testcase gets a fresh store so
@@ -117,11 +110,7 @@ class DynamicAnalyzer:
                 self.probe_store.make(tel) if self.probe_store is not None else None
             )
             try:
-                probe = ProbeRuntime(
-                    cluster.name,
-                    batched=self.engine == "block",
-                    store=store,
-                )
+                probe = ProbeRuntime(cluster.name, store=store)
                 self._instrument(cluster, probe)
                 self._install_hooks(cluster, probe)
                 testcase.apply(cluster)
@@ -129,18 +118,12 @@ class DynamicAnalyzer:
                 with tel.span("dynamic.simulate", testcase=testcase.name):
                     simulator.run(testcase.duration)
                     simulator.finish()
-                initial_tokens = {
-                    sig.name: (sig.driver.delay if sig.driver is not None else 0)
-                    for sig in cluster.signals
-                }
                 with tel.span("dynamic.match", testcase=testcase.name):
                     match = match_events(
                         probe,
                         testcase.name,
                         self.static.model_start_lines,
-                        initial_tokens,
                         warn=self.warn,
-                        matcher=self.matcher,
                         telemetry=tel,
                     )
                 if tel.enabled:

@@ -1,19 +1,21 @@
 """Streaming columnar probe store with chunked disk spillover.
 
 :class:`ColumnarProbeStore` is a drop-in recording backend for the
-batched probe buffer (``ProbeRuntime._buf``): the instrumenter's probe
-closures and the block engine's compiled ops only ever call
+flat probe buffer (``ProbeRuntime._buf``): the instrumented code, the
+probe closures and the block engine's compiled ops only ever call
 ``.append(event_tuple)`` on the buffer, so the store can stand in for
-the plain list.  Every ``chunk_size`` appends, the pending tail is
+the plain list on either engine.  Every ``chunk_size`` appends, the pending tail is
 packed into flat int columns (:mod:`.columns`) and pickled as one frame
 onto a single append-only spill file, so a simulation producing
 millions of probe events holds at most one chunk of live tuples —
 O(1) memory in simulation length.
 
 The store advertises ``streaming = True``; the event matcher
-(:mod:`repro.instrument.matching`) detects that and switches to its
-two-pass streaming algorithm, which iterates the store twice (decoding
-spilled chunks one at a time) instead of holding every tuple alive.
+(:mod:`repro.instrument.matching`) detects that and runs the vector
+kernel over :meth:`ColumnarProbeStore.to_columns` when numpy is
+available, or else its two-pass streaming algorithm, which iterates
+the store twice (decoding spilled chunks one at a time) instead of
+holding every tuple alive.
 
 Telemetry (when a session is active) lands under ``obs.store_*``:
 ``obs.store_rows``, ``obs.store_chunks_spilled``,
@@ -79,7 +81,8 @@ class ProbeStoreSpec:
 class ColumnarProbeStore:
     """Append-only probe-event buffer with columnar disk spillover."""
 
-    #: Tells the matcher to use its streaming (two-pass) algorithm.
+    #: Tells the matcher this is a re-iterable columnar store (vector
+    #: kernel, or the two-pass streaming scan without numpy).
     streaming = True
 
     def __init__(

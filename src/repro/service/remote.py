@@ -132,7 +132,6 @@ class RemoteExecutor(DynamicExecutor):
         record_telemetry: bool,
         engine: Optional[str],
         probe_store,
-        matcher: str,
     ) -> Dict[str, Any]:
         job: Dict[str, Any] = {
             "factory_ref": self.factory_ref,
@@ -145,7 +144,6 @@ class RemoteExecutor(DynamicExecutor):
             "warn": warn,
             "record_telemetry": record_telemetry,
             "engine": engine if engine is not None else "auto",
-            "matcher": matcher,
         }
         if probe_store is not None:
             job["probe_store"] = {
@@ -199,7 +197,6 @@ class RemoteExecutor(DynamicExecutor):
         telemetry: Optional[Telemetry] = None,
         engine: Optional[str] = "auto",
         probe_store=None,
-        matcher: str = "auto",
     ) -> "DynamicResult":
         from ..instrument.runner import DynamicResult
 
@@ -223,7 +220,7 @@ class RemoteExecutor(DynamicExecutor):
         shards = round_robin_shards(names, self.workers)
         jobs = [
             self._shard_job(
-                shard, static, warn, tel.enabled, engine, probe_store, matcher,
+                shard, static, warn, tel.enabled, engine, probe_store,
             )
             for shard in shards
         ]

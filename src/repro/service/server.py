@@ -188,7 +188,7 @@ def _execute_job(
             pipeline = run_dft(
                 entry["factory"],
                 suite,
-                DftConfig(engine=cfg.engine, matcher=cfg.matcher),
+                DftConfig(engine=cfg.engine),
             )
             coverage = pipeline.coverage
         payload = build_report(run, coverage=coverage, system=spec.system)

@@ -75,7 +75,7 @@ def execute_shard(
     ``fingerprint``
         Content-address of the design (static fingerprint); the memo
         key prefix for the worker-local result cache.
-    ``warn`` / ``engine`` / ``matcher`` / ``record_telemetry``
+    ``warn`` / ``engine`` / ``record_telemetry``
         The usual execution knobs (see
         :meth:`repro.exec.base.DynamicExecutor.run_suite`).
     """
@@ -136,7 +136,6 @@ def execute_shard(
                 telemetry=tel if record_telemetry else None,
                 engine=job.get("engine") or "auto",
                 probe_store=probe_store,
-                matcher=job.get("matcher") or "auto",
             )
             for name in pending:
                 results[name] = analyzer.run_testcase(testcases[name])

@@ -193,15 +193,15 @@ class _WindowRollback:
             )
 
 
-def _make_event_op(port, infos, cell, batched_buf):
+def _make_event_op(port, infos, cell):
     """Probe write events of one hoisted firing, emitted at its
     canonical position in the period with a running token counter."""
     sig_name = port.signal.name
-    if batched_buf is not None and len(infos) == 1:
+    if len(infos) == 1:
         from ...instrument.probes import TAG_PW
 
-        append = batched_buf.append
-        _probe, var, model, line, kind = infos[0]
+        probe, var, model, line, kind = infos[0]
+        append = probe._buf.append
 
         def op(base_fs, cell=cell, append=append, sig_name=sig_name,
                var=var, model=model, line=line, kind=kind):
@@ -235,12 +235,11 @@ def _make_siso_op(module, kind, event_infos):
     event = None
     if event_infos:
         port, infos = event_infos
-        batched_buf = getattr(infos[0][0], "_buf", None)
-        if batched_buf is not None and len(infos) == 1:
+        if len(infos) == 1:
             from ...instrument.probes import TAG_PW
 
-            append = batched_buf.append
-            _probe, var, model, line, wkind = infos[0]
+            probe, var, model, line, wkind = infos[0]
+            append = probe._buf.append
             sig_name = out_sig.name
 
             def event(index, a=append, s=sig_name, v=var, m=model, l=line, k=wkind):
@@ -463,9 +462,8 @@ def compile_program(simulator, schedule) -> CompiledProgram:
         info = info_map[module]
         if module in pre:
             for port, infos in info.event_specs:
-                batched_buf = getattr(infos[0][0], "_buf", None)
                 program.core_ops.append(
-                    _make_event_op(port, infos, cell_map[id(port)], batched_buf)
+                    _make_event_op(port, infos, cell_map[id(port)])
                 )
             block_firings += 1
             i += 1

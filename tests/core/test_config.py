@@ -51,20 +51,6 @@ class TestFromArgs:
         assert cfg.engine == "interp"
         assert cfg.workers == 3
 
-    def test_matcher_flag_folds_in(self):
-        assert DftConfig().matcher == "auto"
-        cfg = DftConfig.from_args(argparse.Namespace(matcher="vector"))
-        assert cfg.matcher == "vector"
-
-    def test_matcher_never_enters_config_hash(self):
-        # All matchers are result-identical, so cached dynamic results
-        # and history fingerprints must not fragment on the knob.
-        hashes = {
-            DftConfig(matcher=matcher).config_hash()
-            for matcher in ("auto", "scan", "vector")
-        }
-        assert len(hashes) == 1
-
 
 class TestResolvedWorkers:
     def test_explicit_workers_win(self):
@@ -129,7 +115,7 @@ class TestSerialization:
     def test_round_trip(self):
         cfg = DftConfig(
             engine="block", seed=7, tolerance=0.5, warn=False,
-            matcher="columnar", budget_seconds=1.5, cache_dir="/tmp/x",
+            probe_store="columnar", budget_seconds=1.5, cache_dir="/tmp/x",
         )
         assert DftConfig.from_json(cfg.to_json()) == cfg
 
@@ -140,8 +126,9 @@ class TestSerialization:
         assert "telemetry" not in doc
 
     def test_unknown_field_rejected_with_known_list(self):
-        # ``batch_size`` is a removed field: old config files fail loudly.
-        for field in ("tpyo", "batch_size"):
+        # ``batch_size`` and ``matcher`` are removed fields: old config
+        # files fail loudly.
+        for field in ("tpyo", "batch_size", "matcher"):
             with pytest.raises(
                 ValueError, match=rf"unknown config field\(s\): {field} "
             ) as err:
@@ -196,7 +183,7 @@ class TestConfigFile:
 
     def test_unknown_field_names_path(self, tmp_path):
         path = tmp_path / "bad.json"
-        for field in ("bogus", "batch_size"):
+        for field in ("bogus", "batch_size", "matcher"):
             path.write_text(f'{{"{field}": 4}}')
             with pytest.raises(ValueError, match=f"bad.json.*{field}"):
                 DftConfig.from_file(str(path))

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.instrument import ProbeRuntime, instrument_processing
+from repro.instrument.probes import TAG_DEF, TAG_PW, TAG_USE
 from repro.tdf import Cluster, Simulator, TdfIn, TdfModule, TdfOut, ms
 from repro.tdf.library import CollectorSink, StimulusSource
 
@@ -78,8 +79,9 @@ def test_instrumented_matches_uninstrumented(values):
 
     assert instrumented.sink.values() == plain.sink.values()
     # And the probe actually recorded the execution.
-    assert probe.var_events
-    assert len(probe.port_writes) == len(values)
+    tags = [event[0] for event in probe._buf]
+    assert TAG_USE in tags or TAG_DEF in tags
+    assert tags.count(TAG_PW) == len(values)
 
 
 @settings(max_examples=15, deadline=None)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.instrument.instrumenter import instrument_processing, restore_processing
-from repro.instrument.probes import ProbeRuntime
+from repro.instrument.probes import TAG_DEF, TAG_PR, TAG_PW, TAG_USE, ProbeRuntime
 from repro.tdf import Cluster, Simulator, TdfIn, TdfModule, TdfOut, ms
 from repro.tdf.library import CollectorSink, ConstantSource
 
@@ -38,6 +38,11 @@ def _run(module_cls=Sample, periods=3, src_value=2.0):
     return top, probe
 
 
+def _events(probe, tag, var=None):
+    """Buffered events with ``tag`` (var events: only ``var``'s, if given)."""
+    return [ev for ev in probe._buf if ev[0] == tag and var in (None, ev[1])]
+
+
 class TestBehaviourPreservation:
     def test_instrumented_output_identical(self):
         top, _ = _run()
@@ -58,35 +63,35 @@ class TestBehaviourPreservation:
 class TestEventCompleteness:
     def test_local_def_and_use_events(self):
         _, probe = _run()
-        defs = [(e.var, e.line) for e in probe.var_events if e.is_def]
-        uses = [(e.var, e.line) for e in probe.var_events if not e.is_def]
-        assert any(v == "value" for v, _ in defs)
-        assert any(v == "value" for v, _ in uses)
+        assert _events(probe, TAG_DEF, "value")
+        assert _events(probe, TAG_USE, "value")
 
     def test_member_events(self):
         _, probe = _run()
-        member_defs = [e for e in probe.var_events if e.is_def and e.var == "m_total"]
-        member_uses = [e for e in probe.var_events if not e.is_def and e.var == "m_total"]
+        member_defs = _events(probe, TAG_DEF, "m_total")
+        member_uses = _events(probe, TAG_USE, "m_total")
         assert len(member_defs) == 3     # one per activation (value > 0)
         # Used in the sum and in the write argument.
         assert len(member_uses) == 6
 
     def test_port_events_carry_token_indices(self):
         _, probe = _run()
-        assert [e.token_index for e in probe.port_reads] == [0, 1, 2]
-        assert [e.token_index for e in probe.port_writes] == [0, 1, 2]
+        assert [ev[2] for ev in _events(probe, TAG_PR)] == [0, 1, 2]
+        assert [ev[2] for ev in _events(probe, TAG_PW)] == [0, 1, 2]
 
     def test_branch_not_taken_no_events(self):
         _, probe = _run(src_value=-1.0)
-        assert not any(e.is_def and e.var == "m_total" for e in probe.var_events)
+        assert not _events(probe, TAG_DEF, "m_total")
 
     def test_lines_are_absolute(self):
         import inspect
 
         _, probe = _run()
         src_line = inspect.getsourcelines(Sample.processing)[1]
-        for event in probe.var_events:
-            assert event.line > src_line
+        var_events = _events(probe, TAG_USE) + _events(probe, TAG_DEF)
+        assert var_events
+        for event in var_events:
+            assert event[3] > src_line
 
 
 class TestConstructCoverage:
@@ -104,7 +109,7 @@ class TestConstructCoverage:
 
         top, probe = _run(Aug, periods=1)
         assert top.sink.values() == [3.0]
-        x_events = [(e.is_def, e.line) for e in probe.var_events if e.var == "x"]
+        x_events = _events(probe, TAG_USE, "x") + _events(probe, TAG_DEF, "x")
         # def (assign), use+def (augassign), use (write arg).
         assert len(x_events) == 4
 
@@ -124,7 +129,7 @@ class TestConstructCoverage:
 
         top, probe = _run(Loop, periods=1)
         assert top.sink.values() == [3.0]
-        item_defs = [e for e in probe.var_events if e.is_def and e.var == "item"]
+        item_defs = _events(probe, TAG_DEF, "item")
         assert len(item_defs) == 2  # one per iteration
 
     def test_while_condition_uses_fire_per_iteration(self):
@@ -141,10 +146,7 @@ class TestConstructCoverage:
                 self.op.write(n)
 
         top, probe = _run(Wh, periods=1, src_value=3.0)
-        cond_uses = [
-            e for e in probe.var_events
-            if not e.is_def and e.var == "n"
-        ]
+        cond_uses = _events(probe, TAG_USE, "n")
         # 4 condition evaluations + 3 decrement uses + 1 write use.
         assert len(cond_uses) == 8
 
@@ -165,7 +167,7 @@ class TestConstructCoverage:
 
         top, probe = _run(Multi, periods=1)
         assert top.sink.values() == [4.0]
-        assert [e.token_index for e in probe.port_reads] == [0, 1]
+        assert [ev[2] for ev in _events(probe, TAG_PR)] == [0, 1]
 
     def test_ternary_expression(self):
         class Tern(TdfModule):

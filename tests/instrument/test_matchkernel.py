@@ -4,7 +4,7 @@ The vector kernel (:mod:`repro.instrument.matchkernel`) must be
 result-identical to the scan matchers on every stream — same pair set,
 same ``use_without_def`` order, same warning count — and
 ``match_events`` must degrade to scan gracefully whenever the kernel
-cannot run (no numpy, per-event probe).
+cannot run (no numpy).
 """
 
 import warnings
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.analysis import analyze_cluster
 from repro.instrument import DynamicAnalyzer
 from repro.instrument import matchkernel
-from repro.instrument.matching import MATCHERS, match_events
+from repro.instrument.matching import match_events
 from repro.instrument.probes import (
     ProbeRuntime,
     UseWithoutDefWarning,
@@ -57,77 +57,45 @@ def PR(signal, token, port, reader, anchor, line, undriven=False):
 
 
 def _probe(events, store=None):
-    probe = ProbeRuntime("top", batched=True, store=store)
+    probe = ProbeRuntime("top", store=store)
     for event in events:
         probe._buf.append(event)
     return probe
 
 
-def _match(events, matcher, starts=None, warn=False, chunk=None):
+def _match(events, starts=None, warn=False, chunk=None, telemetry=None):
+    """Match ``events``: the list scan, or on a columnar store of
+    ``chunk``-row chunks (the vector kernel when numpy is present)."""
     store = None
     if chunk is not None:
         store = ColumnarProbeStore(chunk_size=chunk)
     probe = _probe(events, store=store)
     try:
         return match_events(
-            probe, "tc", starts or {}, {}, warn=warn, matcher=matcher
+            probe, "tc", starts or {}, warn=warn, telemetry=telemetry
         )
     finally:
         if store is not None:
             store.close()
 
 
-def _both(events, starts=None, chunk=None):
+def _both(events, starts=None, chunk=4096):
     """Scan and vector results for the same stream, asserted equal."""
-    scan = _match(events, "scan", starts=starts, chunk=chunk)
-    vector = _match(events, "vector", starts=starts, chunk=chunk)
+    scan = _match(events, starts=starts)
+    vector = _match(events, starts=starts, chunk=chunk)
     assert vector.pairs == scan.pairs
     assert vector.use_without_def == scan.use_without_def
     return vector
 
 
 class TestDispatch:
-    def test_unknown_matcher_rejected(self):
-        with pytest.raises(ValueError, match="unknown matcher"):
-            _match([], "simd")
-
-    def test_matchers_tuple_is_the_knob_domain(self):
-        assert MATCHERS == ("auto", "scan", "vector")
-
-    def test_per_event_probe_falls_back_to_scan(self):
-        # The interpreter engine records dataclasses — no tuple buffer
-        # to columnize, so even an explicit vector request scans.
-        from repro.instrument.probes import VarEvent
-
-        probe = ProbeRuntime("top")
-        probe.var_events += [
-            VarEvent(True, "x", "m", 10, 1),
-            VarEvent(False, "x", "m", 11, 2),
-        ]
-        tel = Telemetry()
-        result = match_events(
-            probe, "tc", {}, {}, warn=False, matcher="vector", telemetry=tel
-        )
-        assert result.pairs == {("x", "m", 10, "m", 11)}
-        run = tel.to_run()
-        reasons = {
-            record["labels"].get("reason"): record["value"]
-            for record in run["metrics"]
-            if record["name"] == "instrument.match_fallback"
-        }
-        assert reasons == {"per_event_probe": 1}
-
     def test_no_numpy_falls_back_to_scan(self, monkeypatch):
         events = [DEF("x", "m", 10), USE("x", "m", 11)]
-        expected = _match(events, "scan")
+        expected = _match(events)
         tel = Telemetry()
         with monkeypatch.context() as mp:
             mp.setattr(matchkernel, "HAVE_NUMPY", False)
-            probe = _probe(events)
-            result = match_events(
-                probe, "tc", {}, {}, warn=False, matcher="vector",
-                telemetry=tel,
-            )
+            result = _match(events, chunk=4, telemetry=tel)
         assert result.pairs == expected.pairs
         runs = {
             record["labels"].get("path"): record["value"]
@@ -139,16 +107,9 @@ class TestDispatch:
     @needs_numpy
     def test_auto_vectorizes_streaming_stores_only(self):
         tel = Telemetry()
-        store = ColumnarProbeStore(chunk_size=4)
-        try:
-            probe = _probe([DEF("x", "m", 10), USE("x", "m", 11)], store=store)
-            match_events(probe, "tc", {}, {}, warn=False, matcher="auto",
-                         telemetry=tel)
-        finally:
-            store.close()
-        probe = _probe([DEF("x", "m", 10), USE("x", "m", 11)])
-        match_events(probe, "tc", {}, {}, warn=False, matcher="auto",
-                     telemetry=tel)
+        events = [DEF("x", "m", 10), USE("x", "m", 11)]
+        _match(events, chunk=4, telemetry=tel)
+        _match(events, telemetry=tel)
         runs = {
             record["labels"].get("path"): record["value"]
             for record in tel.to_run()["metrics"]
@@ -160,9 +121,7 @@ class TestDispatch:
     def test_vector_telemetry_counts_rows(self):
         tel = Telemetry()
         events = [DEF("x", "m", 10), USE("x", "m", 11), USE("x", "m", 12)]
-        probe = _probe(events)
-        match_events(probe, "tc", {}, {}, warn=False, matcher="vector",
-                     telemetry=tel)
+        _match(events, chunk=4, telemetry=tel)
         scanned = {
             record["labels"].get("path"): record["value"]
             for record in tel.to_run()["metrics"]
@@ -274,9 +233,9 @@ class TestKernelSemantics:
             PR("s", 0, "ip", "r", "r", 40, undriven=True),
             PR("s", 1, "ip", "r", "r", 40, undriven=True),
         ]
-        for matcher in ("scan", "vector"):
+        for chunk in (None, 4096):  # scan, vector
             with pytest.warns(UseWithoutDefWarning, match="no driver") as rec:
-                _match(events, matcher, warn=True)
+                _match(events, warn=True, chunk=chunk)
             assert len(rec) == 1
 
     def test_pair_dedup(self):
@@ -313,29 +272,21 @@ class TestKernelSemantics:
     values=values_strategy(max_size=6),
     up=rate_strategy(),
     down=rate_strategy(),
-    store=st.sampled_from(["memory", "columnar"]),
     use_numpy=st.booleans(),
 )
-def test_vector_equals_scan_property(values, up, down, store, use_numpy):
+def test_vector_equals_scan_property(values, up, down, use_numpy):
     """Property (issue satellite): on random multirate clusters the
-    vector matcher's pairs, diagnostics order and warning count equal
-    the scan matcher's — per store backend, and with numpy masked out
-    (where vector degrades to scan)."""
+    columnar store's matcher — the vector kernel, or the streaming scan
+    with numpy masked out — yields the in-memory list scan's pairs,
+    diagnostics order and warning count."""
     from _pytest.monkeypatch import MonkeyPatch
 
     factory = lambda: build_cluster(values, up, down)
     static = analyze_cluster(factory())
     suite = TestSuite("random", random_suite(5))
-    spec = (
-        ProbeStoreSpec(kind="columnar", chunk_size=32)
-        if store == "columnar"
-        else None
-    )
 
-    def run(matcher):
-        analyzer = DynamicAnalyzer(
-            factory, static, warn=True, probe_store=spec, matcher=matcher
-        )
+    def run(spec):
+        analyzer = DynamicAnalyzer(factory, static, warn=True, probe_store=spec)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = analyzer.run_suite(suite)
@@ -347,8 +298,8 @@ def test_vector_equals_scan_property(values, up, down, store, use_numpy):
     with MonkeyPatch.context() as mp:
         if not use_numpy:
             mp.setattr(matchkernel, "HAVE_NUMPY", False)
-        scan, scan_warned = run("scan")
-        vector, vector_warned = run("vector")
+        scan, scan_warned = run(None)
+        vector, vector_warned = run(ProbeStoreSpec(kind="columnar", chunk_size=32))
     assert vector_warned == scan_warned
     assert list(vector.per_testcase) == list(scan.per_testcase)
     for name, match in scan.per_testcase.items():

@@ -1,39 +1,67 @@
 """Unit tests for the probe runtime."""
 
-from repro.instrument.probes import ProbeRuntime, WriterKind
+from repro.instrument import instrument_processing
+from repro.instrument.probes import (
+    TAG_DEF,
+    TAG_PR,
+    TAG_PW,
+    TAG_USE,
+    ProbeRuntime,
+    WriterKind,
+)
 from repro.tdf import Cluster, Simulator, TdfIn, TdfModule, TdfOut, ms
 from repro.tdf.library import CollectorSink, ConstantSource
 
 
-class _Mod:
-    """Minimal module stand-in for probe calls."""
+class _Holder(TdfModule):
+    """Port-free module whose processing moves a member through a local."""
 
-    name = "m"
-    OPAQUE_USES = False
+    def __init__(self, name="m"):
+        super().__init__(name)
+        self.m_in = object()
+        self.m_out = None
+
+    def processing(self):
+        value = self.m_in
+        self.m_out = value
+
+
+def _instrumented(probe):
+    holder = _Holder()
+    instrument_processing(holder, probe)
+    return holder
+
+
+def _seqs(probe):
+    return [int(line.split("\t")[0]) for line in probe.log_text().splitlines()]
 
 
 class TestVarApi:
     def test_u_returns_value_unchanged(self):
         probe = ProbeRuntime("top")
-        sentinel = object()
-        assert probe.u(_Mod(), "x", 10, sentinel) is sentinel
+        holder = _instrumented(probe)
+        holder._processing_fn()
+        assert holder.m_out is holder.m_in
+        assert [ev[0] for ev in probe._buf] == [TAG_USE, TAG_DEF, TAG_USE, TAG_DEF]
 
     def test_sequence_numbers_monotonic(self):
         probe = ProbeRuntime("top")
-        probe.d(_Mod(), "x", 1)
-        probe.u(_Mod(), "x", 2, 0)
-        probe.d(_Mod(), "y", 3)
-        seqs = [e.seq for e in probe.var_events]
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == 3
+        holder = _instrumented(probe)
+        holder._processing_fn()
+        holder._processing_fn()
+        # The sequence number is the buffer position + 1.
+        assert _seqs(probe) == list(range(1, len(probe._buf) + 1))
+        assert len(probe._buf) == 8
 
     def test_clear_resets_everything(self):
         probe = ProbeRuntime("top")
-        probe.d(_Mod(), "x", 1)
+        holder = _instrumented(probe)
+        holder._processing_fn()
         probe.clear()
-        assert probe.var_events == []
-        probe.d(_Mod(), "x", 1)
-        assert probe.var_events[0].seq == 1
+        assert probe._buf == []
+        assert probe.event_counts() == (0, 0, 0)
+        holder._processing_fn()  # the installed appends still record
+        assert _seqs(probe) == [1, 2, 3, 4]
 
 
 class TestPortApi:
@@ -61,9 +89,11 @@ class TestPortApi:
         top.dut.register_processing(processing)
         Simulator(top).run(ms(2))
         assert top.sink.values() == [6.0, 6.0]
-        assert [e.anchor_line for e in probe.port_reads] == [101, 101]
-        assert [e.line for e in probe.port_writes] == [102, 102]
-        assert all(e.kind is WriterKind.MODEL for e in probe.port_writes)
+        reads = [ev for ev in probe._buf if ev[0] == TAG_PR]
+        writes = [ev for ev in probe._buf if ev[0] == TAG_PW]
+        assert [ev[6] for ev in reads] == [101, 101]  # anchor line
+        assert [ev[5] for ev in writes] == [102, 102]
+        assert all(ev[6] is WriterKind.MODEL for ev in writes)
 
     def test_opaque_module_reads_anchor_at_bind_site(self):
         top = self._top()
@@ -75,9 +105,8 @@ class TestPortApi:
 
             top.dut.register_processing(processing)
             Simulator(top).run(ms(1))
-            event = probe.port_reads[0]
-            assert event.anchor_model == "top"
-            assert event.anchor_line == top.dut.ip.bind_site.lineno
+            event = next(ev for ev in probe._buf if ev[0] == TAG_PR)
+            assert event[5:7] == ("top", top.dut.ip.bind_site.lineno)
         finally:
             type(top.dut).OPAQUE_USES = False
 
@@ -85,16 +114,22 @@ class TestPortApi:
 class TestLogDump:
     def test_log_contains_all_event_kinds(self):
         probe = ProbeRuntime("top")
-        probe.d(_Mod(), "x", 1)
-        probe.u(_Mod(), "x", 2, 0)
-        text = probe.log_text()
-        assert "DEF" in text and "USE" in text
-        assert "m:1" in text and "m:2" in text
+        probe._buf.extend([
+            (TAG_DEF, "x", "m", 1),
+            (TAG_USE, "x", "m", 2),
+            (TAG_PW, "s", 0, "op", "m", 3, WriterKind.MODEL),
+            (TAG_PR, "s", 0, "ip", "r", "top", 4, False),
+        ])
+        assert probe.log_text() == (
+            "1\tDEF\tx\tm:1\t\n"
+            "2\tUSE\tx\tm:2\t\n"
+            "3\tPW\top\tm:3\ts[0] model\n"
+            "4\tPR\tip\ttop:4\ts[0]\n"
+        )
 
     def test_log_ordered_by_sequence(self):
         probe = ProbeRuntime("top")
-        probe.d(_Mod(), "a", 1)
-        probe.d(_Mod(), "b", 2)
+        probe._buf.extend([(TAG_DEF, "a", "m", 2), (TAG_DEF, "b", "m", 1)])
         lines = probe.log_text().splitlines()
         assert lines[0].split("\t")[2] == "a"
         assert lines[1].split("\t")[2] == "b"

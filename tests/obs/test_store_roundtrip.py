@@ -35,7 +35,7 @@ def _record(values, up_rate, down_rate, engine, store):
     static = analyze_cluster(factory())
     analyzer = DynamicAnalyzer(factory, static, engine=engine)
     cluster = factory()
-    probe = ProbeRuntime(cluster.name, batched=True, store=store)
+    probe = ProbeRuntime(cluster.name, store=store)
     analyzer._instrument(cluster, probe)
     analyzer._install_hooks(cluster, probe)
     testcase = TestCase("t", cluster_duration(values), lambda c: None)
@@ -43,13 +43,7 @@ def _record(values, up_rate, down_rate, engine, store):
     simulator = Simulator(cluster, engine=analyzer.engine)
     simulator.run(testcase.duration)
     simulator.finish()
-    initial_tokens = {
-        sig.name: (sig.driver.delay if sig.driver is not None else 0)
-        for sig in cluster.signals
-    }
-    match = match_events(
-        probe, testcase.name, static.model_start_lines, initial_tokens
-    )
+    match = match_events(probe, testcase.name, static.model_start_lines)
     return list(probe._buf), match
 
 

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 
 from repro.instrument import ProbeRuntime, instrument_processing
-from repro.instrument.probes import PortReadEvent, PortWriteEvent, VarEvent
 from repro.tdf import Cluster, Simulator, TdfModule, TdfOut, Tracer, ms
 from repro.tdf.engine import BlockEngine, compile_program, resolve_engine
 from repro.tdf.library import CollectorSink
@@ -32,7 +31,7 @@ from repro.testing.generate import (
 def _execute(engine, values, up_rate, down_rate):
     """One instrumented simulation; returns (sink trace, probe)."""
     top = _build(values, up_rate, down_rate)
-    probe = ProbeRuntime("top", batched=engine == "block")
+    probe = ProbeRuntime("top")
     instrument_processing(top.dut, probe)
     sim = Simulator(top, engine=engine)
     sim.run(ms(BASE_MS * len(values)))
@@ -48,11 +47,8 @@ class TestEquivalenceProperties:
         trace_i, probe_i = _execute("interp", values, up_rate, down_rate)
         trace_b, probe_b = _execute("block", values, up_rate, down_rate)
         assert trace_b == trace_i
-        # Dataclass views of the batched buffer must equal the per-event
-        # records including the global sequence numbers (= event order).
-        assert probe_b.var_events == probe_i.var_events
-        assert probe_b.port_writes == probe_i.port_writes
-        assert probe_b.port_reads == probe_i.port_reads
+        # Raw buffers, content and order (sequence number = position).
+        assert probe_b._buf == probe_i._buf
 
     @settings(max_examples=10, deadline=None)
     @given(values_strategy(max_size=8), rate_strategy(), rate_strategy())
@@ -132,7 +128,7 @@ class TestDynamicTdfUnderBlock:
 class TestCompilerClassification:
     def test_fallback_reasons_and_partition(self):
         top = _build([1.0, 2.0], 3, 2)
-        probe = ProbeRuntime("top", batched=True)
+        probe = ProbeRuntime("top")
         instrument_processing(top.dut, probe)
         sim = Simulator(top, engine="block")
         sim.initialize()
@@ -177,17 +173,3 @@ class TestResolveEngine:
         with pytest.raises(ValueError, match="unknown engine"):
             resolve_engine("jit")
 
-
-class TestProbeEventSlots:
-    """PR satellite: the hot event dataclasses must stay __dict__-free."""
-
-    @pytest.mark.parametrize("cls,args", [
-        (VarEvent, (True, "v", "m", 1, 1)),
-        (PortWriteEvent, ("s", 0, "v", "m", 1, None, 1)),
-        (PortReadEvent, ("s", 0, "p", "m", "m", 1, False, 1)),
-    ])
-    def test_no_instance_dict(self, cls, args):
-        event = cls(*args)
-        assert not hasattr(event, "__dict__")
-        with pytest.raises(AttributeError):
-            event.arbitrary_attribute = 1

@@ -514,23 +514,25 @@ class TestProbeStoreCli:
 
 class TestMatcherCli:
     def test_scan_and_vector_runs_identical(self, capsys):
-        assert main([
-            "run", "sensor", "--json", "--no-history", "--matcher", "scan",
-        ]) == 0
+        # The memory store takes the scan matcher ...
+        assert main(["run", "sensor", "--json", "--no-history"]) == 0
         baseline = capsys.readouterr().out
-        # Vector on a columnar store (the intended pairing); without
-        # numpy this degrades to scan — either way the report is
-        # byte-identical, which is the whole contract of the knob.
+        # ... the columnar store the vector kernel (the streaming scan
+        # without numpy) — either way the report is byte-identical.
         assert main([
             "run", "sensor", "--json", "--no-history",
-            "--probe-store", "columnar", "--matcher", "vector",
+            "--probe-store", "columnar",
         ]) == 0
         assert capsys.readouterr().out == baseline
 
-    def test_unknown_matcher_rejected(self):
+    def test_unknown_matcher_rejected(self, capsys):
+        # ``--matcher`` is a removed flag: the store picks the matcher.
         with pytest.raises(SystemExit) as exc:
-            main(["run", "sensor", "--matcher", "simd"])
+            main(["run", "sensor", "--matcher", "scan"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "unrecognized arguments: --matcher scan" in err
 
 
 class TestBenchSectionFlag:

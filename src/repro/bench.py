@@ -30,16 +30,6 @@ baselines and emits one machine-readable JSON document (the
   generation (:mod:`repro.generation`) on the buck-boost and
   window-lifter base suites, reporting associations closed per second
   and per simulation under a fixed simulation budget.
-* **store** — the PR-6 headline: the streaming columnar probe store
-  (:mod:`repro.obs.store`) versus in-memory list recording — append
-  throughput, peak RSS at 10⁶ probe events (fresh subprocess per
-  backend), and a byte-identical coverage check across every bundled
-  system with a spill-forcing chunk size.
-* **match** — the PR-8 headline: the vectorized columnar matching
-  kernel (:mod:`repro.instrument.matchkernel`) versus the two-pass
-  streaming scan on a ~10⁶-event columnar stream, plus a byte-identical
-  coverage check of the memory store (scan) against the columnar store
-  (vector) across every bundled system.
 
 Every section records its own wall-clock seconds, so regressions are
 attributable to a layer, not just "the benchmark got slower".
@@ -438,313 +428,6 @@ def bench_directed(
     }
 
 
-def _synthetic_events(count: int):
-    """A deterministic stream of ``count`` probe-event tuples.
-
-    Cycles def / port-write / port-read / use over a handful of
-    signals and variables — the same tuple shapes and string-interning
-    profile the instrumenter produces, without paying for a simulation.
-    """
-    from .instrument.probes import WriterKind
-    from .obs.store.columns import TAG_DEF, TAG_PR, TAG_PW, TAG_USE
-
-    kind = WriterKind.MODEL
-    emitted = 0
-    token = 0
-    while emitted < count:
-        sig = f"cluster.sig{token % 4}"
-        var = f"m_state{token % 3}"
-        yield (TAG_DEF, var, "writer", 10 + token % 3)
-        yield (TAG_PW, sig, token, var, "writer", 20, kind)
-        yield (TAG_PR, sig, token, "inp", "reader", "reader", 30, False)
-        yield (TAG_USE, var, "reader", 40)
-        emitted += 4
-        token += 1
-
-
-def store_rss_probe(mode: str, events: int, chunk_size: int) -> Dict[str, Any]:
-    """Record + doubly-iterate ``events`` synthetic probe events and
-    report this process's peak RSS.  Meant to run in a *fresh exec'd*
-    subprocess (see :func:`_store_rss_subprocess`), reading ``VmHWM``
-    where available: on Linux, ``ru_maxrss`` folds in the high-water
-    mark of the pre-exec address space inherited from the forking
-    parent, which would make both backends report the benchmark
-    parent's peak; ``VmHWM`` tracks only the current address space.
-    """
-    from .obs.store import ColumnarProbeStore
-
-    if mode == "memory":
-        buf: Any = []
-    else:
-        buf = ColumnarProbeStore(chunk_size=chunk_size)
-    append = buf.append
-    for event in _synthetic_events(events):
-        append(event)
-    # Two full passes, exactly what the streaming matcher does.
-    iterated = 0
-    for _ in range(2):
-        for _event in buf:
-            iterated += 1
-    report = {
-        "mode": mode,
-        "events": len(buf),
-        "iterated": iterated,
-        "peak_rss_kb": _peak_rss_kb(),
-        "spill_bytes": getattr(buf, "_spill_bytes", 0),
-        "chunks_spilled": getattr(buf, "_chunks", 0),
-    }
-    if mode != "memory":
-        buf.close()
-    return report
-
-
-def _peak_rss_kb() -> int:
-    """This process's peak resident set size in KiB."""
-    try:
-        with open("/proc/self/status") as status:
-            for line in status:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1])
-    except OSError:
-        pass
-    import resource
-
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-
-
-def _store_rss_subprocess(
-    mode: str, events: int, chunk_size: int
-) -> Dict[str, Any]:
-    """Run :func:`store_rss_probe` in a fresh ``exec``'d interpreter."""
-    import subprocess
-
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    script = (
-        "import json, sys\n"
-        f"sys.path.insert(0, {src_root!r})\n"
-        "from repro.bench import store_rss_probe\n"
-        f"print(json.dumps(store_rss_probe({mode!r}, {events}, {chunk_size})))\n"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", script], check=True, capture_output=True,
-        text=True,
-    )
-    return json.loads(out.stdout)
-
-
-def _store_coverage_identical(systems: List[str]) -> Dict[str, bool]:
-    """Per system: is the coverage export of an in-memory-buffer run
-    (scan matcher) byte-identical to one on a spill-forcing columnar
-    store (vector kernel, or the streaming scan without numpy)?  Block
-    engine both times."""
-    from .core import coverage_to_dict
-    from .exec.refs import resolve_ref
-
-    identical: Dict[str, bool] = {}
-    for name in systems:
-        refs = PARALLEL_REFS[name]
-        factory = resolve_ref(refs["factory"])
-
-        def blob(cfg: DftConfig) -> str:
-            suite = TestSuite(name, resolve_ref(refs["suite"])())
-            result = run_dft(factory, suite, cfg)
-            return json.dumps(coverage_to_dict(result.coverage), sort_keys=True)
-
-        identical[name] = blob(DftConfig(engine="block")) == blob(
-            DftConfig(
-                engine="block", probe_store="columnar", store_chunk_size=4096
-            )
-        )
-    return identical
-
-
-def bench_store(
-    events: int = 1_000_000, chunk_size: int = 65536
-) -> Dict[str, Any]:
-    """The PR-6 headline: columnar probe store versus in-memory lists.
-
-    Three measurements:
-
-    * **throughput** — appending ``events`` synthetic probe events
-      through the store (encode + spill included) versus a plain list,
-      in events per second;
-    * **peak RSS** — the same recording plus the matcher's two read
-      passes, each in a fresh exec'd subprocess so the peak is
-      attributable; the columnar number should stay flat while the
-      in-memory one scales with ``events``;
-    * **coverage identity** — every bundled system run once per
-      backend (block engine, spill-forcing chunk size), comparing the
-      machine-readable coverage exports byte for byte.
-    """
-    from .obs.store import ColumnarProbeStore
-
-    store = ColumnarProbeStore(chunk_size=chunk_size)
-    _, store_seconds = _timed(
-        lambda: [store.append(e) for e in _synthetic_events(events)]
-    )
-    store_rows, spill_bytes = len(store), store._spill_bytes
-    store.close()
-    plain: List[tuple] = []
-    _, list_seconds = _timed(
-        lambda: [plain.append(e) for e in _synthetic_events(events)]
-    )
-
-    rss: Dict[str, Any] = {}
-    for mode in ("memory", "columnar"):
-        rss[mode] = _store_rss_subprocess(mode, events, chunk_size)
-    # Flatness evidence: twice the events should leave the columnar
-    # peak unchanged (the in-memory peak doubles with the event count).
-    rss["columnar_2x"] = _store_rss_subprocess("columnar", 2 * events, chunk_size)
-
-    coverage_identical = _store_coverage_identical(sorted(PARALLEL_REFS))
-
-    memory_kb = rss["memory"]["peak_rss_kb"]
-    columnar_kb = rss["columnar"]["peak_rss_kb"]
-    columnar_2x_kb = rss["columnar_2x"]["peak_rss_kb"]
-    return {
-        "events": events,
-        "chunk_size": chunk_size,
-        "store_seconds": store_seconds,
-        "list_seconds": list_seconds,
-        "store_events_per_second": (
-            store_rows / store_seconds if store_seconds else None
-        ),
-        "list_events_per_second": (
-            len(plain) / list_seconds if list_seconds else None
-        ),
-        "spill_bytes": spill_bytes,
-        "peak_rss": rss,
-        "rss_ratio_memory_over_columnar": (
-            memory_kb / columnar_kb if columnar_kb else None
-        ),
-        "rss_ratio_columnar_2x_over_1x": (
-            columnar_2x_kb / columnar_kb if columnar_kb else None
-        ),
-        "coverage_identical": coverage_identical,
-    }
-
-
-def _synthetic_match_events(count: int):
-    """Synthetic probe stream exercising every matcher branch.
-
-    Extends :func:`_synthetic_events`' shape with testbench writes (the
-    placeholder-def path), late re-writes of old tokens (last-by-seq
-    overrides), negative-token reads (initial/delay exclusion), and a
-    periodic undriven read (use-without-def diagnostics) — so the
-    vector-versus-scan identity check covers the full kernel, not just
-    the happy path.
-    """
-    from .instrument.probes import WriterKind
-    from .obs.store.columns import TAG_DEF, TAG_PR, TAG_PW, TAG_USE
-
-    model, testbench = WriterKind.MODEL, WriterKind.TESTBENCH
-    emitted = 0
-    token = 0
-    while emitted < count:
-        sig = f"cluster.sig{token % 4}"
-        var = f"m_state{token % 3}"
-        yield (TAG_DEF, var, "writer", 10 + token % 3)
-        yield (TAG_PW, sig, token, var, "writer", 20, model)
-        yield (TAG_PW, "cluster.stim", token, "src", "tb", 0, testbench)
-        yield (TAG_PR, sig, token, "inp", "reader", "reader", 30, False)
-        yield (TAG_PR, "cluster.stim", token, "ref", "reader", "reader", 31,
-               False)
-        yield (TAG_USE, var, "writer", 40)
-        yield (TAG_USE, var, "reader", 41)  # no same-model def: pairs nothing
-        emitted += 7
-        token += 1
-        if token % 64 == 0:
-            # Last-by-seq override of an old token, a pre-priming read,
-            # and an undriven read.
-            yield (TAG_PW, sig, token - 32, var, "rewriter", 21, model)
-            yield (TAG_PR, sig, -1, "inp", "reader", "reader", 30, False)
-            yield (TAG_PR, "cluster.nc", 0, "flt", "floating", "floating",
-                   50, True)
-            emitted += 3
-
-
-def bench_match(
-    events: int = 1_000_000,
-    chunk_size: int = 65536,
-    coverage_systems: Optional[List[str]] = None,
-) -> Dict[str, Any]:
-    """The PR-8 headline: vectorized versus scan event matching.
-
-    Records ``events`` synthetic probe events into a columnar store and
-    times the two-pass streaming matcher
-    (:func:`~repro.instrument.matching._match_streaming`) and the
-    columnar array kernel
-    (:func:`~repro.instrument.matchkernel.match_columns`) over the same
-    store, checking the pair sets and use-without-def diagnostics are
-    identical.  Then runs every bundled system once on the in-memory
-    buffer (scan) and once on a spill-forcing columnar store (vector;
-    block engine both times) and compares the machine-readable coverage
-    exports byte for byte.  Without numpy the vector leg degrades to
-    the streaming scan; ``numpy`` in the payload records which was
-    measured.
-    """
-    from .instrument.matching import MatchResult, _match_streaming
-    from .instrument.matchkernel import match_columns
-    from .obs.store import ColumnarProbeStore
-    from .obs.store.columns import HAVE_NUMPY
-
-    store = ColumnarProbeStore(chunk_size=chunk_size)
-    try:
-        for event in _synthetic_match_events(events):
-            store.append(event)
-        rows = len(store)
-        start_lines = {"reader": 1}
-
-        def scan_match() -> MatchResult:
-            match = MatchResult(testcase="bench")
-            _match_streaming(store, start_lines, match, False)
-            return match
-
-        def vector_match() -> MatchResult:
-            if not HAVE_NUMPY:
-                return scan_match()
-            match = MatchResult(testcase="bench")
-            match_columns(store.to_columns(), start_lines, match, False)
-            return match
-
-        results: Dict[str, Any] = {
-            "scan": _timed(scan_match),
-            "vector": _timed(vector_match),
-        }
-    finally:
-        store.close()
-
-    scan, scan_seconds = results["scan"]
-    vector, vector_seconds = results["vector"]
-    identical = (
-        scan.pairs == vector.pairs
-        and scan.use_without_def == vector.use_without_def
-    )
-
-    coverage_identical = _store_coverage_identical(
-        coverage_systems if coverage_systems is not None else sorted(PARALLEL_REFS)
-    )
-
-    return {
-        "events": rows,
-        "chunk_size": chunk_size,
-        "numpy": HAVE_NUMPY,
-        "scan_seconds": scan_seconds,
-        "vector_seconds": vector_seconds,
-        "speedup": scan_seconds / vector_seconds if vector_seconds else None,
-        "scan_events_per_second": (
-            rows / scan_seconds if scan_seconds else None
-        ),
-        "vector_events_per_second": (
-            rows / vector_seconds if vector_seconds else None
-        ),
-        "pairs": len(scan.pairs),
-        "use_without_def": len(scan.use_without_def),
-        "identical": identical,
-        "coverage_identical": coverage_identical,
-    }
-
-
 def run_benchmarks(
     workers: int = 2,
     campaign_system: str = "buck_boost",
@@ -754,7 +437,7 @@ def run_benchmarks(
     """Run the selected benchmark sections and assemble the JSON payload."""
     wanted = sections or [
         "campaign", "parallel", "static_cache", "schedule_cache", "engine",
-        "mutation", "generation", "store", "match", "directed",
+        "mutation", "generation", "directed",
     ]
     payload: Dict[str, Any] = {
         "benchmark": "repro-dft pipeline performance",
@@ -778,10 +461,6 @@ def run_benchmarks(
         payload["mutation"] = bench_mutation()
     if "generation" in wanted:
         payload["generation"] = bench_generation()
-    if "store" in wanted:
-        payload["store"] = bench_store()
-    if "match" in wanted:
-        payload["match"] = bench_match()
     if "directed" in wanted:
         payload["directed"] = bench_directed()
     return payload

@@ -51,10 +51,7 @@ flags override file values, which override the subcommand defaults.
 per invocation to the history ledger under the cache directory
 (``--history-dir`` overrides the location, ``--no-history`` opts out);
 ``mutate`` and ``generate`` accept ``--warm-start`` to reuse verdicts
-/ seeds from the most recent matching record.  ``run``, ``campaign``
-and ``generate`` accept ``--probe-store columnar`` (with
-``--store-chunk-size`` / ``--store-dir``) to record probe events
-through the spilling columnar store instead of in-memory lists.
+/ seeds from the most recent matching record.
 
 ``static``, ``run`` and ``campaign`` accept ``--telemetry PATH`` (save
 a JSON-lines event log) and ``--trace-events PATH`` (save a Chrome /
@@ -245,26 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="do not record this invocation in the run-history ledger",
     )
 
-    store_opts = argparse.ArgumentParser(add_help=False)
-    store_opts.add_argument(
-        "--probe-store", choices=["memory", "columnar"],
-        default=argparse.SUPPRESS,
-        help="probe-event recording backend: in-memory lists (default) "
-             "or the columnar store with chunked disk spillover "
-             "(O(1) memory in simulation length; identical coverage)",
-    )
-    store_opts.add_argument(
-        "--store-chunk-size", type=int, default=argparse.SUPPRESS,
-        metavar="N",
-        help="rows per columnar chunk before spilling to disk "
-             "(default: 65536)",
-    )
-    store_opts.add_argument(
-        "--store-dir", metavar="PATH", default=argparse.SUPPRESS,
-        help="directory for columnar spill files (default: the "
-             "platform temp dir; files are deleted after each testcase)",
-    )
-
     sub.add_parser("list", help="list bundled systems")
 
     p_static = sub.add_parser(
@@ -276,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser(
         "run", help="full DFT pipeline",
         parents=[telemetry_opts, cache_opts, config_opts, engine_opts,
-                 store_opts, history_opts],
+                 history_opts],
     )
     p_run.add_argument("system", choices=sorted(SYSTEMS))
     p_run.add_argument(
@@ -306,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_campaign = sub.add_parser(
         "campaign", help="iterative refinement (Table II)",
         parents=[telemetry_opts, cache_opts, config_opts, engine_opts,
-                 store_opts, history_opts],
+                 history_opts],
     )
     p_campaign.add_argument("system", choices=["window_lifter", "buck_boost"])
     p_campaign.add_argument(
@@ -394,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_generate = sub.add_parser(
         "generate", help="coverage-guided testcase generation",
         parents=[telemetry_opts, cache_opts, config_opts, engine_opts,
-                 store_opts, history_opts],
+                 history_opts],
     )
     p_generate.add_argument(
         "--warm-start", action="store_true", default=argparse.SUPPRESS,
@@ -466,8 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="system for the serial-vs-parallel section",
     )
     bench_sections = ["campaign", "parallel", "static_cache", "schedule_cache",
-                      "engine", "mutation", "generation", "store", "match",
-                      "directed"]
+                      "engine", "mutation", "generation", "directed"]
     p_bench.add_argument(
         "--sections", nargs="+", metavar="NAME", choices=bench_sections,
         help="run only the named sections (default: all)",

@@ -74,12 +74,7 @@ class DftConfig:
     determinism
         ``seed`` — the master seed for every seeded decision
         (mutant sampling, stimulus search).
-    recording / history
-        ``probe_store`` — the probe recording backend (``"memory"`` or
-        ``"columnar"``; coverage results are identical either way, and
-        the backend picks the event matcher, see
-        :func:`repro.instrument.matching.match_events`);
-        ``store_chunk_size`` / ``store_dir`` — columnar spill tuning;
+    history
         ``history_dir`` — when set, every run appends one record to the
         run-history ledger there; ``warm_start`` — let mutation and
         generation seed from the latest matching history record.
@@ -98,9 +93,6 @@ class DftConfig:
     budget_seconds: Optional[float] = None
     budget_simulations: Optional[int] = None
     seed: int = 0
-    probe_store: str = "memory"
-    store_chunk_size: Optional[int] = None
-    store_dir: Optional[str] = None
     history_dir: Optional[str] = None
     warm_start: bool = False
 
@@ -137,9 +129,6 @@ class DftConfig:
             "budget_simulations": "budget_simulations",
             "cache_dir": "cache_dir",
             "warn": "warn",
-            "probe_store": "probe_store",
-            "store_chunk_size": "store_chunk_size",
-            "store_dir": "store_dir",
             "warm_start": "warm_start",
         }
         values: dict = {}
@@ -347,19 +336,6 @@ class DftConfig:
             )
         )
         return hashlib.sha1(payload.encode()).hexdigest()[:12]
-
-    def probe_store_spec(self):
-        """The :class:`~repro.obs.store.ProbeStoreSpec` this config
-        implies, or ``None`` for the in-memory default."""
-        if self.probe_store == "memory":
-            return None
-        from ..obs.store import ProbeStoreSpec
-
-        return ProbeStoreSpec(
-            kind=self.probe_store,
-            chunk_size=self.store_chunk_size,
-            spill_dir=self.store_dir,
-        )
 
     def run_history(self):
         """The :class:`~repro.obs.store.RunHistory` ledger this config

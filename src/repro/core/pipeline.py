@@ -117,7 +117,7 @@ def run_dft(
         with tel.span("dynamic") as span_dynamic:
             dynamic = _run_dynamic(
                 counted_factory, static, suite, cfg.warn, tel, cfg.executor,
-                cfg.result_cache, cfg.engine, cfg.probe_store_spec(),
+                cfg.result_cache, cfg.engine,
             )
         with tel.span("coverage") as span_coverage:
             coverage = CoverageResult(static, dynamic)
@@ -176,7 +176,6 @@ def _run_dynamic(
     executor: Optional["DynamicExecutor"],
     result_cache: Optional["DynamicResultCache"],
     engine: Optional[str] = "auto",
-    probe_store=None,
 ) -> "DynamicResult":
     """Execute the dynamic stage through the chosen backend and cache.
 
@@ -208,7 +207,7 @@ def _run_dynamic(
         pending_suite = TestSuite(suite.name, pending)
         fresh = executor.run_suite(
             cluster_factory, static, pending_suite, warn=warn, telemetry=tel,
-            engine=engine, probe_store=probe_store,
+            engine=engine,
         )
     else:
         fresh = DynamicResult()

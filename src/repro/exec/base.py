@@ -59,7 +59,6 @@ class DynamicExecutor(abc.ABC):
         warn: bool = False,
         telemetry: Optional[Telemetry] = None,
         engine: Optional[str] = "auto",
-        probe_store=None,
     ) -> "DynamicResult":
         """Run every testcase of ``suite`` and merge the results.
 
@@ -67,10 +66,7 @@ class DynamicExecutor(abc.ABC):
         by the suite's testcase order — never by completion order — so
         downstream reports are byte-identical across backends and
         worker counts.  ``engine`` selects the TDF execution engine for
-        the simulations (see :mod:`repro.tdf.engine`); ``probe_store``
-        is an optional :class:`~repro.obs.store.ProbeStoreSpec`
-        selecting the probe recording backend (results are identical
-        whichever backend records).
+        the simulations (see :mod:`repro.tdf.engine`).
         """
 
 
@@ -87,12 +83,11 @@ class SerialExecutor(DynamicExecutor):
         warn: bool = False,
         telemetry: Optional[Telemetry] = None,
         engine: Optional[str] = "auto",
-        probe_store=None,
     ) -> "DynamicResult":
         from ..instrument.runner import DynamicAnalyzer
 
         analyzer = DynamicAnalyzer(
             cluster_factory, static, warn=warn, telemetry=telemetry,
-            engine=engine, probe_store=probe_store,
+            engine=engine,
         )
         return analyzer.run_suite(suite)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor as _Pool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import Telemetry, get_telemetry, telemetry_session
 from .base import DynamicExecutor, round_robin_shards
@@ -60,9 +60,6 @@ class _WorkerJob:
     record_telemetry: bool
     engine: str = "auto"
     suite_args: Tuple = ()
-    #: Optional probe-store spec (frozen dataclass of primitives, so it
-    #: pickles to every worker; each worker builds its own stores).
-    probe_store: Optional[Any] = None
 
 
 def _run_worker(job: _WorkerJob) -> Tuple[List[Tuple[str, "MatchResult"]], List[dict], float]:
@@ -90,7 +87,7 @@ def _run_worker(job: _WorkerJob) -> Tuple[List[Tuple[str, "MatchResult"]], List[
         analyzer = DynamicAnalyzer(
             factory, static, warn=job.warn,
             telemetry=tel if job.record_telemetry else None,
-            engine=job.engine, probe_store=job.probe_store,
+            engine=job.engine,
         )
         for name in job.names:
             results.append((name, analyzer.run_testcase(testcases[name])))
@@ -135,7 +132,6 @@ class ProcessExecutor(DynamicExecutor):
         warn: bool = False,
         telemetry: Optional[Telemetry] = None,
         engine: Optional[str] = "auto",
-        probe_store=None,
     ) -> "DynamicResult":
         from ..instrument.runner import DynamicResult
 
@@ -166,7 +162,6 @@ class ProcessExecutor(DynamicExecutor):
                 record_telemetry=tel.enabled,
                 engine=engine if engine is not None else "auto",
                 suite_args=self.suite_args,
-                probe_store=probe_store,
             )
             for shard in shards
         ]

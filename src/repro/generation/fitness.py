@@ -3,9 +3,9 @@
 Search-based data-flow test generation (Su et al., *Towards Efficient
 Data-flow Test Data Generation*) steers an optimizer with a
 per-association distance: how close did this input come to driving the
-definition's value into the use?  Our observation layer is the probe
-event stream the dynamic analysis already records, joined into
-exercised pairs — so the fitness is computed from a candidate's
+definition's value into the use?  Our observation layer is the set of
+exercised pairs the dynamic analysis already records — so the fitness
+is computed from a candidate's
 :class:`~repro.instrument.matching.MatchResult` pair set alone.  That
 keeps the signal byte-identical across execution backends, engines and
 the per-testcase result cache (they all agree on the pair set), which
@@ -101,8 +101,8 @@ class DuPathGuide:
     Precomputed once per target from the stored model CFG; evaluation
     then reduces to dictionary lookups over the candidate's observed
     pair set — keeping the graded fitness a pure function of the pair
-    set, so it stays byte-identical across engines, matchers and worker
-    counts just like the binary levels.
+    set, so it stays byte-identical across engines and worker counts
+    just like the binary levels.
 
     ``approach_by_use``
         use line -> progress in (0, 1] for pairs whose def side *is*

@@ -262,7 +262,6 @@ class _Evaluator:
             dynamic = executor.run_suite(
                 self.cluster_factory, self.static, suite,
                 warn=self.cfg.warn, telemetry=self.tel, engine=self.cfg.engine,
-                probe_store=self.cfg.probe_store_spec(),
             )
             for name, _ in pending:
                 match = dynamic.per_testcase[name]

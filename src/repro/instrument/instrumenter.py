@@ -1,15 +1,17 @@
 """AST instrumentation of ``processing()`` bodies (paper §V).
 
 The instrumenter rewrites a model's processing source so that every
-definition and use reports itself to the :class:`ProbeRuntime` at
-execution time, without changing behaviour:
+definition and use is paired by the :class:`ProbeRuntime` as it
+executes, without changing behaviour:
 
-* every def/use site ``N`` of a tracked local/member appends its event
-  to the probe buffer with a bare ``__dft_a__(__dft_tN__)`` — one
-  C-level ``list.append`` of a tuple *preallocated at instrumentation
-  time* (``(tag, var, model, line)`` is fully static per site).  Loads
-  become ``(x, __dft_a__(__dft_tN__))[0]``; a def append statement
-  follows every assignment (and opens the body for loop targets);
+* every def/use site ``N`` of a tracked local/member is a C-level
+  dict/set operation on constants *preallocated at instrumentation
+  time* — ``__dft_kN__`` is ``(model, var)``, ``__dft_tN__`` is
+  ``(var, model, line)``.  A def statement ``__dft_ld__[__dft_kN__] =
+  <line>`` follows every assignment (and opens the body for loop
+  targets) and records the running last def; a load becomes
+  ``(x, __dft_uh__((__dft_tN__, __dft_ldg__(__dft_kN__))))[0]``, which
+  adds the use and its last def to the probe's use hits;
 * port accesses are routed through the probe:
   ``self.ip.read(i)``     -> ``__dft_probe__.pr(self, self.ip, <line>, i)``
   ``self.op.write(v, i)`` -> ``__dft_probe__.pw(self, self.op, <line>, v, i)``.
@@ -42,18 +44,22 @@ from ..analysis.astutils import (
     self_attribute,
 )
 from ..tdf.module import TdfModule
-from .probes import TAG_DEF, TAG_USE
 
 PROBE_NAME = "__dft_probe__"
-#: The probe buffer's ``append`` bound method.
-APPEND_NAME = "__dft_a__"
-#: Per-site preallocated event tuples ``__dft_t<N>__``.
+#: The probe's last-def dict and its ``get``.
+LAST_DEF_NAME = "__dft_ld__"
+LAST_DEF_GET_NAME = "__dft_ldg__"
+#: The probe's use-hit set ``add``.
+USE_HIT_NAME = "__dft_uh__"
+#: Per-site preallocated ``(model, var)`` keys ``__dft_k<N>__`` and
+#: ``(var, model, line)`` use sites ``__dft_t<N>__``.
+KEY_PREFIX = "__dft_k"
 SITE_PREFIX = "__dft_t"
 
 #: ``(underlying function, in ports, out ports)`` ->
 #: ``(code object, function name, site templates)``.  Site templates
-#: are ``(tag, var, line)`` triples in emission order; the model name
-#: is added per instance at exec time.
+#: are ``(var, line)`` pairs in emission order; the model name is added
+#: per instance at exec time.
 _CODE_CACHE: Dict[tuple, Tuple[Any, str, tuple]] = {}
 
 
@@ -83,8 +89,8 @@ class _Rewriter(ast.NodeTransformer):
         self.out_ports = out_ports
         self.local_names = local_names
         self.line_offset = line_offset
-        #: ``(tag, var, line)`` per emitted use/def site, in
-        #: emission order (site N reads global ``__dft_t<N>__``).
+        #: ``(var, line)`` per emitted use/def site, in emission order
+        #: (site N reads globals ``__dft_k<N>__``/``__dft_t<N>__``).
         self.sites: List[tuple] = []
 
     def _abs(self, node: ast.AST) -> int:
@@ -93,32 +99,51 @@ class _Rewriter(ast.NodeTransformer):
     def _line_const(self, node: ast.AST) -> ast.Constant:
         return ast.Constant(value=self._abs(node))
 
-    def _site_append(self, tag: int, var: str, line: int) -> ast.Call:
-        """``__dft_a__(__dft_tN__)`` for a new event site."""
-        idx = len(self.sites)
-        self.sites.append((tag, var, line))
-        return ast.Call(
-            func=_load(APPEND_NAME),
-            args=[_load(f"{SITE_PREFIX}{idx}__")],
-            keywords=[],
-        )
+    def _new_site(self, var: str, line: int) -> int:
+        self.sites.append((var, line))
+        return len(self.sites) - 1
 
     def _u_event(self, var: str, line: int, value_node: ast.expr) -> ast.expr:
-        """A use event wrapping ``value_node`` (returns its value)."""
-        # (value, append(site))[0]: the value is evaluated first, then
-        # the event is recorded.
+        """A use wrapping ``value_node`` (returns its value)."""
+        # (value, use_hit((site, last_def_get(key))))[0]: the value is
+        # evaluated first, then the use is paired.
+        idx = self._new_site(var, line)
+        hit = ast.Call(
+            func=_load(USE_HIT_NAME),
+            args=[
+                ast.Tuple(
+                    elts=[
+                        _load(f"{SITE_PREFIX}{idx}__"),
+                        ast.Call(
+                            func=_load(LAST_DEF_GET_NAME),
+                            args=[_load(f"{KEY_PREFIX}{idx}__")],
+                            keywords=[],
+                        ),
+                    ],
+                    ctx=ast.Load(),
+                )
+            ],
+            keywords=[],
+        )
         return ast.Subscript(
-            value=ast.Tuple(
-                elts=[value_node, self._site_append(TAG_USE, var, line)],
-                ctx=ast.Load(),
-            ),
+            value=ast.Tuple(elts=[value_node, hit], ctx=ast.Load()),
             slice=ast.Constant(value=0),
             ctx=ast.Load(),
         )
 
-    def _d_stmt(self, var: str, line: int) -> ast.Expr:
-        """A definition event statement."""
-        return ast.Expr(value=self._site_append(TAG_DEF, var, line))
+    def _d_stmt(self, var: str, line: int) -> ast.Assign:
+        """A definition statement ``__dft_ld__[__dft_kN__] = <line>``."""
+        idx = self._new_site(var, line)
+        return ast.Assign(
+            targets=[
+                ast.Subscript(
+                    value=_load(LAST_DEF_NAME),
+                    slice=_load(f"{KEY_PREFIX}{idx}__"),
+                    ctx=ast.Store(),
+                )
+            ],
+            value=ast.Constant(value=line),
+        )
 
     # -- expression wrapping ---------------------------------------------------
 
@@ -354,7 +379,7 @@ def instrument_processing(module: TdfModule, probe: Any) -> Callable[[], None]:
     is memoized on the *underlying function* (shared by every instance
     of a class and every testcase), keyed with the port-name sets that
     shape the rewrite.  Per call only a fresh ``exec`` binds the probe,
-    its buffer's ``append`` and the per-site event tuples carrying this
+    its pairing state and the per-site constants carrying this
     instance's model name.
     """
     original_registration = module._processing_fn
@@ -379,10 +404,16 @@ def instrument_processing(module: TdfModule, probe: Any) -> Callable[[], None]:
         _CODE_CACHE[cache_key] = cached
 
     code, func_name, sites = cached
-    extra: Dict[str, Any] = {PROBE_NAME: probe, APPEND_NAME: probe._buf.append}
+    extra: Dict[str, Any] = {
+        PROBE_NAME: probe,
+        LAST_DEF_NAME: probe.last_def,
+        LAST_DEF_GET_NAME: probe.last_def.get,
+        USE_HIT_NAME: probe.use_hits.add,
+    }
     model = module.name
-    for idx, (tag, var, line) in enumerate(sites):
-        extra[f"{SITE_PREFIX}{idx}__"] = (tag, var, model, line)
+    for idx, (var, line) in enumerate(sites):
+        extra[f"{KEY_PREFIX}{idx}__"] = (model, var)
+        extra[f"{SITE_PREFIX}{idx}__"] = (var, model, line)
     install_processing_ast(module, code, func_name, extra)
     return original_registration
 

@@ -1,32 +1,32 @@
-"""Runtime probes: the instrumented-code logging API.
+"""Runtime probes: the online def-use pairer (paper §V).
 
 The paper's dynamic analysis inserts a print instruction before every
-definition/use so that executing the testsuite produces logs of the
-exercised data flow (§V).  Here every "print instruction" appends one
-flat tuple to the :class:`ProbeRuntime` buffer, on both engines:
+definition/use and "each definition is mapped onto a corresponding use
+as soon as it is encountered".  :class:`ProbeRuntime` does exactly
+that while the simulation runs; no event is stored:
 
-* ``(TAG_USE | TAG_DEF, var, model, line)`` — a local/member use/def
-  executed at a source line (the instrumenter emits these as
-  preallocated per-site tuples);
-* ``(TAG_PW, signal, token_index, var, model, line, kind)`` and
-  ``(TAG_PR, signal, token_index, port, reader_model, anchor_model,
-  anchor_line, undriven)`` — port writes/reads via the ``pw``/``pr``
-  probes, which record the global token index on the port's signal so
-  cross-model flows can be joined exactly (see
-  :mod:`repro.instrument.matching`).
+* **local/member variables** — a def site stores its line in
+  :attr:`ProbeRuntime.last_def` under ``(model, var)``; a use site adds
+  ``((var, model, line), last def line)`` to
+  :attr:`ProbeRuntime.use_hits` (the instrumenter emits both as C-level
+  dict/set operations on per-site constants);
+* **ports** — the ``pw``/``generic_write`` probes fold every token
+  write into the signal's :class:`_SignalWrites` index, and ``pr``
+  pairs each read with the floor of the writes recorded so far,
+  adding the resolved pair to :attr:`ProbeRuntime.read_hits`;
+* reads of **undriven** signals are noted once per port, in
+  first-seen order (:attr:`ProbeRuntime.undriven`).
 
-An event's sequence number is its buffer position + 1.  The runtime
-also receives *generic* writes from uninstrumented modules (testbench
-sources, redefining library elements) via port hooks installed by the
-runner.
+:func:`repro.instrument.matching.match_events` turns the hits into
+exercised pairs.  The runtime's state is O(def/use sites and write
+runs), not O(events).
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
-import io
-from operator import itemgetter
-from typing import Any, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..tdf.errors import PortAccessError
 
@@ -48,49 +48,107 @@ class WriterKind(enum.Enum):
     TESTBENCH = "testbench"  #: testbench stimulus (pairs to placeholder defs)
 
 
-#: Tags of the flat event buffer (first tuple element).
-#: Kept small ints so tag dispatch in the matcher is two comparisons.
-TAG_USE = 0
-TAG_DEF = 1
-TAG_PW = 2
-TAG_PR = 3
+#: Write site of every testbench token: a read of one pairs with the
+#: reader's own placeholder definition, whoever the testbench writer was.
+TESTBENCH_SITE = ("testbench",)
 
-_tag_of = itemgetter(0)
+
+class _SignalWrites:
+    """Run-length compressed write index of one signal.
+
+    Consecutive token indices written by the same source site collapse
+    into one ``(start, end, site)`` run; out-of-order or re-written
+    tokens go to a small exception dict.  Periodic single-site writers
+    stay a handful of runs regardless of simulation length.
+
+    Last-write-wins is structural: a run entry at token ``t`` is only
+    created while the frontier (greatest token seen) is below ``t``,
+    whereas an exception at ``t`` is created at or behind the frontier
+    — i.e. later — so on a floor query an exception shadows a run entry
+    at the same token, and dict assignment keeps the last exception.
+    """
+
+    __slots__ = ("run_starts", "run_ends", "run_sites", "exceptions", "_exc_sorted")
+
+    def __init__(self) -> None:
+        self.run_starts: List[int] = []
+        self.run_ends: List[int] = []
+        self.run_sites: List[tuple] = []
+        self.exceptions: Dict[int, tuple] = {}
+        self._exc_sorted: List[int] = []
+
+    def add(self, token: int, site: tuple) -> None:
+        ends = self.run_ends
+        if ends:
+            frontier = ends[-1]
+            if token == frontier + 1 and site == self.run_sites[-1]:
+                ends[-1] = token
+                return
+            if token <= frontier:
+                if token not in self.exceptions:
+                    bisect.insort(self._exc_sorted, token)
+                self.exceptions[token] = site
+                return
+        self.run_starts.append(token)
+        ends.append(token)
+        self.run_sites.append(site)
+
+    def floor(self, token: int) -> Optional[tuple]:
+        """Site of the last write at the greatest index <= ``token``."""
+        starts = self.run_starts
+        if not self.exceptions:
+            if token >= starts[-1]:  # the common case: the newest run
+                return self.run_sites[-1]
+            pos = bisect.bisect_right(starts, token) - 1
+            return self.run_sites[pos] if pos >= 0 else None
+        best: Optional[tuple] = None
+        pos = bisect.bisect_right(starts, token) - 1
+        if pos >= 0:
+            best_token = min(token, self.run_ends[pos])
+            best = self.run_sites[pos]
+        exc_sorted = self._exc_sorted
+        epos = bisect.bisect_right(exc_sorted, token) - 1
+        if epos >= 0 and (best is None or exc_sorted[epos] >= best_token):
+            return self.exceptions[exc_sorted[epos]]
+        return best
 
 
 class ProbeRuntime:
-    """Collects all dynamic events of one testcase execution.
+    """Pairs the defs and uses of one testcase execution as they run.
 
-    Every probe call appends one plain tuple to a single flat buffer
-    (``_buf``); the sequence number *is* the buffer position + 1, so the
-    global event order is the buffer order.  ``store`` (e.g.
-    :class:`repro.obs.store.ColumnarProbeStore`) stands in for the plain
-    list: the probe closures only call ``.append`` on it, the matcher
-    only iterates it.
+    The pairing of reads relies on one condition that every TDF
+    schedule meets: *every write of token j on a signal is recorded
+    before any read of a token >= j on that signal* (a reader fires
+    after the writers of the tokens it consumes; the block engine emits
+    hoisted writes at their canonical positions).  Under it the floor
+    of the writes seen so far is the floor of all writes of the run.
+
+    State, all of it bounded by sites and write runs:
+
+    * :attr:`last_def` — ``(model, var)`` -> line of the latest def;
+    * :attr:`use_hits` — ``((var, model, use_line), def_line)``, with
+      ``def_line`` ``None`` for a use before any def;
+    * :attr:`signal_writes` — signal name -> :class:`_SignalWrites`;
+    * :attr:`read_hits` — ``(var, def_model, def_line, use_model,
+      use_line)`` pairs of port reads; ``def_line`` is ``None`` for a
+      testbench token (var and def model are then the reading port and
+      model; the matcher substitutes the reader's placeholder line);
+    * :attr:`undriven` — ``(reader_model, port)`` -> signal name of
+      reads on undriven signals, in first-seen order.
     """
 
-    def __init__(self, cluster_name: str, store: Optional[Any] = None) -> None:
+    def __init__(self, cluster_name: str) -> None:
         self.cluster_name = cluster_name
-        self._buf: Any = [] if store is None else store
+        self.last_def: Dict[Tuple[str, str], int] = {}
+        self.use_hits: Set[tuple] = set()
+        self.signal_writes: Dict[str, _SignalWrites] = {}
+        self.read_hits: Set[tuple] = set()
+        self.undriven: Dict[Tuple[str, str], str] = {}
         self._install()
 
-    def clear(self) -> None:
-        """Drop all recorded events (between testcases)."""
-        self._buf.clear()  # in place: installed closures hold a reference
-
-    def event_counts(self) -> Tuple[int, int, int]:
-        """(var, write, read) event counts."""
-        counts = getattr(self._buf, "event_counts", None)
-        if counts is not None:  # columnar store tracks tags at flush time
-            return counts()
-        # One C-level pass (map + list.count) instead of a Python loop.
-        tags = list(map(_tag_of, self._buf))
-        nw = tags.count(TAG_PW)
-        nr = tags.count(TAG_PR)
-        return len(tags) - nw - nr, nw, nr
-
     def _install(self) -> None:
-        """Install the ``pr``/``pw``/``generic_write`` buffer closures.
+        """Install the ``pr``/``pw``/``generic_write`` closures and the
+        ``record_write``/``record_read`` entry points they pair through.
 
         The instrumented code calls ``__dft_probe__.pr(self, ...)`` — an
         instance-dict lookup resolving to these plain functions, which
@@ -99,12 +157,43 @@ class ProbeRuntime:
         :meth:`~repro.tdf.ports.TdfIn.read` /
         :meth:`~repro.tdf.ports.TdfOut.write`.
         """
-        buf = self._buf
-        append = buf.append
         cluster_name = self.cluster_name
+        signal_writes = self.signal_writes
+        writes_get = signal_writes.get
+        add_read_hit = self.read_hits.add
+        undriven = self.undriven
+        testbench = WriterKind.TESTBENCH
+        testbench_site = TESTBENCH_SITE
+        model_kind = WriterKind.MODEL
         # id(port) -> (anchor_model, anchor_line) for opaque uses, or
         # None when the anchor is the instrumented source line.
         anchor_cache: dict = {}
+
+        def record_write(sig_name, token, var, model, line, kind):
+            writes = writes_get(sig_name)
+            if writes is None:
+                writes = signal_writes[sig_name] = _SignalWrites()
+            writes.add(
+                token, testbench_site if kind is testbench else (var, model, line)
+            )
+
+        def record_read(sig_name, token, port_name, reader, anchor_model,
+                        anchor_line, is_undriven):
+            if is_undriven:
+                undriven[(reader, port_name)] = sig_name
+                return
+            if token < 0:  # initial/delay token: not a definition
+                return
+            writes = writes_get(sig_name)
+            if writes is None:
+                return
+            site = writes.floor(token)
+            if site is None:
+                return
+            if site is testbench_site:
+                add_read_hit((port_name, reader, None, anchor_model, anchor_line))
+            else:
+                add_read_hit((site[0], site[1], site[2], anchor_model, anchor_line))
 
         def pr(module, port, line, offset=0):
             sig = port.signal
@@ -147,15 +236,11 @@ class ProbeRuntime:
                     anchor = None
                 anchor_cache[key] = anchor
             if anchor is None:
-                append(
-                    (TAG_PR, sig.name, index, port.name, module.name,
-                     module.name, line, driver is None)
-                )
+                record_read(sig.name, index, port.name, module.name,
+                            module.name, line, driver is None)
             else:
-                append(
-                    (TAG_PR, sig.name, index, port.name, module.name,
-                     anchor[0], anchor[1], driver is None)
-                )
+                record_read(sig.name, index, port.name, module.name,
+                            anchor[0], anchor[1], driver is None)
             return value
 
         def pw(module, port, line, value, offset=0):
@@ -177,42 +262,14 @@ class ProbeRuntime:
             if hooks:
                 for hook in hooks:
                     hook(port, index, value, offset)
-            append((TAG_PW, sig.name, index, port.name, module.name, line,
-                    WriterKind.MODEL))
+            record_write(sig.name, index, port.name, module.name, line, model_kind)
             return index
 
         def generic_write(port, token_index, var, model, line, kind):
-            append((TAG_PW, port.signal.name, token_index, var, model, line, kind))
+            record_write(port.signal.name, token_index, var, model, line, kind)
 
+        self.record_write = record_write
+        self.record_read = record_read
         self.pr = pr
         self.pw = pw
         self.generic_write = generic_write
-
-    # -- log dump (the paper's textual instrumentation log) -------------------------
-
-    def write_log(self, stream: TextIO) -> None:
-        """Dump all events as a text log (one line per event).
-
-        This mirrors the paper's print-based instrumentation output; the
-        in-memory events are authoritative, the log is for humans and
-        tests.
-        """
-        write = stream.write
-        for seq, ev in enumerate(self._buf, 1):
-            tag = ev[0]
-            if tag <= TAG_DEF:
-                kind = "DEF" if tag == TAG_DEF else "USE"
-                write(f"{seq}\t{kind}\t{ev[1]}\t{ev[2]}:{ev[3]}\t\n")
-            elif tag == TAG_PW:
-                write(
-                    f"{seq}\tPW\t{ev[3]}\t{ev[4]}:{ev[5]}\t"
-                    f"{ev[1]}[{ev[2]}] {ev[6].value}\n"
-                )
-            else:
-                write(f"{seq}\tPR\t{ev[3]}\t{ev[5]}:{ev[6]}\t{ev[1]}[{ev[2]}]\n")
-
-    def log_text(self) -> str:
-        """The event log as a string."""
-        buf = io.StringIO()
-        self.write_log(buf)
-        return buf.getvalue()

@@ -4,8 +4,8 @@ For every testcase the runner builds a fresh cluster (testcases must
 not contaminate each other's member state), instruments every analysed
 model's ``processing()``, installs port hooks on the uninstrumented
 modules (testbench sources, redefining library elements), applies the
-testcase's stimuli, simulates, and joins the recorded events into the
-set of exercised def-use pairs.
+testcase's stimuli, simulates, and collects the def-use pairs the
+probe paired along the way.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class DynamicAnalyzer:
         warn: bool = False,
         telemetry=None,
         engine: Optional[str] = "auto",
-        probe_store=None,
     ) -> None:
         self.cluster_factory = cluster_factory
         self.static = static
@@ -86,10 +85,6 @@ class DynamicAnalyzer:
         self.telemetry = telemetry if telemetry is not None else get_telemetry()
         #: Resolved TDF engine for the simulations ("interp" or "block").
         self.engine = resolve_engine(engine)
-        #: Optional :class:`~repro.obs.store.ProbeStoreSpec` selecting
-        #: the recording backend; each testcase gets a fresh store so
-        #: spill files never outlive their match.
-        self.probe_store = probe_store
 
     # -- single testcase ------------------------------------------------------
 
@@ -97,55 +92,36 @@ class DynamicAnalyzer:
         """Run one testcase and return its exercised pairs.
 
         Each testcase gets a ``dynamic.testcase[<name>]`` telemetry span
-        with ``dynamic.simulate`` / ``dynamic.match`` children; probe
-        event counts and the number of exercised pairs are attached as
-        span attributes and ``instrument.*`` counters.
+        with ``dynamic.simulate`` / ``dynamic.match`` children; the
+        number of exercised pairs is attached as a span attribute.
         """
         tel = self.telemetry
         with tel.span(
             f"dynamic.testcase[{testcase.name}]", testcase=testcase.name
         ) as tc_span:
             cluster = self.cluster_factory()
-            store = (
-                self.probe_store.make(tel) if self.probe_store is not None else None
-            )
-            try:
-                probe = ProbeRuntime(cluster.name, store=store)
-                self._instrument(cluster, probe)
-                self._install_hooks(cluster, probe)
-                testcase.apply(cluster)
-                simulator = Simulator(cluster, engine=self.engine)
-                with tel.span("dynamic.simulate", testcase=testcase.name):
-                    simulator.run(testcase.duration)
-                    simulator.finish()
-                with tel.span("dynamic.match", testcase=testcase.name):
-                    match = match_events(
-                        probe,
-                        testcase.name,
-                        self.static.model_start_lines,
-                        warn=self.warn,
-                        telemetry=tel,
-                    )
-                if tel.enabled:
-                    nv, nw, nr = probe.event_counts()
-                    events = {
-                        "var_events": nv,
-                        "port_writes": nw,
-                        "port_reads": nr,
-                    }
-                    for kind, count in events.items():
-                        tc_span.set_attribute(kind, count)
-                        tel.metrics.counter(
-                            f"instrument.{kind}", cluster=cluster.name
-                        ).inc(count)
-                    tc_span.set_attribute("exercised_pairs", len(match.pairs))
-                    tel.metrics.counter(
-                        "instrument.testcases", cluster=cluster.name
-                    ).inc()
-                return match
-            finally:
-                if store is not None:
-                    store.close()
+            probe = ProbeRuntime(cluster.name)
+            self._instrument(cluster, probe)
+            self._install_hooks(cluster, probe)
+            testcase.apply(cluster)
+            simulator = Simulator(cluster, engine=self.engine)
+            with tel.span("dynamic.simulate", testcase=testcase.name):
+                simulator.run(testcase.duration)
+                simulator.finish()
+            with tel.span("dynamic.match", testcase=testcase.name):
+                match = match_events(
+                    probe,
+                    testcase.name,
+                    self.static.model_start_lines,
+                    warn=self.warn,
+                    telemetry=tel,
+                )
+            if tel.enabled:
+                tc_span.set_attribute("exercised_pairs", len(match.pairs))
+                tel.metrics.counter(
+                    "instrument.testcases", cluster=cluster.name
+                ).inc()
+            return match
 
     def run_suite(self, suite: TestSuite) -> DynamicResult:
         """Run every testcase of ``suite`` in order."""
@@ -211,7 +187,7 @@ class DynamicAnalyzer:
             probe.generic_write(p, index, var, model, line, kind)
 
         # Marker consumed by the engine compiler: a hook carrying it is a
-        # pure probe-event recorder whose effect the compiled program can
+        # pure probe-write recorder whose effect the compiled program can
         # replay without firing the interpreted write path.
         hook.__dft_probe_writer__ = (probe, var, model, line, kind)
         port.add_write_hook(hook)

@@ -174,40 +174,6 @@ def format_tree(run: Any, metrics: bool = True) -> str:
             if total:
                 label = f"{base}_hit_rate{_format_labels(dict(labels))}"
                 derived.append(f"  {'rate':<9s} {label:<58s} {hits / total:.4f}")
-        # Coverage matching: what share of scanned probe events went
-        # through the vectorised kernel, and how fast each path chews
-        # through events.  ``instrument.match_events_scanned`` is
-        # labelled by path (scan/vector); pairing it with the
-        # ``instrument.match_seconds`` histogram sum gives an honest
-        # events-per-second per path.
-        match_scanned = {
-            dict(labels).get("path"): value
-            for (name, labels), value in counters.items()
-            if name == "instrument.match_events_scanned"
-        }
-        match_total = sum(match_scanned.values())
-        if match_total:
-            derived.append(
-                f"  {'rate':<9s} {'instrument.match_vector_share':<58s} "
-                f"{match_scanned.get('vector', 0) / match_total:.4f}"
-            )
-        match_seconds = {
-            tuple(sorted(r["labels"].items())): r["summary"]["sum"]
-            for r in run["metrics"]
-            if r["kind"] == "histogram" and r["name"] == "instrument.match_seconds"
-        }
-        for labels, seconds in sorted(match_seconds.items()):
-            scanned = counters.get(
-                ("instrument.match_events_scanned", labels), 0
-            )
-            if seconds > 0 and scanned:
-                label = (
-                    f"instrument.match_events_per_second"
-                    f"{_format_labels(dict(labels))}"
-                )
-                derived.append(
-                    f"  {'rate':<9s} {label:<58s} {scanned / seconds:.1f}"
-                )
         if derived:
             lines.append("derived:")
             lines.extend(derived)

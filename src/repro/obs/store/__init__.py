@@ -1,9 +1,8 @@
-"""Streaming columnar probe store + persistent run history.
+"""Persistent run history.
 
 Split from :mod:`repro.obs` proper so the telemetry layer stays
 import-light; import :mod:`repro.obs.store` explicitly to use the
-store.  See :mod:`.probe_store` for the O(1)-memory event recorder and
-:mod:`.history` for the cross-run ledger.
+ledger.  See :mod:`.history` for the cross-run ledger.
 """
 
 from .history import (
@@ -19,7 +18,6 @@ from .history import (
     suite_sha,
     trend_rows,
 )
-from .probe_store import DEFAULT_CHUNK_SIZE, ColumnarProbeStore, ProbeStoreSpec
 
 __all__ = [
     "HISTORY_FORMAT",
@@ -33,7 +31,4 @@ __all__ = [
     "span_percentiles",
     "suite_sha",
     "trend_rows",
-    "DEFAULT_CHUNK_SIZE",
-    "ColumnarProbeStore",
-    "ProbeStoreSpec",
 ]

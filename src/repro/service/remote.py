@@ -131,9 +131,8 @@ class RemoteExecutor(DynamicExecutor):
         warn: bool,
         record_telemetry: bool,
         engine: Optional[str],
-        probe_store,
     ) -> Dict[str, Any]:
-        job: Dict[str, Any] = {
+        return {
             "factory_ref": self.factory_ref,
             "factory_args": list(self.factory_args),
             "suite_ref": self.suite_ref,
@@ -145,13 +144,6 @@ class RemoteExecutor(DynamicExecutor):
             "record_telemetry": record_telemetry,
             "engine": engine if engine is not None else "auto",
         }
-        if probe_store is not None:
-            job["probe_store"] = {
-                "kind": probe_store.kind,
-                "chunk_size": probe_store.chunk_size,
-                "spill_dir": probe_store.spill_dir,
-            }
-        return job
 
     def _dispatch_shard(
         self, index: int, job: Dict[str, Any], tel: Telemetry
@@ -196,7 +188,6 @@ class RemoteExecutor(DynamicExecutor):
         warn: bool = False,
         telemetry: Optional[Telemetry] = None,
         engine: Optional[str] = "auto",
-        probe_store=None,
     ) -> "DynamicResult":
         from ..instrument.runner import DynamicResult
 
@@ -219,9 +210,7 @@ class RemoteExecutor(DynamicExecutor):
 
         shards = round_robin_shards(names, self.workers)
         jobs = [
-            self._shard_job(
-                shard, static, warn, tel.enabled, engine, probe_store,
-            )
+            self._shard_job(shard, static, warn, tel.enabled, engine)
             for shard in shards
         ]
         per_name: Dict[str, "MatchResult"] = {}

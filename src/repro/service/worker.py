@@ -114,16 +114,6 @@ def execute_shard(
     results: Dict[str, Any] = dict(cached)
     payload: List[dict] = []
     if pending:
-        probe_store = None
-        store_spec = job.get("probe_store")
-        if store_spec:
-            from ..obs.store import ProbeStoreSpec
-
-            probe_store = ProbeStoreSpec(
-                kind=store_spec.get("kind", "memory"),
-                chunk_size=store_spec.get("chunk_size"),
-                spill_dir=store_spec.get("spill_dir"),
-            )
         # A private session per shard, like process-pool workers: the
         # kernel hooks key off the globally active telemetry.
         with telemetry_session(
@@ -135,7 +125,6 @@ def execute_shard(
                 warn=bool(job.get("warn")),
                 telemetry=tel if record_telemetry else None,
                 engine=job.get("engine") or "auto",
-                probe_store=probe_store,
             )
             for name in pending:
                 results[name] = analyzer.run_testcase(testcases[name])

@@ -7,7 +7,7 @@ compiles the static schedule once into a flattened *program*
 (:mod:`~repro.tdf.engine.executor`), and gives library modules a
 block-level API (:mod:`~repro.tdf.engine.blocks`) so a whole window of
 samples moves through ``processing_block()`` in one call — results stay
-bit-identical to the interpreter, including probe event streams.
+bit-identical to the interpreter, including the probe's def-use pairing.
 """
 
 from .blocks import (

@@ -11,9 +11,9 @@ program has four parts:
 * **pre ops** — *windowable* block-capable modules whose entire input
   cone is also hoisted: fired once per execution window, producing
   ``window × repetitions`` samples in a single ``processing_block``
-  call.  Their probe write events (if any) are re-emitted at the
-  canonical schedule positions by event ops, so the global event order
-  is identical to the interpreter's.
+  call.  Their probe writes (if any) are recorded at the canonical
+  schedule positions by event ops, so the probe sees writes and reads
+  in the interpreter's order.
 * **core ops** — everything in between, in PASS order: per-firing
   specialised SISO ops (gain/delay/buffer), per-period coalesced block
   ops, generic interpreted firings (instrumented or user-defined
@@ -194,20 +194,17 @@ class _WindowRollback:
 
 
 def _make_event_op(port, infos, cell):
-    """Probe write events of one hoisted firing, emitted at its
-    canonical position in the period with a running token counter."""
+    """Probe writes of one hoisted firing, recorded at its canonical
+    position in the period with a running token counter."""
     sig_name = port.signal.name
     if len(infos) == 1:
-        from ...instrument.probes import TAG_PW
-
         probe, var, model, line, kind = infos[0]
-        append = probe._buf.append
 
-        def op(base_fs, cell=cell, append=append, sig_name=sig_name,
+        def op(base_fs, cell=cell, record=probe.record_write, sig_name=sig_name,
                var=var, model=model, line=line, kind=kind):
             index = cell[0]
             cell[0] = index + 1
-            append((TAG_PW, sig_name, index, var, model, line, kind))
+            record(sig_name, index, var, model, line, kind)
 
         return op
 
@@ -222,7 +219,7 @@ def _make_event_op(port, infos, cell):
 
 def _make_siso_op(module, kind, event_infos):
     """Specialised per-firing op for uninstrumented gain/delay/buffer:
-    direct token move with an inline probe event, no FiringBlock."""
+    direct token move with an inline probe write, no FiringBlock."""
     in_port = module.in_ports()[0]
     out_port = module.out_ports()[0]
     in_sig = in_port.signal
@@ -236,14 +233,12 @@ def _make_siso_op(module, kind, event_infos):
     if event_infos:
         port, infos = event_infos
         if len(infos) == 1:
-            from ...instrument.probes import TAG_PW
-
             probe, var, model, line, wkind = infos[0]
-            append = probe._buf.append
             sig_name = out_sig.name
 
-            def event(index, a=append, s=sig_name, v=var, m=model, l=line, k=wkind):
-                a((TAG_PW, s, index, v, m, l, k))
+            def event(index, r=probe.record_write, s=sig_name, v=var, m=model,
+                      l=line, k=wkind):
+                r(s, index, v, m, l, k)
 
         else:
 

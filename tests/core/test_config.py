@@ -115,7 +115,7 @@ class TestSerialization:
     def test_round_trip(self):
         cfg = DftConfig(
             engine="block", seed=7, tolerance=0.5, warn=False,
-            probe_store="columnar", budget_seconds=1.5, cache_dir="/tmp/x",
+            warm_start=True, budget_seconds=1.5, cache_dir="/tmp/x",
         )
         assert DftConfig.from_json(cfg.to_json()) == cfg
 
@@ -126,9 +126,9 @@ class TestSerialization:
         assert "telemetry" not in doc
 
     def test_unknown_field_rejected_with_known_list(self):
-        # ``batch_size`` and ``matcher`` are removed fields: old config
-        # files fail loudly.
-        for field in ("tpyo", "batch_size", "matcher"):
+        # ``batch_size``, ``matcher`` and ``probe_store`` are removed
+        # fields: old config files fail loudly.
+        for field in ("tpyo", "batch_size", "matcher", "probe_store"):
             with pytest.raises(
                 ValueError, match=rf"unknown config field\(s\): {field} "
             ) as err:
@@ -183,7 +183,7 @@ class TestConfigFile:
 
     def test_unknown_field_names_path(self, tmp_path):
         path = tmp_path / "bad.json"
-        for field in ("bogus", "batch_size", "matcher"):
+        for field in ("bogus", "batch_size", "matcher", "probe_store"):
             path.write_text(f'{{"{field}": 4}}')
             with pytest.raises(ValueError, match=f"bad.json.*{field}"):
                 DftConfig.from_file(str(path))

@@ -8,9 +8,7 @@ Two contracts:
   only adds mass within the uncovered band, and with no guide the two
   functions coincide exactly;
 * *determinism* — a guided, frontier-targeted generation run is
-  byte-identical across the matcher (``--probe-store memory`` scans,
-  ``--probe-store columnar`` takes the vector kernel),
-  ``--engine interp|block`` and ``--workers 1/2``.
+  byte-identical across ``--engine interp|block`` and ``--workers 1/2``.
 """
 
 from hypothesis import given, settings
@@ -116,13 +114,11 @@ class TestGuidedDeterminism:
         )
 
     def test_byte_identical_across_matcher_engine_workers(self):
-        # The probe store selects the matcher: memory -> scan,
-        # columnar -> vector.
-        baseline = self._generate(probe_store="memory", engine="interp", workers=1)
+        baseline = self._generate(engine="interp", workers=1)
         variants = [
-            self._generate(probe_store="columnar", engine="interp", workers=1),
-            self._generate(probe_store="memory", engine="block", workers=1),
-            self._generate(probe_store="columnar", engine="block", workers=2),
+            self._generate(engine="interp", workers=2),
+            self._generate(engine="block", workers=1),
+            self._generate(engine="block", workers=2),
         ]
         base_bytes = suite_bytes(baseline)
         for variant in variants:

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.instrument import ProbeRuntime, instrument_processing
-from repro.instrument.probes import TAG_DEF, TAG_PW, TAG_USE
 from repro.tdf import Cluster, Simulator, TdfIn, TdfModule, TdfOut, ms
 from repro.tdf.library import CollectorSink, StimulusSource
 
@@ -78,10 +77,10 @@ def test_instrumented_matches_uninstrumented(values):
     Simulator(instrumented).run(ms(len(values)))
 
     assert instrumented.sink.values() == plain.sink.values()
-    # And the probe actually recorded the execution.
-    tags = [event[0] for event in probe._buf]
-    assert TAG_USE in tags or TAG_DEF in tags
-    assert tags.count(TAG_PW) == len(values)
+    # And the probe actually paired the execution.
+    assert probe.last_def and probe.use_hits
+    writes = probe.signal_writes[instrumented.dut.op.signal.name]
+    assert (writes.run_starts, writes.run_ends) == ([0], [len(values) - 1])
 
 
 @settings(max_examples=15, deadline=None)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.instrument.instrumenter import instrument_processing, restore_processing
-from repro.instrument.probes import TAG_DEF, TAG_PR, TAG_PW, TAG_USE, ProbeRuntime
+from repro.instrument.probes import ProbeRuntime
 from repro.tdf import Cluster, Simulator, TdfIn, TdfModule, TdfOut, ms
 from repro.tdf.library import CollectorSink, ConstantSource
 
@@ -22,6 +22,31 @@ class Sample(TdfModule):
         self.op.write(self.m_total)
 
 
+class _DefLog(dict):
+    """A last-def dict that also logs every def ``("def", var, line)``."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def __setitem__(self, key, line):
+        self.log.append(("def", key[1], line))
+        super().__setitem__(key, line)
+
+
+class _UseLog(set):
+    """A use-hit set that also logs every use ``("use", var, line)``."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def add(self, hit):
+        (var, _model, line), _def_line = hit
+        self.log.append(("use", var, line))
+        super().add(hit)
+
+
 def _run(module_cls=Sample, periods=3, src_value=2.0):
     class Top(Cluster):
         def architecture(self):
@@ -33,14 +58,34 @@ def _run(module_cls=Sample, periods=3, src_value=2.0):
 
     top = Top("top")
     probe = ProbeRuntime("top")
+    # Log every def/use the instrumented code executes (the pairer
+    # itself keeps only distinct hits).
+    probe.events = []
+    probe.last_def = _DefLog(probe.events)
+    probe.use_hits = _UseLog(probe.events)
+    probe.reads = []
+    top.dut.ip.add_read_hook(
+        lambda port, index, value, offset: probe.reads.append(index)
+    )
     instrument_processing(top.dut, probe)
     Simulator(top).run_periods(periods)
     return top, probe
 
 
-def _events(probe, tag, var=None):
-    """Buffered events with ``tag`` (var events: only ``var``'s, if given)."""
-    return [ev for ev in probe._buf if ev[0] == tag and var in (None, ev[1])]
+def _events(probe, kind, var=None):
+    """Executed ``"def"``/``"use"`` events (only ``var``'s, if given)."""
+    return [ev for ev in probe.events if ev[0] == kind and var in (None, ev[1])]
+
+
+def _written_tokens(top, probe):
+    """Token indices the probe recorded as written on ``dut.op``."""
+    writes = probe.signal_writes[top.dut.op.signal.name]
+    assert not writes.exceptions
+    return [
+        token
+        for start, end in zip(writes.run_starts, writes.run_ends)
+        for token in range(start, end + 1)
+    ]
 
 
 class TestBehaviourPreservation:
@@ -63,35 +108,35 @@ class TestBehaviourPreservation:
 class TestEventCompleteness:
     def test_local_def_and_use_events(self):
         _, probe = _run()
-        assert _events(probe, TAG_DEF, "value")
-        assert _events(probe, TAG_USE, "value")
+        assert _events(probe, "def", "value")
+        assert _events(probe, "use", "value")
 
     def test_member_events(self):
         _, probe = _run()
-        member_defs = _events(probe, TAG_DEF, "m_total")
-        member_uses = _events(probe, TAG_USE, "m_total")
+        member_defs = _events(probe, "def", "m_total")
+        member_uses = _events(probe, "use", "m_total")
         assert len(member_defs) == 3     # one per activation (value > 0)
         # Used in the sum and in the write argument.
         assert len(member_uses) == 6
 
     def test_port_events_carry_token_indices(self):
-        _, probe = _run()
-        assert [ev[2] for ev in _events(probe, TAG_PR)] == [0, 1, 2]
-        assert [ev[2] for ev in _events(probe, TAG_PW)] == [0, 1, 2]
+        top, probe = _run()
+        assert probe.reads == [0, 1, 2]
+        assert _written_tokens(top, probe) == [0, 1, 2]
 
     def test_branch_not_taken_no_events(self):
         _, probe = _run(src_value=-1.0)
-        assert not _events(probe, TAG_DEF, "m_total")
+        assert not _events(probe, "def", "m_total")
 
     def test_lines_are_absolute(self):
         import inspect
 
         _, probe = _run()
         src_line = inspect.getsourcelines(Sample.processing)[1]
-        var_events = _events(probe, TAG_USE) + _events(probe, TAG_DEF)
+        var_events = _events(probe, "use") + _events(probe, "def")
         assert var_events
         for event in var_events:
-            assert event[3] > src_line
+            assert event[2] > src_line
 
 
 class TestConstructCoverage:
@@ -109,7 +154,7 @@ class TestConstructCoverage:
 
         top, probe = _run(Aug, periods=1)
         assert top.sink.values() == [3.0]
-        x_events = _events(probe, TAG_USE, "x") + _events(probe, TAG_DEF, "x")
+        x_events = _events(probe, "use", "x") + _events(probe, "def", "x")
         # def (assign), use+def (augassign), use (write arg).
         assert len(x_events) == 4
 
@@ -129,7 +174,7 @@ class TestConstructCoverage:
 
         top, probe = _run(Loop, periods=1)
         assert top.sink.values() == [3.0]
-        item_defs = _events(probe, TAG_DEF, "item")
+        item_defs = _events(probe, "def", "item")
         assert len(item_defs) == 2  # one per iteration
 
     def test_while_condition_uses_fire_per_iteration(self):
@@ -146,7 +191,7 @@ class TestConstructCoverage:
                 self.op.write(n)
 
         top, probe = _run(Wh, periods=1, src_value=3.0)
-        cond_uses = _events(probe, TAG_USE, "n")
+        cond_uses = _events(probe, "use", "n")
         # 4 condition evaluations + 3 decrement uses + 1 write use.
         assert len(cond_uses) == 8
 
@@ -167,7 +212,7 @@ class TestConstructCoverage:
 
         top, probe = _run(Multi, periods=1)
         assert top.sink.values() == [4.0]
-        assert [ev[2] for ev in _events(probe, TAG_PR)] == [0, 1]
+        assert probe.reads == [0, 1]
 
     def test_ternary_expression(self):
         class Tern(TdfModule):

@@ -1,66 +1,47 @@
-"""Unit tests for dynamic event matching (paper §V rules).
+"""Unit tests for dynamic def-use pairing (paper §V rules).
 
-Every test runs its hand-built tuple stream through each match path
-``match_events`` can take — the in-memory list scan, the columnar
-store's streaming scan (numpy masked out) and, when numpy is
-installed, the columnar vector kernel — and pins the same expected
-result on all of them.
+Every test replays its hand-built tuple stream through the online
+pairer's record entry points (:func:`oracle.replay`) and through the
+post-hoc reference join (:func:`oracle.oracle_match`), and pins the
+same expected result on both.  A Hypothesis property checks that the
+two agree on random causal streams.
 """
 
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.instrument import matchkernel
-from repro.instrument.matching import match_events
-from repro.instrument.probes import (
-    TAG_DEF,
-    TAG_PR,
-    TAG_PW,
-    TAG_USE,
-    ProbeRuntime,
-    UseWithoutDefWarning,
-    WriterKind,
-)
-from repro.obs.store import ColumnarProbeStore
+from oracle import DEF, PR, PW, USE, oracle_match, pairer_match
+from repro.instrument.probes import UseWithoutDefWarning, WriterKind
 
-#: The match paths: list scan, streaming scan, vector kernel.
-PATHS = ("list", "streaming") + (("vector",) if matchkernel.HAVE_NUMPY else ())
+#: The pairing paths: the online pairer and the reference join.
+PATHS = ("pairer", "oracle")
 
 
 def _use(var, model, line):
-    return (TAG_USE, var, model, line)
+    return (USE, var, model, line)
 
 
 def _def(var, model, line):
-    return (TAG_DEF, var, model, line)
+    return (DEF, var, model, line)
 
 
 def _write(token, line=30, kind=WriterKind.MODEL, signal="s", var="op", model="w"):
-    return (TAG_PW, signal, token, var, model, line, kind)
+    return (PW, signal, token, var, model, line, kind)
 
 
-def _read(token, line=40, signal="s", undriven=False):
-    return (TAG_PR, signal, token, "ip", "r", "r", line, undriven)
+def _read(token, line=40, signal="s", undriven=False, port="ip", reader="r"):
+    return (PR, signal, token, port, reader, reader, line, undriven)
 
 
 def _match(path, events, starts=None, warn=False):
-    """Match ``events`` through one path."""
-    if path == "list":
-        probe = ProbeRuntime("top")
-        probe._buf.extend(events)
-        return match_events(probe, "tc", starts or {}, warn=warn)
-    # chunk_size=2 spills every other event to disk.
-    store = ColumnarProbeStore(chunk_size=2)
-    try:
-        probe = ProbeRuntime("top", store=store)
-        for event in events:
-            store.append(event)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(matchkernel, "HAVE_NUMPY", path == "vector")
-            return match_events(probe, "tc", starts or {}, warn=warn)
-    finally:
-        store.close()
+    """Pair ``events`` through one path."""
+    if path == "pairer":
+        return pairer_match(events, starts or {}, warn=warn)
+    assert not warn  # the reference join only lists findings
+    return oracle_match(events, starts or {})
 
 
 def _pairs(events, starts=None):
@@ -147,16 +128,14 @@ class TestUseWithoutDef:
 
     def test_warning_raised_when_enabled(self):
         events = [_read(i, undriven=True) for i in range(3)]
-        for path in PATHS:
-            with pytest.warns(UseWithoutDefWarning, match="undefined") as rec:
-                _match(path, events, warn=True)
-            assert len(rec) == 1, path
+        with pytest.warns(UseWithoutDefWarning, match="undefined") as rec:
+            _match("pairer", events, warn=True)
+        assert len(rec) == 1
 
     def test_no_warning_when_disabled(self):
-        for path in PATHS:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                _match(path, [_read(0, undriven=True)], warn=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _match("pairer", [_read(0, undriven=True)], warn=False)
 
 
 class TestExercisedRecords:
@@ -167,3 +146,58 @@ class TestExercisedRecords:
             assert len(records) == 1, path
             assert records[0].testcase == "tc"
             assert records[0].key == ("x", "m", 10, "m", 11)
+
+
+# -- pairer == reference join on random causal streams ----------------------
+
+_SIGNALS = ("s0", "s1")
+_KINDS = (WriterKind.MODEL, WriterKind.REDEF, WriterKind.TESTBENCH)
+
+
+@st.composite
+def causal_streams(draw):
+    """Random §V streams meeting the pairer's causality condition.
+
+    Writes on a signal only target tokens above the greatest token
+    already read on it, so every write of token ``j`` precedes any read
+    of a token ``>= j``.  Re-writes, gaps, out-of-order tokens, writer
+    site changes, negative reads and an undriven signal all occur.
+    """
+    max_read = {sig: -1 for sig in _SIGNALS}
+    events = []
+    for _ in range(draw(st.integers(0, 40))):
+        op = draw(st.sampled_from(("use", "def", "write", "read", "undriven")))
+        var = draw(st.sampled_from(("x", "y")))
+        model = draw(st.sampled_from(("a", "b")))
+        line = draw(st.integers(1, 4))
+        if op == "use":
+            events.append(_use(var, model, line))
+        elif op == "def":
+            events.append(_def(var, model, line))
+        elif op == "write":
+            sig = draw(st.sampled_from(_SIGNALS))
+            token = max_read[sig] + 1 + draw(st.integers(0, 4))
+            kind = draw(st.sampled_from(_KINDS))
+            events.append(
+                _write(token, line=line, kind=kind, signal=sig, var=var, model=model)
+            )
+        elif op == "read":
+            sig = draw(st.sampled_from(_SIGNALS))
+            token = draw(st.integers(-2, 12))
+            max_read[sig] = max(max_read[sig], token)
+            events.append(_read(token, line=line, signal=sig, reader=model))
+        else:
+            events.append(
+                _read(0, signal="u", undriven=True, port=var, reader=model)
+            )
+    return events
+
+
+@settings(max_examples=300, deadline=None)
+@given(causal_streams(), st.booleans())
+def test_pairer_matches_reference_join(events, with_starts):
+    starts = {"a": 1, "b": 2} if with_starts else {"a": 1}
+    got = _match("pairer", events, starts)
+    want = _match("oracle", events, starts)
+    assert got.pairs == want.pairs
+    assert got.use_without_def == want.use_without_def

@@ -1,15 +1,10 @@
-"""Unit tests for the probe runtime."""
+"""Unit tests for the probe runtime (the online pairer)."""
+
+import inspect
 
 from repro.instrument import instrument_processing
-from repro.instrument.probes import (
-    TAG_DEF,
-    TAG_PR,
-    TAG_PW,
-    TAG_USE,
-    ProbeRuntime,
-    WriterKind,
-)
-from repro.tdf import Cluster, Simulator, TdfIn, TdfModule, TdfOut, ms
+from repro.instrument.probes import ProbeRuntime, WriterKind
+from repro.tdf import Cluster, Simulator, TdfModule, ms
 from repro.tdf.library import CollectorSink, ConstantSource
 
 
@@ -32,8 +27,9 @@ def _instrumented(probe):
     return holder
 
 
-def _seqs(probe):
-    return [int(line.split("\t")[0]) for line in probe.log_text().splitlines()]
+def _holder_lines():
+    first = inspect.getsourcelines(_Holder.processing)[1] + 1
+    return first, first + 1
 
 
 class TestVarApi:
@@ -42,26 +38,21 @@ class TestVarApi:
         holder = _instrumented(probe)
         holder._processing_fn()
         assert holder.m_out is holder.m_in
-        assert [ev[0] for ev in probe._buf] == [TAG_USE, TAG_DEF, TAG_USE, TAG_DEF]
+        l1, l2 = _holder_lines()
+        assert probe.last_def == {("m", "value"): l1, ("m", "m_out"): l2}
+        assert probe.use_hits == {
+            (("m_in", "m", l1), None),  # m_in is never defined in processing
+            (("value", "m", l2), l1),
+        }
 
-    def test_sequence_numbers_monotonic(self):
+    def test_repeated_activations_add_no_state(self):
         probe = ProbeRuntime("top")
         holder = _instrumented(probe)
         holder._processing_fn()
-        holder._processing_fn()
-        # The sequence number is the buffer position + 1.
-        assert _seqs(probe) == list(range(1, len(probe._buf) + 1))
-        assert len(probe._buf) == 8
-
-    def test_clear_resets_everything(self):
-        probe = ProbeRuntime("top")
-        holder = _instrumented(probe)
-        holder._processing_fn()
-        probe.clear()
-        assert probe._buf == []
-        assert probe.event_counts() == (0, 0, 0)
-        holder._processing_fn()  # the installed appends still record
-        assert _seqs(probe) == [1, 2, 3, 4]
+        hits = set(probe.use_hits)
+        for _ in range(5):
+            holder._processing_fn()
+        assert probe.use_hits == hits
 
 
 class TestPortApi:
@@ -87,13 +78,15 @@ class TestPortApi:
             probe.pw(top.dut, top.dut.op, 102, value * 3)
 
         top.dut.register_processing(processing)
+        # A write of token 0 on the read signal, as the runner's
+        # testbench hook would record it (floor of both reads).
+        probe.record_write(top.dut.ip.signal.name, 0, "op", "src", 7, WriterKind.MODEL)
         Simulator(top).run(ms(2))
         assert top.sink.values() == [6.0, 6.0]
-        reads = [ev for ev in probe._buf if ev[0] == TAG_PR]
-        writes = [ev for ev in probe._buf if ev[0] == TAG_PW]
-        assert [ev[6] for ev in reads] == [101, 101]  # anchor line
-        assert [ev[5] for ev in writes] == [102, 102]
-        assert all(ev[6] is WriterKind.MODEL for ev in writes)
+        assert probe.read_hits == {("op", "src", 7, "dut", 101)}  # anchor line
+        writes = probe.signal_writes[top.dut.op.signal.name]
+        assert (writes.run_starts, writes.run_ends) == ([0], [1])
+        assert writes.run_sites == [("op", "dut", 102)]
 
     def test_opaque_module_reads_anchor_at_bind_site(self):
         top = self._top()
@@ -104,32 +97,12 @@ class TestPortApi:
                 probe.pw(top.dut, top.dut.op, 102, probe.pr(top.dut, top.dut.ip, 101))
 
             top.dut.register_processing(processing)
+            probe.record_write(
+                top.dut.ip.signal.name, 0, "op", "src", 7, WriterKind.MODEL
+            )
             Simulator(top).run(ms(1))
-            event = next(ev for ev in probe._buf if ev[0] == TAG_PR)
-            assert event[5:7] == ("top", top.dut.ip.bind_site.lineno)
+            assert probe.read_hits == {
+                ("op", "src", 7, "top", top.dut.ip.bind_site.lineno)
+            }
         finally:
             type(top.dut).OPAQUE_USES = False
-
-
-class TestLogDump:
-    def test_log_contains_all_event_kinds(self):
-        probe = ProbeRuntime("top")
-        probe._buf.extend([
-            (TAG_DEF, "x", "m", 1),
-            (TAG_USE, "x", "m", 2),
-            (TAG_PW, "s", 0, "op", "m", 3, WriterKind.MODEL),
-            (TAG_PR, "s", 0, "ip", "r", "top", 4, False),
-        ])
-        assert probe.log_text() == (
-            "1\tDEF\tx\tm:1\t\n"
-            "2\tUSE\tx\tm:2\t\n"
-            "3\tPW\top\tm:3\ts[0] model\n"
-            "4\tPR\tip\ttop:4\ts[0]\n"
-        )
-
-    def test_log_ordered_by_sequence(self):
-        probe = ProbeRuntime("top")
-        probe._buf.extend([(TAG_DEF, "a", "m", 2), (TAG_DEF, "b", "m", 1)])
-        lines = probe.log_text().splitlines()
-        assert lines[0].split("\t")[2] == "a"
-        assert lines[1].split("\t")[2] == "b"

@@ -147,3 +147,46 @@ class TestUseWithoutDef:
             TestSuite("s", [_tc()])
         )
         assert result.use_without_def() == ["reader.ip_float"]
+
+
+class TestPairerStateBound:
+    """The pairer holds O(sites + write runs), not O(events)."""
+
+    @staticmethod
+    def _state(monkeypatch, factory, testcase, scale):
+        """(write runs, write exceptions, use hits, read hits) after
+        running ``testcase`` for ``scale`` times its duration."""
+        import repro.instrument.runner as runner
+
+        real = runner.ProbeRuntime
+        probes = []
+
+        def capturing(cluster_name):
+            probes.append(real(cluster_name))
+            return probes[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "ProbeRuntime", capturing)
+            scaled = TestCase(testcase.name, testcase.duration * scale, testcase.setup)
+            DynamicAnalyzer(factory, analyze_cluster(factory())).run_testcase(scaled)
+        (probe,) = probes
+        writes = probe.signal_writes.values()
+        return (
+            sum(len(w.run_starts) for w in writes),
+            sum(len(w.exceptions) for w in writes),
+            len(probe.use_hits),
+            len(probe.read_hits),
+        )
+
+    def test_state_independent_of_duration(self, monkeypatch):
+        """buck_boost's writers are periodic single-site writers, so the
+        state after 4x the simulated time equals the state after 1x.
+        Sensor is left out: one of its writers alternates source sites,
+        so its write runs grow with the duration."""
+        from repro.systems.buck_boost import BuckBoostTop
+        from repro.systems.campaigns import buck_boost_base_suite
+
+        for testcase in buck_boost_base_suite()[:2]:
+            once = self._state(monkeypatch, BuckBoostTop, testcase, 1)
+            assert all(once[i] > 0 for i in (0, 2, 3))
+            assert self._state(monkeypatch, BuckBoostTop, testcase, 4) == once

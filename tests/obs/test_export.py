@@ -110,31 +110,6 @@ class TestFormatTree:
         assert "derived:" not in text
         assert "hit_rate" not in text
 
-    def test_match_vector_share_derived_from_scanned_counters(self):
-        tel = Telemetry()
-        tel.metrics.counter(
-            "instrument.match_events_scanned", path="vector"
-        ).inc(900)
-        tel.metrics.counter(
-            "instrument.match_events_scanned", path="scan"
-        ).inc(100)
-        text = format_tree(tel)
-        assert "derived:" in text
-        assert "instrument.match_vector_share" in text
-        assert "0.9000" in text
-
-    def test_match_events_per_second_pairs_counter_with_histogram(self):
-        tel = Telemetry()
-        tel.metrics.counter(
-            "instrument.match_events_scanned", path="vector"
-        ).inc(1000)
-        tel.metrics.histogram(
-            "instrument.match_seconds", path="vector"
-        ).observe(0.5)
-        text = format_tree(tel)
-        assert "instrument.match_events_per_second{path=vector}" in text
-        assert "2000.0" in text
-
 
 class TestChromeTrace:
     def test_file_is_valid_trace_event_json(self, tmp_path):

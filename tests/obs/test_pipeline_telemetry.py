@@ -85,9 +85,13 @@ class TestPipelineTelemetry:
         assert tel.metrics.histogram("tdf.period_seconds", cluster="top").count == 5
         # Static-analysis accounting.
         assert counters[("analysis.models_analyzed", (("cluster", "top"),))] == 1
-        # Probe events flowed into instrument.* counters.
+        # Each paired testcase is counted and reports its pair count.
         assert counters[("instrument.testcases", (("cluster", "top"),))] == 2
-        assert counters[("instrument.port_writes", (("cluster", "top"),))] > 0
+        testcase_spans = [
+            span for span in tel.spans if span.name.startswith("dynamic.testcase[")
+        ]
+        assert len(testcase_spans) == 2
+        assert all(span.attributes["exercised_pairs"] > 0 for span in testcase_spans)
 
     def test_timings_view_matches_spans(self):
         with telemetry_session():

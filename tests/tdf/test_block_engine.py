@@ -2,8 +2,8 @@
 
 The compiled block engine (:mod:`repro.tdf.engine`) must be an exact
 drop-in for the per-firing interpreter: identical sample streams,
-identical traced signals, identical probe event streams (content *and*
-global order), identical exercised def-use pairs — for every cluster,
+identical traced signals, identical probe pairer state, identical
+exercised def-use pairs — for every cluster,
 including multirate ones where the compiler partitions the schedule into
 hoisted block runs, specialised SISO ops and interpreted fallbacks.
 """
@@ -11,6 +11,7 @@ hoisted block runs, specialised SISO ops and interpreted fallbacks.
 import pytest
 from hypothesis import given, settings
 
+from repro.cli import SYSTEMS
 from repro.instrument import ProbeRuntime, instrument_processing
 from repro.tdf import Cluster, Simulator, TdfModule, TdfOut, Tracer, ms
 from repro.tdf.engine import BlockEngine, compile_program, resolve_engine
@@ -28,6 +29,16 @@ from repro.testing.generate import (
 )
 
 
+def _pairer_state(probe):
+    """Everything the online pairer holds after a run."""
+    writes = {
+        sig: (w.run_starts, w.run_ends, w.run_sites, w.exceptions)
+        for sig, w in probe.signal_writes.items()
+    }
+    return (probe.last_def, probe.use_hits, probe.read_hits,
+            list(probe.undriven.items()), writes)
+
+
 def _execute(engine, values, up_rate, down_rate):
     """One instrumented simulation; returns (sink trace, probe)."""
     top = _build(values, up_rate, down_rate)
@@ -43,12 +54,11 @@ class TestEquivalenceProperties:
     @settings(max_examples=25, deadline=None)
     @given(values_strategy(), rate_strategy(), rate_strategy())
     def test_traces_and_probe_streams_identical(self, values, up_rate, down_rate):
-        """Sample stream and full probe event streams match event-for-event."""
+        """Sample stream and the whole pairer state match."""
         trace_i, probe_i = _execute("interp", values, up_rate, down_rate)
         trace_b, probe_b = _execute("block", values, up_rate, down_rate)
         assert trace_b == trace_i
-        # Raw buffers, content and order (sequence number = position).
-        assert probe_b._buf == probe_i._buf
+        assert _pairer_state(probe_b) == _pairer_state(probe_i)
 
     @settings(max_examples=10, deadline=None)
     @given(values_strategy(max_size=8), rate_strategy(), rate_strategy())
@@ -69,6 +79,26 @@ class TestEquivalenceProperties:
             matches[engine] = analyzer.run_testcase(tc)
         assert matches["block"].pairs == matches["interp"].pairs
         assert matches["block"].use_without_def == matches["interp"].use_without_def
+
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_bundled_systems_pairs_identical(self, system):
+        """Every bundled system: per-testcase pairs and findings match."""
+        from repro.analysis import analyze_cluster
+        from repro.instrument import DynamicAnalyzer
+        from repro.testing import TestSuite
+
+        factory = SYSTEMS[system]["factory"]
+        suite = TestSuite(system, SYSTEMS[system]["suite"]())
+        static = analyze_cluster(factory())
+        results = {
+            engine: DynamicAnalyzer(factory, static, engine=engine).run_suite(suite)
+            for engine in ("interp", "block")
+        }
+        block, interp = results["block"].per_testcase, results["interp"].per_testcase
+        assert list(block) == list(interp)
+        for name, match in interp.items():
+            assert block[name].pairs == match.pairs, name
+            assert block[name].use_without_def == match.use_without_def, name
 
     def test_traced_signals_identical(self):
         """A tracer subscription forces the fallback path yet stays exact."""

@@ -493,18 +493,15 @@ class TestHistoryCli:
 
 
 class TestProbeStoreCli:
-    def test_columnar_run_matches_memory_run(self, tmp_path, capsys):
-        assert main(["run", "sensor", "--json", "--no-history"]) == 0
-        baseline = capsys.readouterr().out
-        assert main([
-            "run", "sensor", "--json", "--no-history",
-            "--probe-store", "columnar", "--store-chunk-size", "16",
-            "--store-dir", str(tmp_path / "spill"),
-        ]) == 0
-        assert capsys.readouterr().out == baseline
-        # Spill files are cleaned up after every testcase.
-        spill = tmp_path / "spill"
-        assert not spill.exists() or not list(spill.iterdir())
+    def test_columnar_run_matches_memory_run(self, capsys):
+        # The columnar probe store is gone (the probe pairs as it runs),
+        # so its flags are a one-line usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "sensor", "--probe-store", "columnar"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "unrecognized arguments: --probe-store columnar" in err
 
     def test_unknown_store_kind_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -513,20 +510,8 @@ class TestProbeStoreCli:
 
 
 class TestMatcherCli:
-    def test_scan_and_vector_runs_identical(self, capsys):
-        # The memory store takes the scan matcher ...
-        assert main(["run", "sensor", "--json", "--no-history"]) == 0
-        baseline = capsys.readouterr().out
-        # ... the columnar store the vector kernel (the streaming scan
-        # without numpy) — either way the report is byte-identical.
-        assert main([
-            "run", "sensor", "--json", "--no-history",
-            "--probe-store", "columnar",
-        ]) == 0
-        assert capsys.readouterr().out == baseline
-
     def test_unknown_matcher_rejected(self, capsys):
-        # ``--matcher`` is a removed flag: the store picks the matcher.
+        # ``--matcher`` is a removed flag: the probe pairs as it runs.
         with pytest.raises(SystemExit) as exc:
             main(["run", "sensor", "--matcher", "scan"])
         assert exc.value.code == 2
@@ -550,8 +535,8 @@ class TestBenchSectionFlag:
 
     def test_single_section_flag(self, monkeypatch, capsys):
         captured = self._capture(monkeypatch)
-        assert main(["bench", "--section", "match"]) == 0
-        assert captured["sections"] == ["match"]
+        assert main(["bench", "--section", "directed"]) == 0
+        assert captured["sections"] == ["directed"]
         capsys.readouterr()
 
     def test_section_merges_with_sections_without_duplicates(
@@ -559,10 +544,10 @@ class TestBenchSectionFlag:
     ):
         captured = self._capture(monkeypatch)
         assert main([
-            "bench", "--sections", "engine", "store",
-            "--section", "match", "--section", "engine",
+            "bench", "--sections", "engine", "generation",
+            "--section", "directed", "--section", "engine",
         ]) == 0
-        assert captured["sections"] == ["engine", "store", "match"]
+        assert captured["sections"] == ["engine", "generation", "directed"]
         capsys.readouterr()
 
     def test_unknown_section_rejected(self):

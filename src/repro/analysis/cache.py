@@ -183,14 +183,22 @@ class StaticAnalysisCache:
         self._memory[fingerprint] = _clone_result(result)
         if self._disk_dir is None:
             return
+        tmp = None
         try:
             os.makedirs(self._disk_dir, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=self._disk_dir, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
                 pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, self._disk_path(fingerprint))
+            tmp = None
         except OSError:
             pass  # disk level is best-effort; memory level already holds it
+        finally:
+            if tmp is not None:  # the write failed: drop the partial file
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
 
 #: The process-wide default cache :func:`repro.analysis.analyze_cluster`

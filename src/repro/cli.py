@@ -12,7 +12,8 @@ Subcommands:
     ``--matrix``, the Table-I exercise matrix).
 ``campaign <system>``
     Run the iterative refinement campaign and print the Table-II rows
-    (window lifter and buck-boost only).
+    (window lifter and buck-boost only); each testcase executes once
+    and its result is reused by every later iteration.
 ``mutate <system>``
     Run mutation analysis: seed faults with the AST/netlist operators,
     execute every mutant differentially, and print the kill matrix
@@ -25,9 +26,6 @@ Subcommands:
     bundled suite leaves uncovered (see :mod:`repro.generation`).
     Fully deterministic for a given ``--seed`` — identical across
     ``--workers`` counts and ``--engine`` choices.
-``bench``
-    Run the performance benchmark and emit machine-readable JSON
-    (see :mod:`repro.bench`).
 ``telemetry-report <file>``
     Pretty-print a telemetry JSONL file saved with ``--telemetry``
     (malformed lines are skipped and counted, not fatal).
@@ -174,15 +172,6 @@ def _campaign(system: str, config: DftConfig):
     raise SystemExit(f"no campaign defined for system {system!r}")
 
 
-def _resolve_workers(requested: Optional[int], suite_len: int) -> int:
-    """``--workers`` heuristic: explicit value wins, ``None`` is *auto*.
-
-    Kept as the historical helper name; the logic lives on
-    :meth:`repro.DftConfig.resolved_workers`.
-    """
-    return DftConfig(workers=requested).resolved_workers(suite_len)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-dft",
@@ -290,11 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=argparse.SUPPRESS, metavar="N",
         help="worker processes for the dynamic stage (default: auto — "
              "serial on single-CPU hosts or suites with <2 testcases)",
-    )
-    p_campaign.add_argument(
-        "--no-result-cache", action="store_true",
-        help="re-execute every testcase in every iteration (disable the "
-             "per-testcase dynamic-result cache)",
     )
 
     p_mutate = sub.add_parser(
@@ -424,39 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_generate.add_argument(
         "--output", metavar="PATH", help="also write the JSON report to PATH"
-    )
-
-    p_bench = sub.add_parser(
-        "bench", help="performance benchmark (machine-readable JSON)",
-        parents=[telemetry_opts],
-    )
-    p_bench.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker processes for the parallel section",
-    )
-    p_bench.add_argument(
-        "--campaign-system", choices=["window_lifter", "buck_boost"],
-        default="buck_boost", help="system for the campaign section",
-    )
-    p_bench.add_argument(
-        "--parallel-system", choices=sorted(SYSTEMS), default="sensor",
-        help="system for the serial-vs-parallel section",
-    )
-    bench_sections = ["campaign", "parallel", "static_cache", "schedule_cache",
-                      "engine", "mutation", "generation", "directed"]
-    p_bench.add_argument(
-        "--sections", nargs="+", metavar="NAME", choices=bench_sections,
-        help="run only the named sections (default: all)",
-    )
-    p_bench.add_argument(
-        "--section", action="append", metavar="NAME", choices=bench_sections,
-        dest="section", default=None,
-        help="run one named section (repeatable; merged with --sections) — "
-             "what CI smoke jobs use to pay for a single section",
-    )
-    p_bench.add_argument(
-        "--output", metavar="PATH",
-        help="write the JSON document to PATH instead of stdout",
     )
 
     p_report = sub.add_parser(
@@ -1054,29 +1005,6 @@ def _dispatch(args) -> int:
 
     if args.command == "generate":
         return _cmd_generate(args)
-
-    if args.command == "bench":
-        import json
-
-        from .bench import run_benchmarks, write_benchmarks
-
-        sections = args.sections
-        if args.section:
-            sections = list(sections or []) + [
-                name for name in args.section if name not in (sections or [])
-            ]
-        payload = run_benchmarks(
-            workers=args.workers,
-            campaign_system=args.campaign_system,
-            parallel_system=args.parallel_system,
-            sections=sections,
-        )
-        if args.output:
-            write_benchmarks(args.output, payload)
-            print(f"benchmark results written to {args.output}", file=sys.stderr)
-        else:
-            print(json.dumps(payload, indent=2))
-        return 0
 
     if args.command == "telemetry-report":
         from .obs import format_tree, read_jsonl

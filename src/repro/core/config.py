@@ -57,10 +57,10 @@ class DftConfig:
         instance; when set it wins over ``workers``.
     caches
         ``result_cache`` — an explicit per-testcase
-        :class:`~repro.exec.DynamicResultCache` for ``run_dft``;
-        ``reuse_dynamic_results`` — whether campaigns memoize
-        per-testcase results across iterations; ``static_cache`` /
-        ``cache_dir`` — static-analysis memoization switches.
+        :class:`~repro.exec.DynamicResultCache` for ``run_dft`` (a
+        campaign makes its own when unset, so iterations reuse
+        per-testcase results); ``static_cache`` / ``cache_dir`` —
+        static-analysis memoization switches.
     observability
         ``telemetry`` — an explicit session overriding the globally
         active one; ``warn`` — surface use-without-def findings as
@@ -84,7 +84,6 @@ class DftConfig:
     workers: Optional[int] = 1
     executor: Optional["DynamicExecutor"] = None
     result_cache: Optional["DynamicResultCache"] = None
-    reuse_dynamic_results: bool = True
     static_cache: bool = True
     cache_dir: Optional[str] = None
     telemetry: Optional["Telemetry"] = None
@@ -137,8 +136,6 @@ class DftConfig:
                 values[fld] = getattr(args, attr)
         if getattr(args, "no_static_cache", False):
             values["static_cache"] = False
-        if getattr(args, "no_result_cache", False):
-            values["reuse_dynamic_results"] = False
         values.update(overrides)
         if base is not None:
             return base.replace(**values)

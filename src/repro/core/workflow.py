@@ -17,7 +17,6 @@ from ..tdf.errors import TdfError
 from ..testing.testcase import TestCase, TestSuite
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import avoids a cycle
-    from ..exec.base import DynamicExecutor
     from ..generation.generate import GenerationResult
     from ..generation.space import ParameterSpace
     from ..generation.search import SearchStrategy
@@ -62,44 +61,8 @@ class IterativeCampaign:
         self.cluster_factory = cluster_factory
         self.name = name
         self._batches: List[List[TestCase]] = [list(base_suite)]
-        #: The unified run configuration (see :class:`repro.DftConfig`)
-        #: — the only configuration path since API v1.  The same-named
-        #: ``executor``/``reuse_dynamic_results``/``engine`` properties
-        #: below stay writable for callers that tweak a built campaign.
+        #: The unified run configuration (see :class:`repro.DftConfig`).
         self.config = config if config is not None else DftConfig()
-
-    # -- backward-compatible config views -----------------------------------
-
-    @property
-    def executor(self) -> Optional["DynamicExecutor"]:
-        """Dynamic-stage backend handed to every pipeline run (serial
-        when None; see :mod:`repro.exec`)."""
-        return self.config.executor
-
-    @executor.setter
-    def executor(self, value: Optional["DynamicExecutor"]) -> None:
-        self.config = self.config.replace(executor=value)
-
-    @property
-    def reuse_dynamic_results(self) -> bool:
-        """Iteration *k* re-runs every testcase of iterations ``0..k-1``
-        on a fresh cluster each — deterministic, so their per-testcase
-        results are memoized across iterations unless disabled."""
-        return self.config.reuse_dynamic_results
-
-    @reuse_dynamic_results.setter
-    def reuse_dynamic_results(self, value: bool) -> None:
-        self.config = self.config.replace(reuse_dynamic_results=value)
-
-    @property
-    def engine(self) -> Optional[str]:
-        """TDF execution engine for the dynamic stage (engines are
-        bit-identical, so the recorded rows do not depend on it)."""
-        return self.config.engine
-
-    @engine.setter
-    def engine(self, value: Optional[str]) -> None:
-        self.config = self.config.replace(engine=value)
 
     def add_iteration(self, testcases: Sequence[TestCase]) -> None:
         """Schedule a batch of additional testcases as the next iteration."""
@@ -128,11 +91,11 @@ class IterativeCampaign:
         """Execute every iteration and return the Table-II records."""
         from ..exec.cache import DynamicResultCache
 
+        # Iteration *k* re-runs every testcase of iterations 0..k-1, and
+        # each run is deterministic, so results are memoized across them.
         cfg = self.config
-        if cfg.result_cache is None and cfg.reuse_dynamic_results:
+        if cfg.result_cache is None:
             cfg = cfg.replace(result_cache=DynamicResultCache())
-        elif not cfg.reuse_dynamic_results:
-            cfg = cfg.replace(result_cache=None)
         # One canonical history record for the whole campaign; the inner
         # pipeline runs must not each add a "run" entry of their own.
         inner_cfg = cfg.replace(history_dir=None)

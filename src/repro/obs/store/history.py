@@ -148,6 +148,25 @@ def build_record(
     return record
 
 
+def append_line(path: str, line: str, fsync: bool = False) -> None:
+    """Append ``line`` plus a newline to the JSON-lines file at ``path``.
+
+    A crash mid-append can leave an unterminated last line; it is
+    terminated first, so the new record gets a line of its own instead
+    of being read back as part of the malformed fragment.
+    """
+    with open(path, "ab+") as handle:
+        handle.seek(0, os.SEEK_END)
+        if handle.tell():
+            handle.seek(-1, os.SEEK_END)
+            if handle.read(1) != b"\n":
+                handle.write(b"\n")
+        handle.write(line.encode("utf-8") + b"\n")
+        if fsync:
+            handle.flush()
+            os.fsync(handle.fileno())
+
+
 class RunHistory:
     """Append-only JSONL ledger of run records under one directory."""
 
@@ -179,8 +198,7 @@ class RunHistory:
         stamped["run_id"] = hashlib.sha1(
             f"{offset}|{payload}".encode()
         ).hexdigest()[:12]
-        with open(self.path, "a") as handle:
-            handle.write(json.dumps(stamped, sort_keys=True, default=str) + "\n")
+        append_line(self.path, json.dumps(stamped, sort_keys=True, default=str))
         return stamped["run_id"]
 
     # -- reading ------------------------------------------------------------

@@ -32,6 +32,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..obs.store.history import append_line
+
 #: The job kinds the server accepts, in CLI-subcommand order.
 JOB_KINDS = ("run", "campaign", "mutate", "generate")
 
@@ -144,10 +146,9 @@ class JobQueue:
     # -- journal ------------------------------------------------------------
 
     def _append(self, event: Dict[str, Any]) -> None:
-        with open(self.journal_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(event, separators=(",", ":")) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_line(
+            self.journal_path, json.dumps(event, separators=(",", ":")), fsync=True
+        )
 
     def replay(self) -> None:
         """Rebuild queue state from the journal (idempotent).

@@ -166,20 +166,16 @@ def window_lifter_all_testcases() -> List[TestCase]:
     return tests
 
 
-def window_lifter_campaign(
-    workers: int = 1, engine: str = "auto",
-    config: Optional[DftConfig] = None,
-) -> IterativeCampaign:
+def window_lifter_campaign(config: Optional[DftConfig] = None) -> IterativeCampaign:
     """The full §VI-A campaign (Table II, upper half).
 
-    ``config`` (see :class:`repro.DftConfig`) carries the run knobs;
-    the ``workers``/``engine`` conveniences build one when it is not
-    given.  ``workers > 1`` fans the dynamic stage out across a process
-    pool.  The reported rows are identical for any worker count and
-    either engine.
+    ``config`` (see :class:`repro.DftConfig`; default ``DftConfig()``)
+    carries the run knobs; ``workers > 1`` fans the dynamic stage out
+    across a process pool.  The reported rows are identical for any
+    worker count and either engine.
     """
     return _build_campaign(
-        config if config is not None else DftConfig(workers=workers, engine=engine),
+        config if config is not None else DftConfig(),
         lambda: WindowLifterTop(),
         window_lifter_base_suite(),
         window_lifter_iteration_batches(),
@@ -306,13 +302,11 @@ def buck_boost_all_testcases() -> List[TestCase]:
     return tests
 
 
-def buck_boost_campaign(
-    workers: int = 1, engine: str = "auto",
-    config: Optional[DftConfig] = None,
-) -> IterativeCampaign:
-    """The full §VI-B campaign (Table II, lower half)."""
+def buck_boost_campaign(config: Optional[DftConfig] = None) -> IterativeCampaign:
+    """The full §VI-B campaign (Table II, lower half); ``config`` as for
+    :func:`window_lifter_campaign`."""
     return _build_campaign(
-        config if config is not None else DftConfig(workers=workers, engine=engine),
+        config if config is not None else DftConfig(),
         lambda: BuckBoostTop(),
         buck_boost_base_suite(),
         buck_boost_iteration_batches(),

@@ -140,6 +140,20 @@ class TestDiskCache:
         assert reader.disk_hits == 0 and reader.misses == 1
         assert result.associations
 
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import errno
+        import pickle
+
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        disk = tmp_path / "cache"
+        monkeypatch.setattr(pickle, "dump", full_disk)
+        cache = StaticAnalysisCache(disk_dir=str(disk))
+        result = analyze_cluster(SenseTop(), cache=cache)
+        assert result.associations  # the disk level is best-effort
+        assert list(disk.glob("*.tmp")) == []
+
     def test_invalidated_model_misses_on_disk(self, tmp_path):
         disk = str(tmp_path / "cache")
         path = tmp_path / "model.py"

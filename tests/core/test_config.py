@@ -26,7 +26,6 @@ class TestDefaults:
         assert cfg.engine == "auto"
         assert cfg.workers == 1
         assert cfg.static_cache is True
-        assert cfg.reuse_dynamic_results is True
         assert cfg.budget_seconds is None
         assert cfg.budget_simulations is None
 
@@ -40,10 +39,9 @@ class TestFromArgs:
         assert cfg.workers == 1  # absent on args: dataclass default
 
     def test_cache_negation_flags(self):
-        args = argparse.Namespace(no_static_cache=True, no_result_cache=True)
+        args = argparse.Namespace(no_static_cache=True)
         cfg = DftConfig.from_args(args)
         assert cfg.static_cache is False
-        assert cfg.reuse_dynamic_results is False
 
     def test_overrides_win(self):
         args = argparse.Namespace(engine="block")
@@ -126,9 +124,11 @@ class TestSerialization:
         assert "telemetry" not in doc
 
     def test_unknown_field_rejected_with_known_list(self):
-        # ``batch_size``, ``matcher`` and ``probe_store`` are removed
-        # fields: old config files fail loudly.
-        for field in ("tpyo", "batch_size", "matcher", "probe_store"):
+        # ``batch_size``, ``matcher``, ``probe_store`` and
+        # ``reuse_dynamic_results`` are removed fields: old config files
+        # fail loudly.
+        for field in ("tpyo", "batch_size", "matcher", "probe_store",
+                      "reuse_dynamic_results"):
             with pytest.raises(
                 ValueError, match=rf"unknown config field\(s\): {field} "
             ) as err:
@@ -183,7 +183,8 @@ class TestConfigFile:
 
     def test_unknown_field_names_path(self, tmp_path):
         path = tmp_path / "bad.json"
-        for field in ("bogus", "batch_size", "matcher", "probe_store"):
+        for field in ("bogus", "batch_size", "matcher", "probe_store",
+                      "reuse_dynamic_results"):
             path.write_text(f'{{"{field}": 4}}')
             with pytest.raises(ValueError, match=f"bad.json.*{field}"):
                 DftConfig.from_file(str(path))

@@ -2,7 +2,7 @@
 
 from repro import DftConfig
 from repro.core import run_dft
-from repro.core.workflow import IterativeCampaign
+from repro.core.workflow import IterativeCampaign, _record_for
 from repro.exec import DynamicResultCache
 from repro.instrument.matching import MatchResult
 from repro.systems.sensor import SenseTop, paper_testcases
@@ -111,19 +111,21 @@ class TestBatchedPipelineCache:
 
 
 class TestCampaignReuse:
-    def _campaign(self, reuse):
+    def _campaign(self):
         tests = paper_testcases()
-        campaign = IterativeCampaign(
-            _factory, tests[:1], name="mini",
-            config=DftConfig(reuse_dynamic_results=reuse),
-        )
+        campaign = IterativeCampaign(_factory, tests[:1], name="mini")
         campaign.add_iteration(tests[1:2])
         campaign.add_iteration(tests[2:])
         return campaign
 
     def test_reuse_matches_cold_records(self):
-        cold = self._campaign(reuse=False).run()
-        cached = self._campaign(reuse=True).run()
+        campaign = self._campaign()
+        cold = []
+        for index in range(campaign.iteration_count):
+            suite = campaign.suite_for(index)
+            result = run_dft(_factory, suite)
+            cold.append(_record_for(index, suite, result.coverage))
+        cached = campaign.run()
         assert len(cold) == len(cached) == 3
         for a, b in zip(cold, cached):
             assert a.tests == b.tests

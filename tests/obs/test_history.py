@@ -79,6 +79,15 @@ def test_records_skips_malformed_lines(tmp_path):
     assert len(history.records()) == 1
 
 
+def test_append_after_torn_tail_survives(tmp_path):
+    history = RunHistory(str(tmp_path))
+    with open(history.path, "w") as handle:
+        handle.write('{"format": "repro-dft-hist')  # crash mid-append
+    run_id = history.append(_tiny_record())
+    records = history.records()
+    assert [r["run_id"] for r in records] == [run_id]
+
+
 def test_get_by_prefix(tmp_path):
     history = RunHistory(str(tmp_path))
     run_id = history.append(_tiny_record())

@@ -55,6 +55,12 @@ class TestJobQueue:
         assert events == ["submitted"]
         assert queue.get(job.id).progress == {"stage": "dynamic"}
 
+    def test_submit_after_torn_journal_tail_survives_replay(self, tmp_path):
+        (tmp_path / "jobs.jsonl").write_text('{"event":"subm')  # crash mid-append
+        job = JobQueue(str(tmp_path)).submit(_spec())
+        restarted = JobQueue(str(tmp_path))
+        assert [j.id for j in restarted.jobs()] == [job.id]
+
     def test_replay_resumes_queued_jobs(self, tmp_path):
         queue = JobQueue(str(tmp_path))
         queued = queue.submit(_spec())

@@ -94,7 +94,8 @@ class TestSubmitValidation:
 
     def test_unknown_config_field_is_400(self, server):
         _, addr = server
-        for field in ("tpyo", "batch_size", "matcher", "probe_store"):
+        for field in ("tpyo", "batch_size", "matcher", "probe_store",
+                      "reuse_dynamic_results"):
             with pytest.raises(ServiceError) as err:
                 submit_job(
                     addr,

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import DftConfig
 from repro.cli import SYSTEMS, main
 
 
@@ -75,10 +76,12 @@ class TestEngineFlag:
     def test_run_accepts_each_engine(self, capsys):
         outputs = {}
         for engine in ("interp", "block", "auto"):
-            assert main(["run", "sensor", "--engine", engine]) == 0
-            outputs[engine] = capsys.readouterr().out
-        # Bit-identical results: the printed summary cannot differ.
-        assert outputs["interp"] == outputs["block"] == outputs["auto"]
+            for workers in ("1", "2"):
+                assert main(["run", "sensor", "--json", "--engine", engine,
+                             "--workers", workers]) == 0
+                outputs[engine, workers] = capsys.readouterr().out
+        # Bit-identical results: the JSON report cannot differ.
+        assert len(set(outputs.values())) == 1, sorted(outputs)
 
 
 class TestMutate:
@@ -175,45 +178,36 @@ class TestErrorPaths:
 
 class TestAutoWorkers:
     def test_explicit_request_wins(self):
-        from repro.cli import _resolve_workers
-
-        assert _resolve_workers(3, suite_len=100) == 3
-        assert _resolve_workers(1, suite_len=100) == 1
+        assert DftConfig(workers=3).resolved_workers(suite_len=100) == 3
+        assert DftConfig(workers=1).resolved_workers(suite_len=100) == 1
 
     def test_single_cpu_stays_serial(self, monkeypatch):
         import os
 
-        from repro.cli import _resolve_workers
-
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert _resolve_workers(None, suite_len=100) == 1
+        assert DftConfig(workers=None).resolved_workers(suite_len=100) == 1
 
     def test_small_suite_stays_serial(self, monkeypatch):
         import os
 
-        from repro.cli import _resolve_workers
-
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert _resolve_workers(None, suite_len=1) == 1
+        assert DftConfig(workers=None).resolved_workers(suite_len=1) == 1
 
     def test_one_worker_per_cpu_capped_at_suite(self, monkeypatch):
         import os
 
-        from repro.cli import _resolve_workers
-
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert _resolve_workers(None, suite_len=3) == 3
-        assert _resolve_workers(None, suite_len=100) == 8
+        assert DftConfig(workers=None).resolved_workers(suite_len=3) == 3
+        assert DftConfig(workers=None).resolved_workers(suite_len=100) == 8
 
     def test_decision_recorded_on_telemetry(self, monkeypatch):
         import os
 
-        from repro.cli import _resolve_workers
         from repro.obs import telemetry_session
 
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         with telemetry_session() as tel:
-            _resolve_workers(None, suite_len=10)
+            DftConfig(workers=None).resolved_workers(suite_len=10)
         records = tel.to_run()["metrics"]
         gauges = [r for r in records if r["name"] == "cli.auto_workers"]
         assert gauges and gauges[0]["value"] == 4
@@ -520,40 +514,24 @@ class TestMatcherCli:
         assert "unrecognized arguments: --matcher scan" in err
 
 
-class TestBenchSectionFlag:
-    def _capture(self, monkeypatch):
-        import repro.bench as bench
-
-        captured = {}
-
-        def fake_run(**kwargs):
-            captured.update(kwargs)
-            return {"sections": kwargs.get("sections")}
-
-        monkeypatch.setattr(bench, "run_benchmarks", fake_run)
-        return captured
-
-    def test_single_section_flag(self, monkeypatch, capsys):
-        captured = self._capture(monkeypatch)
-        assert main(["bench", "--section", "directed"]) == 0
-        assert captured["sections"] == ["directed"]
-        capsys.readouterr()
-
-    def test_section_merges_with_sections_without_duplicates(
-        self, monkeypatch, capsys
-    ):
-        captured = self._capture(monkeypatch)
-        assert main([
-            "bench", "--sections", "engine", "generation",
-            "--section", "directed", "--section", "engine",
-        ]) == 0
-        assert captured["sections"] == ["engine", "generation", "directed"]
-        capsys.readouterr()
-
-    def test_unknown_section_rejected(self):
+class TestRemovedBenchCli:
+    # The legacy ``bench`` subcommand and ``campaign --no-result-cache``
+    # are gone; ``perfbench/run.py`` is the one benchmark.
+    def test_no_result_cache_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", "--section", "warp"])
+            main(["campaign", "buck_boost", "--no-result-cache"])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "unrecognized arguments: --no-result-cache" in err
+
+    def test_bench_subcommand_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "invalid choice: 'bench'" in err
 
 
 class TestConfigFlag:

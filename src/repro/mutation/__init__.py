@@ -14,6 +14,7 @@ JSON/CSV/text reports).
 
 from .executor import (
     DEFAULT_BUDGET_SECONDS,
+    KillSite,
     MutantOutcome,
     MutationRun,
     compute_baselines,
@@ -42,6 +43,7 @@ from .report import (
 __all__ = [
     "ALL_OPERATORS",
     "DEFAULT_BUDGET_SECONDS",
+    "KillSite",
     "MutantNotApplicable",
     "MutantOutcome",
     "MutantSpec",

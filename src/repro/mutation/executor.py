@@ -1,11 +1,17 @@
 """Differential mutant execution (serial and process-parallel).
 
-The oracle is a *trace diff*: every mutant runs the full testsuite and
-each testcase's traced oracle signals are compared sample-by-sample
-against the unmutated baseline.  A mutant is
+The oracle is a *trace diff*: every mutant runs every testcase of the
+suite, and each testcase's traced oracle signals are compared
+sample-by-sample against the unmutated baseline while it simulates.
+A testcase runs until its first divergence: the comparison is made at
+every engine window (every period on the interpreter), and the run
+stops at the first window whose new rows differ from the baseline.
+A mutant is
 
 * **killed** by a testcase when the traces diverge beyond the
-  tolerance (or the mutated run raises at simulation time);
+  tolerance (or the mutated run raises at simulation time); the first
+  killing testcase, and the earliest diverging oracle row or the
+  exception class, are its :class:`KillSite`;
 * **nonviable** when it cannot even be applied or elaborated
   (schedule deadlock, rate inconsistency) — it drops out of the
   mutation-score denominator;
@@ -58,6 +64,41 @@ DEFAULT_BUDGET_SECONDS = 30.0
 
 
 @dataclass(frozen=True)
+class KillSite:
+    """Where a mutant was first killed.
+
+    ``testcase`` is the first killing testcase in suite order.  A
+    divergence names the earliest diverging oracle ``signal`` and that
+    row's time (``time_fs``; ``None`` for an output-delay priming row),
+    ties going to oracle order; a runtime crash names the exception
+    class (``error``) instead.
+    """
+
+    testcase: str
+    signal: Optional[str] = None
+    time_fs: Optional[int] = None
+    error: Optional[str] = None
+
+    def to_dict(self) -> dict:
+        if self.error is not None:
+            return {"testcase": self.testcase, "error": self.error}
+        return {
+            "testcase": self.testcase,
+            "signal": self.signal,
+            "time_fs": self.time_fs,
+        }
+
+    @classmethod
+    def from_dict(cls, entry: dict) -> "KillSite":
+        return cls(
+            entry["testcase"],
+            entry.get("signal"),
+            entry.get("time_fs"),
+            entry.get("error"),
+        )
+
+
+@dataclass(frozen=True)
 class MutantOutcome:
     """The verdict for one mutant, independent of execution backend."""
 
@@ -66,6 +107,7 @@ class MutantOutcome:
     killed_by: Tuple[str, ...]  # killing testcases, in suite order
     timed_out: bool
     seconds: float
+    killed_at: Optional[KillSite] = None
 
 
 @dataclass
@@ -204,12 +246,43 @@ def compute_baselines(
     return {tc.name: _run_baseline(factory, tc, oracle, engine) for tc in testcases}
 
 
+def _first_mismatch(
+    rows_a: List[tuple], rows_b: List[tuple], tolerance: float
+) -> Optional[int]:
+    """Index of the first row where two sample lists differ, else ``None``.
+
+    The row predicate of :func:`traces_diverge`: a shifted timestamp or
+    a value apart by more than ``tolerance`` differs, NaN equals NaN (a
+    mutant that reproduces the baseline NaN-for-NaN did not change
+    behaviour), and a list that ends early differs at its end.
+    """
+    for i, ((ta, va), (tb, vb)) in enumerate(zip(rows_a, rows_b)):
+        if ta != tb:
+            return i
+        a_nan = isinstance(va, float) and va != va
+        b_nan = isinstance(vb, float) and vb != vb
+        if a_nan or b_nan:
+            if a_nan != b_nan:
+                return i
+            continue
+        if va == vb:
+            continue
+        try:
+            if abs(va - vb) > tolerance:
+                return i
+        except TypeError:
+            return i
+    if len(rows_a) != len(rows_b):
+        return min(len(rows_a), len(rows_b))
+    return None
+
+
 def traces_diverge(a: TraceMap, b: TraceMap, tolerance: float) -> bool:
     """Whether two trace maps differ beyond ``tolerance``.
 
     Any shape difference (missing signal, extra/missing samples,
-    shifted timestamps) is a divergence; NaN equals NaN (a mutant that
-    reproduces the baseline NaN-for-NaN did not change behaviour).
+    shifted timestamps) is a divergence; rows compare as in
+    :func:`_first_mismatch`.
     """
     if a.keys() != b.keys():
         return True
@@ -217,23 +290,101 @@ def traces_diverge(a: TraceMap, b: TraceMap, tolerance: float) -> bool:
         rows_b = b[name]
         if len(rows_a) != len(rows_b):
             return True
-        for (ta, va), (tb, vb) in zip(rows_a, rows_b):
-            if ta != tb:
-                return True
-            a_nan = isinstance(va, float) and va != va
-            b_nan = isinstance(vb, float) and vb != vb
-            if a_nan or b_nan:
-                if a_nan != b_nan:
-                    return True
-                continue
-            if va == vb:
-                continue
-            try:
-                if abs(va - vb) > tolerance:
-                    return True
-            except TypeError:
-                return True
+        if _first_mismatch(rows_a, rows_b, tolerance) is not None:
+            return True
     return False
+
+
+def _divergence_site(
+    testcase: str,
+    baseline: TraceMap,
+    traces: TraceMap,
+    oracle: Sequence[str],
+    tolerance: float,
+) -> KillSite:
+    """The earliest diverging row of two diverging trace maps.
+
+    Rows compare by index; the site is the first mismatching row of
+    each signal (the mutant's row, or the baseline's where the mutant's
+    trace ends early), earliest time first, ties in oracle order.
+    """
+    best: Optional[Tuple[Tuple[int, int], str, Optional[int]]] = None
+    for order, name in enumerate(oracle):
+        rows, ref = traces[name], baseline[name]
+        i = _first_mismatch(ref, rows, tolerance)
+        if i is None:
+            continue
+        t = (rows[i] if i < len(rows) else ref[i])[0]
+        time_fs = None if t is None else t.femtoseconds
+        key = (-1 if time_fs is None else time_fs, order)
+        if best is None or key < best[0]:
+            best = (key, name, time_fs)
+    assert best is not None, "trace maps do not diverge"
+    return KillSite(testcase, signal=best[1], time_fs=best[2])
+
+
+def _kill_site(
+    sim: Simulator,
+    tracer: Tracer,
+    tc: TestCase,
+    baseline: TraceMap,
+    oracle: Sequence[str],
+    tolerance: float,
+) -> Optional[KillSite]:
+    """Run one mutated testcase until its first divergence.
+
+    Returns where the testcase killed the mutant, or ``None`` when it
+    reproduced the baseline.  After each engine window the rows added
+    since the previous check are compared with the matching baseline
+    slice, and the run stops at the first window that differs; the
+    sliced compare kills exactly when the whole-trace compare would,
+    except for a trace that stops short of the baseline, which the
+    whole-trace check after an uninterrupted run catches.
+
+    The site is the same on both engines.  Traced writers are never
+    hoisted (the ``traced_signal`` fallback of the block compiler), so
+    oracle rows appear in canonical order; and a row carries a time
+    inside the period that emitted it, so at any period boundary every
+    earlier row has been emitted and no later row has.  The earliest
+    diverging row a block window finds is therefore the one the
+    interpreter finds at its period.  A crash first checks the rows
+    emitted before it, so a divergence the interpreter would already
+    have stopped at wins over the exception; this is exact for every
+    crash raised at its canonical firing (a mutated module is never
+    hoisted or deferred), not for one raised inside a whole-window
+    block call of an unmutated library module.
+    """
+    cursor = dict.fromkeys(oracle, 0)
+    found: List[KillSite] = []
+
+    def diverged() -> bool:
+        new = {name: tracer.samples(name, cursor[name]) for name in oracle}
+        ref = {
+            name: baseline[name][cursor[name]:cursor[name] + len(rows)]
+            for name, rows in new.items()
+        }
+        if traces_diverge(ref, new, tolerance):
+            found.append(_divergence_site(tc.name, ref, new, oracle, tolerance))
+            return True
+        for name, rows in new.items():
+            cursor[name] += len(rows)
+        return False
+
+    try:
+        sim.run(tc.duration, until=diverged)
+        if found:
+            return found[0]
+        sim.finish()
+    except Exception as exc:
+        # The mutated behaviour crashed at runtime: observable failure,
+        # so this testcase kills the mutant.
+        if diverged():
+            return found[0]
+        return KillSite(tc.name, error=type(exc).__name__)
+    traces = {name: tracer.samples(name) for name in oracle}
+    if traces_diverge(baseline, traces, tolerance):
+        return _divergence_site(tc.name, baseline, traces, oracle, tolerance)
+    return None
 
 
 def run_mutant(
@@ -248,12 +399,14 @@ def run_mutant(
 ) -> MutantOutcome:
     """Execute one mutant against the whole suite and classify it.
 
-    Every testcase always runs (no early exit on the first kill): the
-    criterion-vs-score report needs the complete kill row, and the
-    matrix must not depend on execution order or timing.
+    Every testcase runs, each until its first divergence (see
+    :func:`_kill_site`): the criterion-vs-score report needs the
+    complete kill row, and the matrix must not depend on execution
+    order or timing.  Surviving testcases run to completion.
     """
     t0 = time.perf_counter()
     killed_by: List[str] = []
+    killed_at: Optional[KillSite] = None
     for tc in testcases:
         cluster = factory()
         try:
@@ -268,21 +421,15 @@ def run_mutant(
             # Elaboration rejected the mutated cluster: nonviable, and
             # deterministically so for every testcase of the suite.
             return MutantOutcome(spec, "nonviable", (), False, time.perf_counter() - t0)
-        try:
-            sim.run(tc.duration)
-            sim.finish()
-            traces = {name: tracer.samples(name) for name in oracle}
-        except Exception:
-            # The mutated behaviour crashed at runtime: observable
-            # failure, so this testcase kills the mutant.
+        site = _kill_site(sim, tracer, tc, baselines[tc.name], oracle, tolerance)
+        if site is not None:
             killed_by.append(tc.name)
-            continue
-        if traces_diverge(baselines[tc.name], traces, tolerance):
-            killed_by.append(tc.name)
+            if killed_at is None:
+                killed_at = site
     seconds = time.perf_counter() - t0
     timed_out = budget_seconds is not None and seconds > budget_seconds
     status = "killed" if killed_by else "survived"
-    return MutantOutcome(spec, status, tuple(killed_by), timed_out, seconds)
+    return MutantOutcome(spec, status, tuple(killed_by), timed_out, seconds, killed_at)
 
 
 def _sample_specs(
@@ -436,12 +583,14 @@ def run_mutation(
                 for index, spec in enumerate(specs):
                     entry = matrix.get(spec.mutant_id)
                     if entry and entry.get("status"):
+                        site = entry.get("killed_at")
                         reused[index] = MutantOutcome(
                             spec,
                             entry["status"],
                             tuple(entry.get("killed_by") or ()),
                             False,
                             0.0,
+                            KillSite.from_dict(site) if site else None,
                         )
             if tel.enabled and reused:
                 tel.metrics.counter("mutation.warm_reused").inc(len(reused))
@@ -543,6 +692,9 @@ def run_mutation(
                         outcome.spec.mutant_id: {
                             "status": outcome.status,
                             "killed_by": list(outcome.killed_by),
+                            "killed_at": outcome.killed_at.to_dict()
+                            if outcome.killed_at
+                            else None,
                         }
                         for outcome in outcomes
                     },

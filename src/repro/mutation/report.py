@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 from ..core.associations import AssocClass
 from ..core.coverage import CoverageResult
 from ..core.criteria import Criterion, satisfied
+from ..tdf.time import ScaTime
 
 #: JSON payload schema tag; bump on any incompatible shape change.
 SCHEMA = "repro-dft-mutation/1"
@@ -145,6 +146,7 @@ def build_report(
                 "status": o.status,
                 "killed_by": list(o.killed_by),
                 "timed_out": o.timed_out,
+                "killed_at": o.killed_at.to_dict() if o.killed_at else None,
             }
             for o in run.outcomes
         ],
@@ -194,6 +196,21 @@ def kill_matrix_bytes(run) -> bytes:
     return json.dumps(rows, separators=(",", ":"), sort_keys=True).encode("ascii")
 
 
+def _format_site(site: Optional[dict]) -> str:
+    """One kill site (a ``killed_at`` payload entry) as text."""
+    if not site:
+        return "-"
+    if "error" in site:
+        return f"{site['testcase']}, raised {site['error']}"
+    time_fs = site["time_fs"]
+    when = (
+        "delay priming"
+        if time_fs is None
+        else str(ScaTime.from_femtoseconds(time_fs))
+    )
+    return f"{site['testcase']}, {site['signal']} diverged at {when}"
+
+
 def format_report(payload: dict) -> str:
     """Human-readable text rendering of a report payload."""
     lines: List[str] = []
@@ -234,6 +251,14 @@ def format_report(payload: dict) -> str:
                 f"    {row['criterion']:13s} {'yes' if row['satisfied'] else 'no ':9s} "
                 f"{row['num_testcases']:9d}  {100.0 * row['score']:5.1f}%"
             )
+    killed = [m for m in payload["mutants"] if m["status"] == "killed"]
+    if killed:
+        lines.append("")
+        lines.append(f"  killed mutants ({len(killed)}), first kill:")
+        for m in killed[:20]:
+            lines.append(f"    {m['id']}: {_format_site(m.get('killed_at'))}")
+        if len(killed) > 20:
+            lines.append(f"    ... and {len(killed) - 20} more")
     survivors = [m for m in payload["mutants"] if m["status"] == "survived"]
     if survivors:
         lines.append("")

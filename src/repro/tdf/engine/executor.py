@@ -80,8 +80,12 @@ class BlockEngine:
     # -- execution ---------------------------------------------------------
 
     def run(self, stop: Optional[ScaTime], max_periods: Optional[int],
-            period_hist=None) -> None:
-        """The block-engine counterpart of ``Simulator._loop``."""
+            period_hist=None, until=None) -> None:
+        """The block-engine counterpart of ``Simulator._loop``.
+
+        ``until`` is polled once per committed window, after the GC
+        sweep; the run ends at the first window where it returns true.
+        """
         sim = self.sim
         cluster = sim.cluster
         stop_fs = stop.femtoseconds if stop is not None else None
@@ -139,6 +143,8 @@ class BlockEngine:
                 # committed and every cursor is final.
                 for signal in cluster.signals:
                     signal._collect_garbage()
+                if until is not None and until():
+                    break
         finally:
             self.windows_run += windows
             tel = get_telemetry()

@@ -204,11 +204,21 @@ class Simulator:
             "hit_rate": hits / lookups if lookups else 0.0,
         }
 
-    def run(self, duration: ScaTime) -> None:
+    def run(
+        self,
+        duration: ScaTime,
+        until: Optional[Callable[[], bool]] = None,
+    ) -> None:
         """Run for (at least) ``duration`` of simulated time.
 
         Whole periods are executed; simulation stops at the first period
         boundary at or after ``start + duration``.
+
+        ``until``, when given, is a zero-argument predicate polled at
+        period boundaries — after every period on the interpreter, after
+        every committed window on the block engine — and the run ends at
+        the first boundary where it returns true.  The mutation executor
+        uses it to stop a testcase at its first divergence.
 
         With telemetry enabled (:mod:`repro.obs`), the run is wrapped in
         a ``tdf.simulate`` span and per-period wall time, per-module
@@ -225,6 +235,7 @@ class Simulator:
             stop=self.now + duration,
             max_periods=None,
             span_attrs={"duration_fs": duration.femtoseconds},
+            until=until,
         )
 
     def run_periods(self, count: int) -> None:
@@ -247,6 +258,7 @@ class Simulator:
         stop: Optional[ScaTime],
         max_periods: Optional[int],
         span_attrs: Dict[str, int],
+        until: Optional[Callable[[], bool]] = None,
     ) -> None:
         """Shared driver for :meth:`run` and :meth:`run_periods`."""
         tel = get_telemetry()
@@ -254,16 +266,16 @@ class Simulator:
             with tel.span(
                 "tdf.simulate", cluster=self.cluster.name, **span_attrs
             ):
-                self._run_instrumented(stop, max_periods, tel)
+                self._run_instrumented(stop, max_periods, tel, until)
             return
-        self._loop(stop, max_periods, period_hist=None)
+        self._loop(stop, max_periods, None, until)
 
-    def _loop(self, stop, max_periods, period_hist) -> None:
+    def _loop(self, stop, max_periods, period_hist, until) -> None:
         """The guarded period loop common to both execution modes."""
         if self.engine == "block":
             if self._block_engine is None:
                 self._block_engine = BlockEngine(self)
-            self._block_engine.run(stop, max_periods, period_hist)
+            self._block_engine.run(stop, max_periods, period_hist, until)
             return
         executed = 0
         while (stop is None or self.now < stop) and (
@@ -282,8 +294,10 @@ class Simulator:
                     f"cluster {self.cluster.name!r} has a zero-length period; "
                     f"check timestep assignments"
                 )
+            if until is not None and until():
+                break
 
-    def _run_instrumented(self, stop, max_periods, tel) -> None:
+    def _run_instrumented(self, stop, max_periods, tel, until) -> None:
         """The guarded loop with telemetry accounting around it.
 
         Counters are recorded as before/after deltas so repeated ``run``
@@ -299,7 +313,7 @@ class Simulator:
         reelaborations_before = self.reelaborations
         period_hist = metrics.histogram("tdf.period_seconds", cluster=name)
         try:
-            self._loop(stop, max_periods, period_hist)
+            self._loop(stop, max_periods, period_hist, until)
         finally:
             for module in self.cluster.modules:
                 delta = module.activation_count - base_activations[module]

@@ -56,9 +56,10 @@ class Tracer:
         """Traced signal names in registration order."""
         return list(self._order)
 
-    def samples(self, name: str) -> List[Row]:
-        """All recorded ``(time, value)`` rows of ``name``."""
-        return list(self._traces[name])
+    def samples(self, name: str, start: int = 0) -> List[Row]:
+        """The recorded ``(time, value)`` rows of ``name`` from row
+        ``start`` on (all of them by default)."""
+        return self._traces[name][start:]
 
     def values(self, name: str) -> List[Any]:
         """Just the values of ``name``, in sample order."""

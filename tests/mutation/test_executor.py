@@ -6,16 +6,30 @@ small seeded random cluster.  One case-study sample (buck_boost, seed
 1123) pins its kill rows, netlist mutants included.
 """
 
+from functools import lru_cache
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DftConfig
 from repro.mutation import (
+    KillSite,
+    MutantOutcome,
     kill_matrix_bytes,
     run_mutation,
     traces_diverge,
 )
-from repro.mutation.executor import _oracle_names, _sample_specs
-from repro.mutation.operators import MutantSpec
+from repro.mutation.executor import (
+    _attach_tracer,
+    _oracle_names,
+    _sample_specs,
+    compute_baselines,
+)
+from repro.mutation.operators import MutantSpec, apply_mutant, generate_mutants
+from repro.tdf import Simulator
+from repro.testing.generate import random_cluster_factory, random_suite
 
 RANDOM_FACTORY = "repro.testing.generate:random_cluster_factory"
 RANDOM_SUITE = "repro.testing.generate:random_suite"
@@ -172,17 +186,22 @@ class TestBackendDeterminism:
         assert generous.timeouts == 0
 
 
+@lru_cache(maxsize=None)
+def _buck_boost_sample(engine):
+    """Seed 1123's six-mutant sample on the buck-boost base suite."""
+    return run_mutation(
+        "repro.systems.buck_boost:BuckBoostTop",
+        "repro.systems.campaigns:buck_boost_base_suite",
+        DftConfig(seed=1123, engine=engine),
+        max_mutants=6,
+    )
+
+
 class TestCaseStudyKillRows:
     def test_buck_boost_sample_kill_rows(self):
-        """Seed 1123's six-mutant sample on the buck-boost base suite:
-        every verdict, including the two SISO netlist mutants that only
-        some testcases kill."""
-        run = run_mutation(
-            "repro.systems.buck_boost:BuckBoostTop",
-            "repro.systems.campaigns:buck_boost_base_suite",
-            DftConfig(seed=1123),
-            max_mutants=6,
-        )
+        """Every verdict of the seed-1123 sample, including the two SISO
+        netlist mutants that only some testcases kill."""
+        run = _buck_boost_sample("block")
         suite = tuple(run.testcase_names)
         assert len(suite) == 10
         rows = {o.spec.mutant_id: (o.status, o.killed_by) for o in run.outcomes}
@@ -198,3 +217,149 @@ class TestCaseStudyKillRows:
             "bb_buck_0v9", "bb_buck_1v2", "bb_buck_1v8", "bb_buck_2v5",
             "bb_buck_3v0",
         )
+
+
+def _run_to_end_oracle(factory, testcases, specs, oracle, engine, tolerance):
+    """Kill rows without the early exit: every testcase runs to its end
+    and the finished traces are compared whole, as before the early
+    exit existed."""
+    baselines = compute_baselines(factory, testcases, oracle, engine)
+    outcomes = []
+    for spec in specs:
+        killed_by = []
+        status = None
+        for tc in testcases:
+            cluster = factory()
+            try:
+                apply_mutant(cluster, spec)
+                tc.apply(cluster)
+                tracer = _attach_tracer(cluster, oracle)
+                sim = Simulator(cluster, engine=engine)
+                sim.initialize()
+            except Exception:
+                status = "nonviable"
+                killed_by = []
+                break
+            try:
+                sim.run(tc.duration)
+                sim.finish()
+            except Exception:
+                killed_by.append(tc.name)
+                continue
+            traces = {name: tracer.samples(name) for name in oracle}
+            if traces_diverge(baselines[tc.name], traces, tolerance):
+                killed_by.append(tc.name)
+        status = status or ("killed" if killed_by else "survived")
+        outcomes.append(MutantOutcome(spec, status, tuple(killed_by), False, 0.0))
+    return outcomes
+
+
+class TestEarlyExitEquivalence:
+    @settings(max_examples=4, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_kill_rows_match_the_run_to_end_oracle(self, cluster_seed):
+        factory = random_cluster_factory(cluster_seed)
+        testcases = random_suite(cluster_seed)
+        specs = _sample_specs(generate_mutants(factory()), 12, 0)
+        oracle = _oracle_names(factory(), None)
+        sites = {}
+        for engine in ("interp", "block"):
+            run = _mutate_random(
+                factory_args=(cluster_seed,),
+                suite_args=(cluster_seed,),
+                max_mutants=12,
+                config=DftConfig(seed=0, engine=engine),
+            )
+            expected = _run_to_end_oracle(
+                factory, testcases, specs, oracle, engine, run.tolerance
+            )
+            assert kill_matrix_bytes(run) == kill_matrix_bytes(
+                SimpleNamespace(outcomes=expected)
+            )
+            for got, want in zip(run.outcomes, expected):
+                assert got.killed_by == want.killed_by, got.spec.mutant_id
+                if got.status == "killed":
+                    assert got.killed_at.testcase == got.killed_by[0]
+                else:
+                    assert got.killed_at is None
+            sites[engine] = [o.killed_at for o in run.outcomes]
+        assert sites["interp"] == sites["block"]
+
+
+class TestKillSites:
+    def test_buck_boost_sample_sites_identical_across_engines(self):
+        sites = {
+            engine: {
+                o.spec.mutant_id: o.killed_at
+                for o in _buck_boost_sample(engine).outcomes
+            }
+            for engine in ("interp", "block")
+        }
+        assert sites["interp"] == sites["block"]
+        us = 1_000_000_000
+        assert sites["block"] == {
+            "aor:007:sw_ctrl": KillSite("bb_buck_0v9", "vout", 0),
+            "aor:023:limiter": KillSite("bb_buck_0v9", "vout", 250 * us),
+            "sdl:059:thermal": KillSite("bb_buck_0v9", error="NameError"),
+            "swap:001:sw_ctrl": None,
+            "gain:000:i_vout_delay": KillSite("bb_buck_0v9", "vout", 50 * us),
+            "drop:001:i_sense_gain": KillSite("bb_boost_8v0", "vout", 7650 * us),
+        }
+
+    def test_site_round_trips_through_its_dict(self):
+        for site in (
+            KillSite("t", "vout", 5),
+            KillSite("t", "vout", None),
+            KillSite("t", error="NameError"),
+        ):
+            assert KillSite.from_dict(site.to_dict()) == site
+
+    def test_warm_start_restores_sites_from_the_ledger(self, tmp_path):
+        config = DftConfig(seed=0, history_dir=str(tmp_path), warm_start=True)
+        cold = _mutate_random(max_mutants=6, config=config)
+        warm = _mutate_random(max_mutants=6, config=config)
+        assert all(o.seconds == 0.0 for o in warm.outcomes)  # replayed
+        assert [o.killed_at for o in warm.outcomes] == [
+            o.killed_at for o in cold.outcomes
+        ]
+        assert any(o.killed_at is not None for o in warm.outcomes)
+
+    def test_crash_after_a_divergence_in_one_window_reports_the_divergence(
+        self, monkeypatch
+    ):
+        """The interpreter stops at the divergence and never reaches the
+        crash; the block engine reaches the crash inside the same window
+        and must still report the divergence."""
+        import repro.mutation.executor as executor
+        from repro.mutation import run_mutant
+        from repro.testing import TestCase
+        from repro.testing.generate import build_cluster, cluster_duration
+
+        values = [1.0] * 10
+
+        def factory():
+            return build_cluster(values, 1, 1)
+
+        def diverge_then_crash(cluster, spec):
+            dut = cluster.dut
+
+            def processing():
+                dut.processing()
+                if dut.activation_count >= 3:
+                    dut.op.write(99.0)
+                if dut.activation_count >= 6:
+                    raise ZeroDivisionError("late crash")
+
+            dut.register_processing(processing)
+
+        monkeypatch.setattr(executor, "apply_mutant", diverge_then_crash)
+        tc = TestCase("t", cluster_duration(values), lambda cluster: None)
+        oracle = _oracle_names(factory(), None)
+        spec = MutantSpec("m", "aor", "dut", 0, "")
+        sites = {}
+        for engine in ("interp", "block"):
+            baselines = compute_baselines(factory, [tc], oracle, engine)
+            outcome = run_mutant(spec, factory, [tc], baselines, oracle, engine, 1e-9)
+            sites[engine] = outcome.killed_at
+        assert sites["interp"] == sites["block"]
+        assert sites["block"].error is None

@@ -1,5 +1,6 @@
 """Report stage: schema, criterion join, and canonical kill-matrix bytes."""
 
+import dataclasses
 import io
 import json
 
@@ -118,6 +119,16 @@ class TestBuildReport:
         assert counts["viable"] == counts["killed"] + counts["survived"]
         assert "criteria" not in payload
 
+    def test_killed_mutants_carry_their_first_kill_site(self, run):
+        payload = build_report(run, system="random")
+        assert any(m["status"] == "killed" for m in payload["mutants"])
+        for m in payload["mutants"]:
+            if m["status"] == "killed":
+                assert m["killed_at"]["testcase"] == m["killed_by"][0]
+                assert "error" in m["killed_at"] or "signal" in m["killed_at"]
+            else:
+                assert m["killed_at"] is None
+
     def test_payload_is_json_stable(self, run):
         payload = build_report(run, system="random")
         assert json.loads(json.dumps(payload)) == payload
@@ -161,6 +172,15 @@ class TestKillMatrixBytes:
             )
             assert rows[outcome.spec.mutant_id] == expected
 
+    def test_kill_sites_stay_out_of_the_bytes(self, run):
+        unsited = dataclasses.replace(
+            run,
+            outcomes=[
+                dataclasses.replace(o, killed_at=None) for o in run.outcomes
+            ],
+        )
+        assert kill_matrix_bytes(unsited) == kill_matrix_bytes(run)
+
 
 class TestRenderings:
     def test_text_report_mentions_key_figures(self, run, coverage):
@@ -170,6 +190,9 @@ class TestRenderings:
         assert "per operator:" in text
         assert "criterion-vs-mutation-score" in text
         assert "all-Strong" in text
+        for m in payload["mutants"]:
+            if m["status"] == "killed":
+                assert f"    {m['id']}: {m['killed_by'][0]}, " in text
 
     def test_csv_row_per_mutant(self, run):
         payload = build_report(run, system="random")

@@ -16,6 +16,8 @@ class TestTracer:
         assert [v for _, v in rows] == [1.5, 1.5]
         assert rows[0][0] == ms(0)
         assert rows[1][0] == ms(1)
+        assert tracer.samples("out", 1) == rows[1:]
+        assert tracer.samples("out", 2) == []
 
     def test_values_and_last(self, passthrough_cluster):
         top = passthrough_cluster

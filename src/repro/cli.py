@@ -661,10 +661,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 def _cmd_mutate(args) -> int:
     import json
 
-    from .exec import resolve_ref
     from .mutation import (
         ALL_OPERATORS,
         build_report,
+        criteria_report,
         format_report,
         run_mutation,
         write_csv,
@@ -704,26 +704,13 @@ def _cmd_mutate(args) -> int:
         max_mutants=args.max_mutants,
     )
 
-    coverage = None
-    subsumption = None
-    if not args.no_criteria:
-        # One coverage run of the *unmutated* system feeds the
-        # criterion-vs-score join; sub-suites are then scored from the
-        # kill matrix without re-running any mutant.
-        factory_obj = resolve_ref(factory_ref)
-        factory = factory_obj(*factory_args) if factory_args else factory_obj
-        testcases = list(resolve_ref(suite_ref)(*suite_args))
-        suite = TestSuite(args.system, testcases)
-        pipeline = run_dft(factory, suite, DftConfig(engine=cfg.engine))
-        coverage = pipeline.coverage
-        if args.targets == "frontier":
-            from .analysis import analyze_subsumption
-
-            subsumption = analyze_subsumption(pipeline.static)
-
-    payload = build_report(
-        run, coverage=coverage, system=args.system, subsumption=subsumption
-    )
+    if args.no_criteria:
+        payload = build_report(run, system=args.system)
+    else:
+        payload = criteria_report(
+            run, args.system, factory_args=factory_args,
+            suite_args=suite_args, targets=args.targets,
+        )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as stream:
             write_csv(payload, stream)

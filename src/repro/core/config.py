@@ -95,6 +95,32 @@ class DftConfig:
     history_dir: Optional[str] = None
     warm_start: bool = False
 
+    def __post_init__(self) -> None:
+        """One-line :class:`ValueError` naming an ill-typed or
+        out-of-range field (``--workers``, ``--config`` files and
+        service submissions all land here)."""
+        def is_int(v: Any) -> bool:
+            return isinstance(v, int) and not isinstance(v, bool)
+
+        def at_least(v: Any, low: float, kinds=(int, float)) -> bool:
+            return isinstance(v, kinds) and not isinstance(v, bool) and v >= low
+
+        for name, expected, ok in (
+            ("workers", "None or an int >= 1",
+             self.workers is None or at_least(self.workers, 1, int)),
+            ("tolerance", "a number >= 0", at_least(self.tolerance, 0)),
+            ("seed", "an int", is_int(self.seed)),
+            ("budget_seconds", "None or a number >= 0",
+             self.budget_seconds is None or at_least(self.budget_seconds, 0)),
+            ("budget_simulations", "None or an int >= 0",
+             self.budget_simulations is None
+             or at_least(self.budget_simulations, 0, int)),
+        ):
+            if not ok:
+                raise ValueError(
+                    f"{name} must be {expected}, got {getattr(self, name)!r}"
+                )
+
     # -- derivation -----------------------------------------------------------
 
     def replace(self, **changes: Any) -> "DftConfig":

@@ -10,8 +10,10 @@ Backends:
 
 * :class:`SerialExecutor` — in-process, one testcase after the other
   (the default; equivalent to calling the runner directly);
-* :class:`repro.exec.process.ProcessExecutor` — fans testcases out
-  across worker processes and merges deterministically.
+* the task-running backends (:class:`repro.exec.task.TaskExecutor`):
+  :class:`repro.exec.process.ProcessExecutor` (a local process pool)
+  and :class:`repro.service.remote.RemoteExecutor` (a worker fleet),
+  which stripe the suite into shard tasks and merge deterministically.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ def round_robin_shards(items: Sequence[_T], workers: int) -> List[Tuple[_T, ...]
 
     Striping (rather than chunking) balances heterogeneous per-item
     costs; the shard layout depends only on ``(len(items), workers)``,
-    so a parent and its workers always agree on it.  Shared by the
-    testcase fan-out (:class:`~repro.exec.process.ProcessExecutor`) and
-    the mutant fan-out (:mod:`repro.mutation.executor`).
+    so a parent and its workers always agree on it.  Every fan-out
+    stripes with it: testcase names into ``"suite"`` tasks
+    (:class:`~repro.exec.task.TaskExecutor`) and mutant indices into
+    ``"mutants"`` tasks (:mod:`repro.mutation.executor`), one task per
+    shard.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

@@ -1,10 +1,11 @@
 """Importable references: ``"package.module:attr"`` strings.
 
-Process-pool workers cannot receive cluster factories or testcases by
-pickling — netlists close over lambdas and stimuli are arbitrary
-callables — so the parallel executor ships *references* instead: each
-worker imports the factory and the suite builder by name and rebuilds
-its own instances.  This is the same fresh-instance contract the serial
+A shard task (:mod:`repro.exec.task`) must cross a process or a host
+boundary, and cluster factories and testcases cannot: netlists close
+over lambdas and stimuli are arbitrary callables.  So a task names the
+factory and the suite builder by reference instead, and whoever runs
+it — a pool process or a remote worker — imports them and builds its
+own instances.  This is the same fresh-instance contract the serial
 runner already relies on (see
 :data:`repro.instrument.runner.ClusterFactory`), stretched across a
 process boundary.

@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 from ..core.associations import AssocClass
 from ..core.config import DftConfig
 from ..core.pipeline import PipelineResult, run_dft
+from ..exec import ProcessExecutor, SerialExecutor, TaskExecutor
 from ..exec.cache import DynamicResultCache
 from ..obs import Telemetry, get_telemetry
 from ..testing.testcase import TestSuite
@@ -202,24 +203,27 @@ class _Evaluator:
         """The backend for one batch of cache misses.
 
         Synthesized testcases close over their parameters, so they
-        cannot travel to worker processes as objects; instead each batch
-        ships its *encodings* via :class:`~repro.exec.ProcessExecutor`
-        ``suite_args`` and the workers rebuild identical testcases
-        through :data:`DECODE_REF`.  Serial when the resolved worker
-        count is 1 or no factory reference is available.  An explicit
-        ``config.executor`` is deliberately not used here: it was built
-        for the *base* suite and cannot resolve candidate names.
+        cannot travel to workers as objects; instead each batch ships
+        its *encodings* as the tasks' ``suite_args`` and the workers
+        rebuild identical testcases through :data:`DECODE_REF`.  A task
+        carries its own suite reference, so an explicit
+        ``config.executor`` that runs tasks (a remote fleet, say) is
+        rebound to the batch; any other explicit executor runs the
+        batch as given.  Without one, ``config.workers`` picks a process
+        pool, or serial when it resolves to 1 or no factory reference
+        is available.
         """
+        suite_args = (self.space.system, tuple(encoded))
+        executor = self.cfg.executor
+        if isinstance(executor, TaskExecutor):
+            return executor.for_suite(DECODE_REF, suite_args)
+        if executor is not None:
+            return executor
         workers = self.cfg.resolved_workers(len(encoded))
         if workers <= 1 or not self.factory_ref:
-            from ..exec.base import SerialExecutor
-
             return SerialExecutor()
-        from ..exec.process import ProcessExecutor
-
         return ProcessExecutor(
-            self.factory_ref, DECODE_REF, workers,
-            suite_args=(self.space.system, tuple(encoded)),
+            self.factory_ref, DECODE_REF, workers, suite_args=suite_args
         )
 
     def run(

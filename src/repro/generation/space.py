@@ -330,9 +330,9 @@ def decode_candidates(
 
     The worker-side entry point (importable as
     ``"repro.generation.space:decode_candidates"``): the parent ships
-    each evaluation batch as plain tuples via
-    :class:`~repro.exec.ProcessExecutor` ``suite_args``, and both sides
-    derive identical names from identical vectors.
+    each evaluation batch as plain vectors in the shard tasks'
+    ``suite_args`` (see :mod:`repro.exec.task`), and both sides derive
+    identical names from identical vectors.
     """
     space = space_for(system)
     return [space.build(dict(vector)) for vector in encoded]

@@ -7,9 +7,9 @@ per-criterion coverage data — an empirical validation that suites
 satisfying stronger data-flow criteria detect more faults.
 
 See :mod:`repro.mutation.operators` (fault models),
-:mod:`repro.mutation.executor` (differential execution, serial and
-process-parallel) and :mod:`repro.mutation.report` (criterion join,
-JSON/CSV/text reports).
+:mod:`repro.mutation.executor` (differential execution, in-process or
+as shard tasks on a process pool or a worker fleet) and
+:mod:`repro.mutation.report` (criterion join, JSON/CSV/text reports).
 """
 
 from .executor import (
@@ -34,6 +34,7 @@ from .operators import (
 from .report import (
     SCHEMA,
     build_report,
+    criteria_report,
     criterion_subsuites,
     format_report,
     kill_matrix_bytes,
@@ -54,6 +55,7 @@ __all__ = [
     "apply_mutant",
     "build_report",
     "compute_baselines",
+    "criteria_report",
     "criterion_subsuites",
     "format_report",
     "generate_mutants",

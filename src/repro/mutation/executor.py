@@ -1,4 +1,4 @@
-"""Differential mutant execution (serial and process-parallel).
+"""Differential mutant execution (in-process or through a task backend).
 
 The oracle is a *trace diff*: every mutant runs every testcase of the
 suite, and each testcase's traced oracle signals are compared
@@ -25,26 +25,32 @@ bit-identical by construction).  The per-mutant ``budget_seconds``
 therefore only *flags* slow mutants (``timed_out`` + the
 ``mutation.timeout`` counter); it never truncates their verdicts.
 
-Parallel execution shards *mutant indices* across worker processes
-(:func:`repro.exec.base.round_robin_shards`).  Workers rebuild the
-factory and suite from importable references, regenerate the identical
-spec list and baseline traces, run their shard, and ship picklable
-outcomes back; the parent merges by index.
+With ``workers > 1`` or an explicit ``config.executor``, mutation runs
+through the same shard tasks as the dynamic stage
+(:mod:`repro.exec.task`): the mutant indices are striped
+(:func:`repro.exec.base.round_robin_shards`) into ``"mutants"`` tasks
+that the backend — a process pool or a remote worker fleet — maps
+through :func:`~repro.exec.task.run_task`.  Each task rebuilds the
+factory and suite from importable references, regenerates the
+identical spec list and baseline traces, runs its mutants, and replies
+with :meth:`MutantOutcome.to_dict` entries; the parent re-attaches the
+specs and merges by index.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor as _Pool
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import avoids a cycle
     from ..core.config import DftConfig
 from ..exec.base import round_robin_shards
 from ..exec.refs import resolve_ref
-from ..obs import Telemetry, get_telemetry, telemetry_session
+from ..exec.task import TaskExecutor, fold_replies, resolve_factory
+from ..obs import get_telemetry
 from ..tdf import Simulator, Tracer
 from ..tdf.cluster import Cluster
 from ..testing.testcase import TestCase
@@ -109,6 +115,31 @@ class MutantOutcome:
     seconds: float
     killed_at: Optional[KillSite] = None
 
+    def to_dict(self) -> dict:
+        """The JSON-ready verdict, without the spec (a task reply entry
+        and a history ledger ``kill_matrix`` entry)."""
+        return {
+            "status": self.status,
+            "killed_by": list(self.killed_by),
+            "timed_out": self.timed_out,
+            "seconds": self.seconds,
+            "killed_at": self.killed_at.to_dict() if self.killed_at else None,
+        }
+
+    @classmethod
+    def from_dict(cls, spec: MutantSpec, entry: dict) -> "MutantOutcome":
+        """Re-attach ``spec`` to a :meth:`to_dict` entry (an older ledger
+        entry without timing or site keys restores their defaults)."""
+        site = entry.get("killed_at")
+        return cls(
+            spec,
+            entry["status"],
+            tuple(entry.get("killed_by") or ()),
+            bool(entry.get("timed_out", False)),
+            float(entry.get("seconds", 0.0)),
+            KillSite.from_dict(site) if site else None,
+        )
+
 
 @dataclass
 class MutationRun:
@@ -171,20 +202,6 @@ class MutationRun:
         if viable == 0:
             return 0.0
         return killed / viable
-
-
-# -- reference resolution ------------------------------------------------------
-
-
-def _resolve_factory(ref: str, args: Sequence) -> Callable[[], Cluster]:
-    """Resolve a cluster factory; non-empty ``args`` select a
-    parameterized factory-of-factories (e.g. the seeded random cluster)."""
-    obj = resolve_ref(ref)
-    return obj(*args) if args else obj
-
-
-def _resolve_suite(ref: str, args: Sequence) -> List[TestCase]:
-    return list(resolve_ref(ref)(*args))
 
 
 def _oracle_names(cluster: Cluster, requested: Optional[Sequence[str]]) -> List[str]:
@@ -444,57 +461,40 @@ def _sample_specs(
     return [specs[i] for i in picked]
 
 
-# -- parallel plumbing ---------------------------------------------------------
+# -- the "mutants" shard task ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _MutationJob:
-    """One worker's shard of mutant indices, in picklable form.
+def run_mutants_task(
+    task: Dict[str, Any],
+    factory: Callable[[], Cluster],
+    testcases: Sequence[TestCase],
+    engine: str,
+) -> List[list]:
+    """The ``"mutants"`` branch of :func:`repro.exec.task.run_task`.
 
-    The worker regenerates the identical sampled spec list from
-    ``(factory_ref, operators, seed, max_mutants)`` — shipping indices
-    instead of specs keeps the job tiny and makes any divergence
-    between parent and worker enumeration fail loudly (index error)
-    instead of silently running a different mutant.
+    Regenerates the identical sampled spec list from ``(factory,
+    operators, seed, max_mutants)`` — a task ships mutant indices, not
+    specs, so a parent/worker enumeration mismatch fails loudly (index
+    error) instead of silently running a different mutant — recomputes
+    the baselines, and returns ``[index, outcome.to_dict()]`` rows.
     """
-
-    factory_ref: str
-    factory_args: tuple
-    suite_ref: str
-    suite_args: tuple
-    operators: Tuple[str, ...]
-    seed: int
-    max_mutants: Optional[int]
-    indices: Tuple[int, ...]
-    tolerance: float
-    engine: str
-    oracle_signals: Optional[Tuple[str, ...]]
-    budget_seconds: Optional[float]
-    record_telemetry: bool
-
-
-def _mutation_worker(job: _MutationJob) -> Tuple[List[Tuple[int, MutantOutcome]], List[dict], float]:
-    t0 = time.perf_counter()
-    factory = _resolve_factory(job.factory_ref, job.factory_args)
-    testcases = _resolve_suite(job.suite_ref, job.suite_args)
-    with telemetry_session(Telemetry() if job.record_telemetry else None) as tel:
-        specs = _sample_specs(
-            generate_mutants(factory(), list(job.operators)), job.max_mutants, job.seed
-        )
-        oracle = _oracle_names(factory(), job.oracle_signals)
-        baselines = compute_baselines(factory, testcases, oracle, job.engine)
-        results = [
-            (
-                index,
-                run_mutant(
-                    specs[index], factory, testcases, baselines, oracle,
-                    job.engine, job.tolerance, job.budget_seconds,
-                ),
-            )
-            for index in job.indices
+    specs = _sample_specs(
+        generate_mutants(factory(), task["operators"]),
+        task["max_mutants"],
+        task["seed"],
+    )
+    oracle = task["oracle"]
+    baselines = compute_baselines(factory, testcases, oracle, engine)
+    return [
+        [
+            index,
+            run_mutant(
+                specs[index], factory, testcases, baselines, oracle, engine,
+                task["tolerance"], task["budget_seconds"],
+            ).to_dict(),
         ]
-        payload = tel.metrics.raw_records() if job.record_telemetry else []
-    return results, payload, time.perf_counter() - t0
+        for index in task["indices"]
+    ]
 
 
 # -- entry point ---------------------------------------------------------------
@@ -517,8 +517,12 @@ def run_mutation(
     references (see :mod:`repro.exec.refs`); ``factory_args`` /
     ``suite_args``, when non-empty, are applied to the resolved object
     to obtain the actual factory/suite (the seeded random cluster uses
-    this).  Both serial and parallel paths build everything from the
-    references, so the kill matrix cannot depend on the backend.
+    this).  Both the in-process path and the shard tasks build
+    everything from the references, so the kill matrix cannot depend on
+    the backend.  An explicit ``config.executor`` that runs tasks (a
+    process pool or a remote fleet), or ``workers > 1`` (a process
+    pool), receives the pending mutants as ``"mutants"`` tasks; any
+    other case runs them in-process.
 
     ``config`` carries seed / tolerance / workers / engine /
     budget_seconds / telemetry (see :class:`repro.core.DftConfig`); a
@@ -533,7 +537,6 @@ def run_mutation(
     cfg = config if config is not None else DftConfig()
     seed = cfg.seed
     tolerance = cfg.tolerance
-    workers = cfg.workers if cfg.workers is not None else 1
     engine = cfg.engine
     budget_seconds = (
         cfg.budget_seconds
@@ -541,10 +544,11 @@ def run_mutation(
         else DEFAULT_BUDGET_SECONDS
     )
     tel = cfg.telemetry if cfg.telemetry is not None else get_telemetry()
-    factory = _resolve_factory(factory_ref, factory_args)
-    testcases = _resolve_suite(suite_ref, suite_args)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    factory = resolve_factory(factory_ref, factory_args)
+    testcases = list(resolve_ref(suite_ref)(*suite_args))
+    workers = (
+        cfg.executor.workers if cfg.executor is not None else cfg.workers or 1
+    )
     op_names = list(operators) if operators else None
     with tel.span(
         "mutation", factory=factory_ref, workers=workers, testcases=len(testcases)
@@ -566,7 +570,8 @@ def run_mutation(
         # Warm start: verdicts are pure functions of (cluster, suite,
         # spec, engine, tolerance), so outcomes recorded by an earlier
         # run with the same fingerprint / config hash / suite can be
-        # replayed from the history kill matrix instead of re-executed.
+        # replayed from the history kill matrix instead of re-executed
+        # (a replayed outcome took no time and cannot have timed out).
         reused: Dict[int, MutantOutcome] = {}
         if cfg.warm_start and history is not None:
             from ..obs.store import suite_sha as _suite_sha
@@ -583,22 +588,26 @@ def run_mutation(
                 for index, spec in enumerate(specs):
                     entry = matrix.get(spec.mutant_id)
                     if entry and entry.get("status"):
-                        site = entry.get("killed_at")
-                        reused[index] = MutantOutcome(
-                            spec,
-                            entry["status"],
-                            tuple(entry.get("killed_by") or ()),
-                            False,
-                            0.0,
-                            KillSite.from_dict(site) if site else None,
+                        reused[index] = dataclasses.replace(
+                            MutantOutcome.from_dict(spec, entry),
+                            timed_out=False,
+                            seconds=0.0,
                         )
             if tel.enabled and reused:
                 tel.metrics.counter("mutation.warm_reused").inc(len(reused))
         pending = [i for i in range(len(specs)) if i not in reused]
         by_index: Dict[int, MutantOutcome] = dict(reused)
+        backend = cfg.executor
+        if backend is None and workers > 1 and len(pending) > 1:
+            from ..exec.process import ProcessExecutor
+
+            backend = ProcessExecutor(
+                factory_ref, suite_ref, workers,
+                suite_args=suite_args, factory_args=factory_args,
+            )
         if not pending:
             pass
-        elif workers <= 1 or len(pending) < 2:
+        elif not isinstance(backend, TaskExecutor):
             with tel.span("mutation.baseline", testcases=len(testcases)):
                 baselines = compute_baselines(factory, testcases, oracle, engine)
             for index in pending:
@@ -609,37 +618,31 @@ def run_mutation(
                         engine, tolerance, budget_seconds,
                     )
         else:
-            shards = round_robin_shards(pending, workers)
-            jobs = [
-                _MutationJob(
-                    factory_ref=factory_ref,
-                    factory_args=tuple(factory_args),
-                    suite_ref=suite_ref,
-                    suite_args=tuple(suite_args),
-                    operators=tuple(op_names) if op_names else tuple(),
-                    seed=seed,
-                    max_mutants=max_mutants,
-                    indices=tuple(shard),
-                    tolerance=tolerance,
-                    engine=engine,
-                    oracle_signals=tuple(oracle_signals) if oracle_signals else None,
-                    budget_seconds=budget_seconds,
-                    record_telemetry=tel.enabled,
-                )
-                for shard in shards
+            tasks = [
+                {
+                    "kind": "mutants",
+                    "factory_ref": factory_ref,
+                    "factory_args": list(factory_args),
+                    "suite_ref": suite_ref,
+                    "suite_args": list(suite_args),
+                    "engine": engine,
+                    "record_telemetry": tel.enabled,
+                    "indices": list(shard),
+                    "operators": op_names,
+                    "seed": seed,
+                    "max_mutants": max_mutants,
+                    "oracle": list(oracle),
+                    "tolerance": tolerance,
+                    "budget_seconds": budget_seconds,
+                }
+                for shard in round_robin_shards(pending, backend.workers)
             ]
-            with tel.span("mutation.parallel", workers=len(jobs), mutants=len(pending)):
-                with _Pool(max_workers=len(jobs)) as pool:
-                    results = list(pool.map(_mutation_worker, jobs))
-                for worker, (entries, payload, wall) in enumerate(results):
-                    for index, outcome in entries:
-                        by_index[index] = outcome
-                    if tel.enabled:
-                        tel.metrics.merge_raw(payload)
-                        tel.metrics.histogram("mutation.worker_seconds").observe(wall)
-                        tel.metrics.counter(
-                            "mutation.worker_mutants", worker=worker
-                        ).inc(len(entries))
+            with tel.span("mutation.parallel", workers=len(tasks), mutants=len(pending)):
+                replies = backend.map_tasks(tasks, tel)
+                fold_replies(tel, replies, "mutation", "mutants")
+            for reply in replies:
+                for index, entry in reply["results"]:
+                    by_index[index] = MutantOutcome.from_dict(specs[index], entry)
         outcomes = [by_index[i] for i in range(len(specs))]
 
         if tel.enabled:
@@ -689,13 +692,7 @@ def run_mutation(
                     "reused": len(reused),
                     "oracle": list(oracle),
                     "kill_matrix": {
-                        outcome.spec.mutant_id: {
-                            "status": outcome.status,
-                            "killed_by": list(outcome.killed_by),
-                            "killed_at": outcome.killed_at.to_dict()
-                            if outcome.killed_at
-                            else None,
-                        }
+                        outcome.spec.mutant_id: outcome.to_dict()
                         for outcome in outcomes
                     },
                 }

@@ -181,6 +181,43 @@ def build_report(
     return payload
 
 
+def criteria_report(
+    run,
+    system: str = "",
+    *,
+    factory_args: Sequence = (),
+    suite_args: Sequence = (),
+    targets: str = "all",
+) -> dict:
+    """:func:`build_report` joined with the criteria of the same suite.
+
+    One coverage run of the *unmutated* system, on the suite the kill
+    matrix was computed on (``run.suite_ref`` with ``suite_args``),
+    feeds the criterion-vs-score join; sub-suites are then scored from
+    the kill matrix without re-running any mutant.  ``targets=
+    "frontier"`` adds the subsumption pass.  The ``mutate`` command and
+    the service's ``mutate`` job both build their payload here.
+    """
+    from ..core import DftConfig, run_dft
+    from ..exec.refs import resolve_ref
+    from ..exec.task import resolve_factory
+    from ..testing.testcase import TestSuite
+
+    if targets not in ("all", "frontier"):
+        raise ValueError(f"targets must be 'all' or 'frontier', got {targets!r}")
+    factory = resolve_factory(run.factory_ref, factory_args)
+    suite = TestSuite(system, list(resolve_ref(run.suite_ref)(*suite_args)))
+    pipeline = run_dft(factory, suite, DftConfig(engine=run.engine))
+    subsumption = None
+    if targets == "frontier":
+        from ..analysis import analyze_subsumption
+
+        subsumption = analyze_subsumption(pipeline.static)
+    return build_report(
+        run, coverage=pipeline.coverage, system=system, subsumption=subsumption
+    )
+
+
 def kill_matrix_bytes(run) -> bytes:
     """Canonical bytes of the kill matrix.
 

@@ -3,19 +3,19 @@
 The CLI's one-process, one-host campaigns become a long-running
 service in three pieces:
 
-* :mod:`repro.service.worker` — a shard-execution daemon speaking the
-  newline-delimited-JSON protocol of :mod:`repro.service.protocol`
-  over a plain TCP socket.  Workers rebuild clusters and suites from
-  importable references (never from shipped traces) and answer repeat
-  shards from a local per-process
+* :mod:`repro.service.worker` — a daemon running shard tasks
+  (:mod:`repro.exec.task`) over the newline-delimited-JSON protocol of
+  :mod:`repro.service.protocol` on a plain TCP socket.  Workers rebuild
+  clusters and suites from importable references (never from shipped
+  traces) and answer repeat shards from a local per-process
   :class:`~repro.exec.cache.DynamicResultCache` keyed by the
   content-addressed memo key (static fingerprint + testcase name).
 * :mod:`repro.service.remote` — :class:`RemoteExecutor`, the
-  :class:`~repro.exec.base.DynamicExecutor` backend that fans
-  :func:`~repro.exec.base.round_robin_shards` out across a worker
-  fleet with per-shard timeouts, bounded retry with deterministic
-  jitter and straggler re-dispatch, then merges deterministically by
-  suite order — a sharded job is byte-identical to a local run.
+  :class:`~repro.exec.task.TaskExecutor` backend that fans shard tasks
+  out across a worker fleet with per-shard timeouts, bounded retry
+  with deterministic jitter and straggler re-dispatch, then merges
+  deterministically by suite order — a sharded job is byte-identical
+  to a local run.
 * :mod:`repro.service.server` — the asyncio HTTP/JSON job server
   (``POST /v1/jobs``, ``GET /v1/jobs/{id}``,
   ``GET /v1/jobs/{id}/result``, ``GET /v1/healthz``) over a durable

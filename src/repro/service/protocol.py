@@ -4,11 +4,10 @@ One request, one response, one line each — a deliberately boring
 protocol that any tool (``nc``, a test, another language) can speak.
 Every message is a JSON object terminated by ``\\n``; requests carry an
 ``op`` field, responses carry ``ok`` (and ``error`` when ``ok`` is
-false).  Nothing binary crosses the wire: a
-:class:`~repro.instrument.matching.MatchResult` is just the testcase
-name, the sorted exercised pair keys and the use-without-def strings,
-all JSON-native — workers rebuild clusters and suites from importable
-references, so traces never ship.
+false).  Nothing binary crosses the wire: a shard task is a JSON-ready
+dict of importable references and knobs, and its reply carries results
+in the canonical task codec (:mod:`repro.exec.task`) — workers rebuild
+clusters and suites from the references, so traces never ship.
 
 Ops:
 
@@ -16,10 +15,11 @@ Ops:
     Liveness + identity: ``{"op": "ping"}`` →
     ``{"ok": true, "role": "repro-dft-worker", "pid": ..., ...}``.
 ``run_shard``
-    Execute one shard of a suite (see
-    :func:`repro.service.worker.execute_shard` for the job fields) and
-    return the per-testcase match results plus raw telemetry records
-    for parent-side fold-back.
+    Run one shard task (``{"op": "run_shard", "job": task}``; see
+    :mod:`repro.exec.task` for the task fields) with
+    :func:`repro.exec.task.run_task` and the worker's memo, and return
+    its reply — the encoded testcase or mutant results plus raw
+    telemetry records for parent-side fold-back.
 ``shutdown``
     Ask the worker process to exit after responding.
 
@@ -35,7 +35,7 @@ import json
 import socket
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..instrument.matching import MatchResult
+from ..exec.task import decode_match, encode_match  # noqa: F401 - re-exported
 
 #: Protocol identifier sent back by ``ping`` and checked by the
 #: dispatcher — catches pointing ``--worker`` at something that is not
@@ -50,31 +50,6 @@ MAX_LINE_BYTES = 64 * 1024 * 1024
 
 class ProtocolError(RuntimeError):
     """A malformed frame, an oversized line, or an error response."""
-
-
-# -- match-result codecs ----------------------------------------------------
-
-
-def encode_match(match: MatchResult) -> Dict[str, Any]:
-    """The JSON-native form of one testcase's match result.
-
-    Pairs are sorted so the encoding is canonical: two workers that
-    computed the same result produce the same bytes.
-    """
-    return {
-        "testcase": match.testcase,
-        "pairs": [list(pair) for pair in sorted(match.pairs)],
-        "use_without_def": list(match.use_without_def),
-    }
-
-
-def decode_match(data: Dict[str, Any]) -> MatchResult:
-    """Rebuild a :class:`MatchResult` from :func:`encode_match` output."""
-    return MatchResult(
-        testcase=data["testcase"],
-        pairs={tuple(pair) for pair in data["pairs"]},
-        use_without_def=list(data["use_without_def"]),
-    )
 
 
 # -- framing ----------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Remote fan-out: the executor backend over a worker fleet.
+"""Remote fan-out: the task backend over a worker fleet.
 
-:class:`RemoteExecutor` is the third
-:class:`~repro.exec.base.DynamicExecutor` backend (after serial and
-process-pool): it stripes the suite with the same
-:func:`~repro.exec.base.round_robin_shards` layout, but dispatches each
-shard to a ``repro-dft worker`` daemon over the NDJSON socket protocol
-instead of a forked process.
+:class:`RemoteExecutor` is the second
+:class:`~repro.exec.task.TaskExecutor` (after the process pool): it
+shares the pool's ``run_suite`` — the same
+:func:`~repro.exec.base.round_robin_shards` layout and the same shard
+tasks — but its :meth:`~RemoteExecutor.map_tasks` sends each task to a
+``repro-dft worker`` daemon over the NDJSON socket protocol instead of
+a forked process.  Mutation submits its ``"mutants"`` tasks the same
+way.
 
 Fault model — workers are expendable:
 
@@ -16,14 +18,14 @@ Fault model — workers are expendable:
   rotation, with bounded retries and a small deterministic jitter
   (seeded per shard) so a thundering herd of failed shards doesn't
   reconnect in lockstep;
-* re-running a shard is safe because shard execution is a pure function
-  of the job — and usually *cheap*, because workers memoize results in
-  a local :class:`~repro.exec.cache.DynamicResultCache` under the
-  content-addressed key (static fingerprint, testcase name).
+* re-running a shard is safe because a task's reply is a pure function
+  of the task — and usually *cheap*, because workers memoize suite
+  results in a local :class:`~repro.exec.cache.DynamicResultCache`
+  under the content-addressed key (static fingerprint, testcase name).
 
-Determinism: results merge by the suite's testcase order, never by
-completion or dispatch order, so a job sharded across N remote workers
-is byte-identical to a single-process local run.
+Determinism: results merge by the suite's testcase order (or mutant
+index), never by completion or dispatch order, so a job sharded across
+N remote workers is byte-identical to a single-process local run.
 """
 
 from __future__ import annotations
@@ -31,18 +33,11 @@ from __future__ import annotations
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..obs import Telemetry, get_telemetry
-from ..exec.base import DynamicExecutor, round_robin_shards
-from ..exec.refs import resolve_ref
-from .protocol import ROLE, ProtocolError, decode_match, request
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only imports avoid cycles
-    from ..analysis.cluster_analysis import StaticAnalysisResult
-    from ..instrument.matching import MatchResult
-    from ..instrument.runner import ClusterFactory, DynamicResult
-    from ..testing.testcase import TestSuite
+from ..exec.task import TaskExecutor
+from ..obs import Telemetry
+from .protocol import ROLE, ProtocolError, request
 
 #: Default per-shard socket timeout (seconds).  Generous: a shard is a
 #: batch of whole simulations, not a single request.
@@ -69,8 +64,10 @@ def parse_worker_addr(spec: str) -> Tuple[str, int]:
     return host, port
 
 
-class RemoteExecutor(DynamicExecutor):
-    """Fan shards out to ``repro-dft worker`` daemons over TCP."""
+class RemoteExecutor(TaskExecutor):
+    """Fan shard tasks out to ``repro-dft worker`` daemons over TCP."""
+
+    span = "dynamic.remote"
 
     def __init__(
         self,
@@ -85,16 +82,9 @@ class RemoteExecutor(DynamicExecutor):
     ) -> None:
         if not worker_addrs:
             raise ValueError("RemoteExecutor needs at least one worker address")
-        # Fail fast, locally, on unresolvable references: the workers
-        # will resolve the same names from the same package.
-        resolve_ref(factory_ref)
-        resolve_ref(suite_ref)
+        super().__init__(factory_ref, suite_ref, suite_args, factory_args)
         self.worker_addrs = [tuple(addr) for addr in worker_addrs]
         self.workers = len(self.worker_addrs)
-        self.factory_ref = factory_ref
-        self.suite_ref = suite_ref
-        self.suite_args = tuple(suite_args)
-        self.factory_args = tuple(factory_args)
         self.timeout = timeout
         self.retries = retries
         self.seed = seed
@@ -124,33 +114,12 @@ class RemoteExecutor(DynamicExecutor):
 
     # -- dispatch ------------------------------------------------------------
 
-    def _shard_job(
-        self,
-        names: Tuple[str, ...],
-        static: "StaticAnalysisResult",
-        warn: bool,
-        record_telemetry: bool,
-        engine: Optional[str],
+    def _dispatch(
+        self, index: int, task: Dict[str, Any], tel: Telemetry
     ) -> Dict[str, Any]:
-        return {
-            "factory_ref": self.factory_ref,
-            "factory_args": list(self.factory_args),
-            "suite_ref": self.suite_ref,
-            "suite_args": list(self.suite_args),
-            "names": list(names),
-            "model_start_lines": dict(static.model_start_lines),
-            "fingerprint": getattr(static, "fingerprint", None),
-            "warn": warn,
-            "record_telemetry": record_telemetry,
-            "engine": engine if engine is not None else "auto",
-        }
+        """Run one task with bounded retry over the worker rotation.
 
-    def _dispatch_shard(
-        self, index: int, job: Dict[str, Any], tel: Telemetry
-    ) -> Dict[str, Any]:
-        """Run one shard with bounded retry over the worker rotation.
-
-        Attempt 0 goes to the shard's home worker (``index`` mod fleet
+        Attempt 0 goes to the task's home worker (``index`` mod fleet
         size); each failure rotates to the next address.  The jitter
         before a retry is deterministic per (seed, shard, attempt) so
         reruns of a job behave identically.
@@ -162,8 +131,8 @@ class RemoteExecutor(DynamicExecutor):
             if attempt and self.timeout:
                 time.sleep(min(0.25, self.timeout / 100.0) * rng.random())
             try:
-                response = request(
-                    addr, {"op": "run_shard", "job": job}, timeout=self.timeout
+                reply = request(
+                    addr, {"op": "run_shard", "job": task}, timeout=self.timeout
                 )
             except (OSError, ProtocolError) as exc:
                 last_error = exc
@@ -174,75 +143,27 @@ class RemoteExecutor(DynamicExecutor):
                 continue
             if tel.enabled and attempt:
                 tel.metrics.counter("service.shards_redispatched").inc()
-            return response
+            return reply
         raise RuntimeError(
-            f"shard {index} ({len(job['names'])} testcase(s)) failed on "
+            f"shard {index} ({task['kind']} task) failed on "
             f"{self.retries + 1} worker(s); last error: {last_error}"
         )
 
-    def run_suite(
-        self,
-        cluster_factory: "ClusterFactory",
-        static: "StaticAnalysisResult",
-        suite: "TestSuite",
-        warn: bool = False,
-        telemetry: Optional[Telemetry] = None,
-        engine: Optional[str] = "auto",
-    ) -> "DynamicResult":
-        from ..instrument.runner import DynamicResult
-
-        tel = telemetry if telemetry is not None else get_telemetry()
-        names = [tc.name for tc in suite]
-        result = DynamicResult()
-        if not names:
-            return result
-
-        provided = {
-            tc.name for tc in resolve_ref(self.suite_ref)(*self.suite_args)
-        }
-        unknown = [name for name in names if name not in provided]
-        if unknown:
-            raise LookupError(
-                f"suite reference {self.suite_ref!r} does not provide "
-                f"testcase(s) {unknown}; remote execution needs every "
-                f"testcase to be rebuildable by name in the workers"
-            )
-
-        shards = round_robin_shards(names, self.workers)
-        jobs = [
-            self._shard_job(shard, static, warn, tel.enabled, engine)
-            for shard in shards
-        ]
-        per_name: Dict[str, "MatchResult"] = {}
-        with tel.span(
-            "dynamic.remote", workers=self.workers, testcases=len(names)
-        ):
-            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-                outputs = list(
-                    pool.map(
-                        lambda pair: self._dispatch_shard(pair[0], pair[1], tel),
-                        enumerate(jobs),
-                    )
+    def map_tasks(
+        self, tasks: Sequence[Dict[str, Any]], tel: Telemetry
+    ) -> List[Dict[str, Any]]:
+        with ThreadPoolExecutor(max_workers=len(tasks)) as pool:
+            replies = list(
+                pool.map(
+                    lambda pair: self._dispatch(pair[0], pair[1], tel),
+                    enumerate(tasks),
                 )
-            for index, response in enumerate(outputs):
-                for name, encoded in response.get("results", []):
-                    per_name[name] = decode_match(encoded)
-                if tel.enabled:
-                    tel.metrics.merge_raw(response.get("telemetry") or [])
-                    tel.metrics.histogram("service.shard_seconds").observe(
-                        float(response.get("wall", 0.0))
-                    )
-                    tel.metrics.counter(
-                        "service.shards_dispatched", shard=index
-                    ).inc()
-                    hits = int(response.get("cache_hits", 0))
-                    if hits:
-                        tel.metrics.counter("service.remote_cache_hits").inc(hits)
-        missing = [name for name in names if name not in per_name]
-        if missing:
-            raise RuntimeError(
-                f"remote workers returned no result for testcase(s) {missing}"
             )
-        for name in names:
-            result.per_testcase[name] = per_name[name]
-        return result
+        if tel.enabled:
+            for index, reply in enumerate(replies):
+                tel.metrics.counter("service.shards_dispatched", shard=index).inc()
+                if reply["cache_hits"]:
+                    tel.metrics.counter("service.remote_cache_hits").inc(
+                        reply["cache_hits"]
+                    )
+        return replies

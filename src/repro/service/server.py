@@ -99,22 +99,20 @@ def _execute_job(
     cfg = DftConfig.from_json(spec.config).replace(telemetry=tel)
     cfg.apply_static_cache()
     options = spec.options
-
-    def remote_executor():
-        if not worker_addrs:
-            return None
+    if worker_addrs:
+        # Every job kind shards over the fleet: the executor runs the
+        # suite tasks of run/campaign/generate and the mutants tasks of
+        # mutate (each task names its own factory and suite).
         from .remote import RemoteExecutor
 
-        return RemoteExecutor(
-            worker_addrs,
-            entry["factory_ref"],
-            entry["suite_ref"],
+        cfg = cfg.replace(executor=RemoteExecutor(
+            worker_addrs, entry["factory_ref"], entry["suite_ref"],
             seed=cfg.seed,
-        )
+        ))
 
     if spec.kind == "run":
         suite = TestSuite(spec.system, entry["suite"]())
-        executor = remote_executor() or cfg.make_executor(
+        executor = cfg.make_executor(
             entry["factory_ref"], entry["suite_ref"], len(suite)
         )
         result = run_dft(
@@ -136,11 +134,7 @@ def _execute_job(
         )
 
     if spec.kind == "campaign":
-        executor = remote_executor()
-        campaign = _campaign(
-            spec.system,
-            cfg if executor is None else cfg.replace(executor=executor),
-        )
+        campaign = _campaign(spec.system, cfg)
         records = campaign.run()
         last = records[-1]
         suite = campaign.suite_for(campaign.iteration_count - 1)
@@ -173,7 +167,7 @@ def _execute_job(
         )
 
     if spec.kind == "mutate":
-        from ..mutation import build_report, run_mutation
+        from ..mutation import build_report, criteria_report, run_mutation
 
         run = run_mutation(
             entry["factory_ref"],
@@ -182,16 +176,12 @@ def _execute_job(
             operators=options.get("operators"),
             max_mutants=options.get("max_mutants"),
         )
-        coverage = None
-        if not options.get("no_criteria", False):
-            suite = TestSuite(spec.system, entry["suite"]())
-            pipeline = run_dft(
-                entry["factory"],
-                suite,
-                DftConfig(engine=cfg.engine),
+        if options.get("no_criteria", False):
+            payload = build_report(run, system=spec.system)
+        else:
+            payload = criteria_report(
+                run, spec.system, targets=options.get("targets", "all")
             )
-            coverage = pipeline.coverage
-        payload = build_report(run, coverage=coverage, system=spec.system)
         return make_envelope(
             payload,
             config_hash=cfg.config_hash(),

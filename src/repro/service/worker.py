@@ -1,25 +1,26 @@
-"""The shard-execution worker daemon.
+"""The shard-task worker daemon.
 
-A worker is the remote half of the
-:class:`~repro.exec.base.DynamicExecutor` contract: it listens on a
-TCP port, accepts ``run_shard`` requests (see
-:mod:`repro.service.protocol`) and executes each shard with the
-ordinary serial :class:`~repro.instrument.runner.DynamicAnalyzer` on
-clusters and suites rebuilt from importable references — exactly what
-:mod:`repro.exec.process` workers do in-process, stretched across a
-host boundary.
+A worker is the remote end of :class:`~repro.service.remote.RemoteExecutor`:
+it listens on a TCP port, accepts ``run_shard`` requests (see
+:mod:`repro.service.protocol`) and runs each shard task with
+:func:`repro.exec.task.run_task` — the same runner a process-pool
+backend calls, so a ``"suite"`` task and a ``"mutants"`` task replies
+with the same bytes here as in a local pool process.
 
 Two properties make the fleet scale:
 
-* **Content-addressed memoization.**  Every shard request carries the
+* **Content-addressed memoization.**  Every suite task carries the
   static fingerprint of the design; the worker keeps one process-level
   :class:`~repro.exec.cache.DynamicResultCache` keyed by
   ``(fingerprint, testcase name)``, so a re-dispatched or repeated
-  shard answers from memory without re-simulating — and without any
+  task answers from memory without re-simulating — and without any
   traces ever crossing the wire.
-* **Serialized execution.**  Shards run on a single executor thread
+* **Serialized execution.**  Tasks run on a single executor thread
   (simulation is CPU-bound; a worker process is the unit of
   parallelism), so concurrent dispatches queue instead of thrashing.
+  Workers embedded in one process also take turns: CPython 3.11's AST
+  compiler is not thread-safe (concurrent ``ast.parse`` calls can
+  raise ``SystemError``), and mutation parses and compiles ASTs.
 
 ``repro-dft worker`` runs :func:`serve_worker`; tests embed
 :class:`WorkerServer` in a background thread via
@@ -30,122 +31,26 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..exec.cache import DynamicResultCache
-from ..exec.refs import resolve_ref
-from ..obs import Telemetry, get_telemetry, telemetry_session
-from .protocol import (
-    ROLE,
-    ProtocolError,
-    encode_match,
-    read_message,
-    write_message,
-)
+from ..exec.task import run_task
+from ..obs import get_telemetry
+from .protocol import ROLE, ProtocolError, read_message, write_message
 
 
-class _ShardStatic:
-    """The slice of the static result the dynamic matcher needs —
-    the remote twin of :class:`repro.exec.process._WorkerStatic`."""
-
-    def __init__(self, model_start_lines: Dict[str, int]) -> None:
-        self.model_start_lines = model_start_lines
+#: One task at a time per process, across every embedded worker.
+_TASK_LOCK = threading.Lock()
 
 
-def execute_shard(
-    job: Dict[str, Any], cache: Optional[DynamicResultCache] = None
-) -> Dict[str, Any]:
-    """Run one shard job and return the JSON-ready response body.
-
-    ``job`` fields (the ``run_shard`` request's ``job`` object):
-
-    ``factory_ref`` / ``factory_args``
-        Importable cluster-factory reference (+ positional args for
-        parameterised factories, e.g. the seeded random cluster).
-    ``suite_ref`` / ``suite_args``
-        Importable suite-builder reference; every name in ``names``
-        must be rebuildable from it.
-    ``names``
-        The testcase names of this shard, in shard order.
-    ``model_start_lines``
-        ``{model: def-line}`` placeholder map from the parent's static
-        analysis.
-    ``fingerprint``
-        Content-address of the design (static fingerprint); the memo
-        key prefix for the worker-local result cache.
-    ``warn`` / ``engine`` / ``record_telemetry``
-        The usual execution knobs (see
-        :meth:`repro.exec.base.DynamicExecutor.run_suite`).
-    """
-    from ..instrument.runner import DynamicAnalyzer
-
-    t0 = time.perf_counter()
-    names: List[str] = list(job.get("names") or [])
-    factory_ref = job["factory_ref"]
-    factory_args = tuple(job.get("factory_args") or ())
-    suite_ref = job["suite_ref"]
-    suite_args = tuple(job.get("suite_args") or ())
-    fingerprint = job.get("fingerprint")
-    record_telemetry = bool(job.get("record_telemetry"))
-
-    factory_obj = resolve_ref(factory_ref)
-    factory = (
-        (lambda: factory_obj(*factory_args)) if factory_args else factory_obj
-    )
-    testcases = {tc.name: tc for tc in resolve_ref(suite_ref)(*suite_args)}
-    missing = [name for name in names if name not in testcases]
-    if missing:
-        raise LookupError(
-            f"suite reference {suite_ref!r} does not provide "
-            f"testcase(s) {missing}"
-        )
-
-    cached: Dict[str, Any] = {}
-    if cache is not None:
-        for name in names:
-            hit = cache.get(fingerprint, name)
-            if hit is not None:
-                cached[name] = hit
-    pending = [name for name in names if name not in cached]
-
-    static = _ShardStatic(dict(job.get("model_start_lines") or {}))
-    results: Dict[str, Any] = dict(cached)
-    payload: List[dict] = []
-    if pending:
-        # A private session per shard, like process-pool workers: the
-        # kernel hooks key off the globally active telemetry.
-        with telemetry_session(
-            Telemetry() if record_telemetry else None
-        ) as tel:
-            analyzer = DynamicAnalyzer(
-                factory,
-                static,
-                warn=bool(job.get("warn")),
-                telemetry=tel if record_telemetry else None,
-                engine=job.get("engine") or "auto",
-            )
-            for name in pending:
-                results[name] = analyzer.run_testcase(testcases[name])
-            if record_telemetry:
-                payload = tel.metrics.raw_records()
-        if cache is not None:
-            for name in pending:
-                cache.put(fingerprint, name, results[name])
-
-    return {
-        "ok": True,
-        "results": [[name, encode_match(results[name])] for name in names],
-        "telemetry": payload,
-        "wall": time.perf_counter() - t0,
-        "cache_hits": len(cached),
-        "executed": len(pending),
-    }
+def _run_task_locked(task: Dict[str, Any], cache: DynamicResultCache) -> Dict[str, Any]:
+    with _TASK_LOCK:
+        return run_task(task, cache)
 
 
 class WorkerServer:
-    """Asyncio NDJSON server executing shard jobs one at a time."""
+    """Asyncio NDJSON server running shard tasks one at a time."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         self.host = host
@@ -227,8 +132,8 @@ class WorkerServer:
                 return {"ok": False, "error": "run_shard needs a 'job' object"}
             loop = asyncio.get_running_loop()
             try:
-                response = await loop.run_in_executor(
-                    self._pool, execute_shard, job, self.cache
+                reply = await loop.run_in_executor(
+                    self._pool, _run_task_locked, job, self.cache
                 )
             except Exception as exc:
                 return {
@@ -236,7 +141,7 @@ class WorkerServer:
                     "error": f"{type(exc).__name__}: {exc}",
                 }
             self.shards_run += 1
-            return response
+            return {"ok": True, **reply}
         return {"ok": False, "error": f"unknown op {op!r}"}
 
     # -- embedding (tests, in-process fleets) --------------------------------
@@ -269,7 +174,7 @@ class WorkerServer:
 
 
 def serve_worker(host: str = "127.0.0.1", port: int = 0) -> int:
-    """Blocking CLI entry point: serve shards until interrupted.
+    """Blocking CLI entry point: serve shard tasks until interrupted.
 
     Prints ``worker listening on HOST:PORT`` (flushed) once bound so
     scripts starting workers on ephemeral ports can scrape the

@@ -12,7 +12,14 @@ from repro.tdf import Cluster, ms
 # Make the shared test helpers importable from every test subdirectory.
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from helpers import Accumulator, Doubler, Passthrough  # noqa: E402,F401
+from helpers import Accumulator, Doubler, Passthrough, worker_fleet  # noqa: E402,F401
+
+
+@pytest.fixture(scope="session")
+def fleet_addrs():
+    """The addresses of one session-wide :func:`helpers.worker_fleet`."""
+    with worker_fleet() as (_, addrs):
+        yield addrs
 
 
 @pytest.fixture(autouse=True)

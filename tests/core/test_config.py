@@ -149,6 +149,36 @@ class TestSerialization:
         assert rebuilt.telemetry is None
 
 
+class TestFieldValidation:
+    @pytest.mark.parametrize("changes", [
+        {"workers": 0}, {"workers": -2}, {"workers": "two"}, {"workers": 1.5},
+        {"workers": True}, {"tolerance": "tiny"}, {"tolerance": -1e-9},
+        {"tolerance": float("nan")}, {"seed": "x"}, {"seed": 1.0},
+        {"budget_seconds": -1.0}, {"budget_seconds": "1"},
+        {"budget_simulations": -1}, {"budget_simulations": 2.5},
+    ])
+    def test_bad_value_is_a_one_line_error_naming_the_field(self, changes):
+        (field, value), = changes.items()
+        with pytest.raises(ValueError, match=rf"^{field} must be ") as err:
+            DftConfig(**changes)
+        assert "\n" not in str(err.value)
+        with pytest.raises(ValueError, match=field):
+            DftConfig().replace(**changes)
+        with pytest.raises(ValueError, match=field):
+            DftConfig.from_json({field: value})
+
+    @pytest.mark.parametrize("changes", [
+        {"workers": None}, {"workers": 1}, {"workers": 8}, {"tolerance": 0},
+        {"tolerance": 0.5}, {"seed": -3}, {"budget_seconds": 0.0},
+        {"budget_seconds": float("inf")}, {"budget_simulations": 0},
+        {"budget_simulations": 40},
+    ])
+    def test_good_value_accepted(self, changes):
+        cfg = DftConfig(**changes)
+        for field, value in changes.items():
+            assert getattr(cfg, field) == value
+
+
 class TestConfigFile:
     def test_toml_file(self, tmp_path):
         path = tmp_path / "dft.toml"

@@ -1,10 +1,12 @@
 """Serial-vs-parallel equivalence of the dynamic stage.
 
-The acceptance bar for the parallel executor is *byte-identical*
-reports: same exercised pairs, same summary text, same testcase order,
-for every paper system.  The window-lifter and buck-boost checks run on
-suite subsets (including a dynamic-TDF testcase) to keep the suite
-fast; the sensor check covers a full pipeline run.
+The acceptance bar for the task backends is *byte-identical* reports:
+same exercised pairs, same summary text, same testcase order, for every
+paper system.  Each check runs on both task backends — a 2-process pool
+and an in-process worker fleet with one dead address — against the
+serial executor.  The window-lifter and buck-boost checks run on suite
+subsets (including a dynamic-TDF testcase) to keep the suite fast; the
+sensor check covers a full pipeline run.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from repro.analysis import analyze_cluster
 from repro.core import DftConfig, format_summary, run_dft
 from repro.exec import ProcessExecutor, SerialExecutor
 from repro.exec.refs import resolve_ref
+from repro.service import RemoteExecutor
 from repro.testing import TestSuite
 
 SENSOR = ("repro.systems.sensor:SenseTop", "repro.systems.sensor:paper_testcases")
@@ -31,31 +34,45 @@ def _subset_suite(suite_ref, names):
     return TestSuite("subset", [by_name[name] for name in names])
 
 
-def _run_both(factory_ref, suite_ref, suite, workers=2):
+def _backends(factory_ref, suite_ref, fleet_addrs, workers=2):
+    """The task backends under test: a process pool and the fleet."""
+    return {
+        "process": ProcessExecutor(factory_ref, suite_ref, workers),
+        "fleet": RemoteExecutor(fleet_addrs, factory_ref, suite_ref, timeout=120),
+    }
+
+
+def _run_both(factory_ref, suite_ref, suite, fleet_addrs, workers=2):
+    """The serial result and each task backend's, by backend name."""
     factory = resolve_ref(factory_ref)
     static = analyze_cluster(factory())
     serial = SerialExecutor().run_suite(factory, static, suite)
-    parallel = ProcessExecutor(factory_ref, suite_ref, workers).run_suite(
-        factory, static, suite
-    )
-    return serial, parallel
+    fanned = {
+        name: executor.run_suite(factory, static, suite)
+        for name, executor in _backends(
+            factory_ref, suite_ref, fleet_addrs, workers
+        ).items()
+    }
+    return serial, fanned
 
 
 class TestSensorEquivalence:
-    def test_full_pipeline_identical(self):
+    def test_full_pipeline_identical(self, fleet_addrs):
         factory = resolve_ref(SENSOR[0])
         suite = TestSuite("sensor", resolve_ref(SENSOR[1])())
         serial = run_dft(factory, suite, DftConfig(executor=SerialExecutor()))
-        parallel = run_dft(
-            factory, suite, DftConfig(executor=ProcessExecutor(*SENSOR, workers=2))
-        )
-        assert (
-            serial.dynamic.exercised_keys() == parallel.dynamic.exercised_keys()
-        )
-        assert format_summary(serial.coverage) == format_summary(
-            parallel.coverage
-        )
-        assert list(parallel.dynamic.per_testcase) == [tc.name for tc in suite]
+        for executor in _backends(*SENSOR, fleet_addrs).values():
+            parallel = run_dft(factory, suite, DftConfig(executor=executor))
+            assert (
+                serial.dynamic.exercised_keys()
+                == parallel.dynamic.exercised_keys()
+            )
+            assert format_summary(serial.coverage) == format_summary(
+                parallel.coverage
+            )
+            assert list(parallel.dynamic.per_testcase) == [
+                tc.name for tc in suite
+            ]
 
     def test_worker_count_does_not_matter(self):
         factory = resolve_ref(SENSOR[0])
@@ -71,26 +88,28 @@ class TestSensorEquivalence:
 
 
 class TestWindowLifterEquivalence:
-    def test_subset_with_dynamic_tdf_testcase(self):
+    def test_subset_with_dynamic_tdf_testcase(self, fleet_addrs):
         # wl_obst_fine_zone exercises the dynamic-TDF timestep flip.
         suite = _subset_suite(
             WINDOW_LIFTER[1], ["wl_close_short", "wl_idle", "wl_obst_fine_zone"]
         )
-        serial, parallel = _run_both(*WINDOW_LIFTER, suite)
-        for name in suite.names():
-            assert (
-                serial.per_testcase[name].pairs
-                == parallel.per_testcase[name].pairs
-            )
-        assert serial.use_without_def() == parallel.use_without_def()
+        serial, fanned = _run_both(*WINDOW_LIFTER, suite, fleet_addrs)
+        for parallel in fanned.values():
+            for name in suite.names():
+                assert (
+                    serial.per_testcase[name].pairs
+                    == parallel.per_testcase[name].pairs
+                )
+            assert serial.use_without_def() == parallel.use_without_def()
 
 
 class TestBuckBoostEquivalence:
-    def test_subset_identical(self):
+    def test_subset_identical(self, fleet_addrs):
         suite = _subset_suite(BUCK_BOOST[1], ["bb_buck_0v9", "bb_boost_4v2"])
-        serial, parallel = _run_both(*BUCK_BOOST, suite)
-        assert serial.exercised_keys() == parallel.exercised_keys()
-        assert list(parallel.per_testcase) == suite.names()
+        serial, fanned = _run_both(*BUCK_BOOST, suite, fleet_addrs)
+        for parallel in fanned.values():
+            assert serial.exercised_keys() == parallel.exercised_keys()
+            assert list(parallel.per_testcase) == suite.names()
 
 
 class TestExecutorMechanics:
@@ -101,10 +120,11 @@ class TestExecutorMechanics:
             ("b", "d"),
         ]
 
-    def test_more_workers_than_testcases(self):
+    def test_more_workers_than_testcases(self, fleet_addrs):
         suite = _subset_suite(BUCK_BOOST[1], ["bb_buck_0v9"])
-        serial, parallel = _run_both(*BUCK_BOOST, suite, workers=8)
-        assert serial.exercised_keys() == parallel.exercised_keys()
+        serial, fanned = _run_both(*BUCK_BOOST, suite, fleet_addrs, workers=8)
+        for parallel in fanned.values():
+            assert serial.exercised_keys() == parallel.exercised_keys()
 
     def test_unknown_testcase_rejected(self):
         from repro.testing import TestCase

@@ -114,6 +114,29 @@ class TestDeterminism:
             == parallel.coverage_after.overall_percent
         )
 
+    def test_fleet_grows_the_serial_suite(self, fleet_addrs):
+        """An explicit worker fleet (one dead address) runs the base
+        suite and every candidate batch, rebound to the decode
+        reference, and grows the byte-identical suite."""
+        from repro.obs import Telemetry
+        from repro.service import RemoteExecutor
+
+        config = DftConfig(seed=3, budget_simulations=12)
+        serial = _generate(config, factory_ref=FACTORY_REF)
+        fleet = RemoteExecutor(
+            fleet_addrs, FACTORY_REF, "repro.systems.sensor:paper_testcases",
+            timeout=120,
+        )
+        tel = Telemetry()
+        remote = _generate(
+            config.replace(executor=fleet, telemetry=tel),
+            factory_ref=FACTORY_REF,
+        )
+        assert suite_bytes(serial) == suite_bytes(remote)
+        assert serial.simulations == remote.simulations
+        fan_outs = [s for s in tel.spans if s.name == "dynamic.remote"]
+        assert len(fan_outs) >= 2  # the base suite and at least one batch
+
     def test_seed_changes_the_search(self):
         a = _generate(DftConfig(seed=0, budget_simulations=20))
         b = _generate(DftConfig(seed=42, budget_simulations=20))

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import socket
+import threading
+
 from repro.tdf import TdfIn, TdfModule, TdfOut
 
 
@@ -45,3 +49,54 @@ class Accumulator(TdfModule):
     def processing(self) -> None:
         self.m_total = self.m_total + self.ip.read()
         self.op.write(self.m_total)
+
+
+@contextlib.contextmanager
+def hang_up_address():
+    """A listener that accepts and immediately hangs up.
+
+    A task dispatched to it fails mid-flight, exactly like a worker
+    process dying between connect and response; yields its address.
+    """
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    sock.listen(4)
+    stop = threading.Event()
+
+    def _hang_up():
+        sock.settimeout(0.2)
+        while not stop.is_set():
+            try:
+                conn, _ = sock.accept()
+            except socket.timeout:
+                continue
+            conn.close()
+
+    thread = threading.Thread(target=_hang_up, daemon=True)
+    thread.start()
+    try:
+        yield sock.getsockname()
+    finally:
+        stop.set()
+        thread.join(timeout=2)
+        sock.close()
+
+
+@contextlib.contextmanager
+def worker_fleet():
+    """Two in-thread workers with a hang-up address between them.
+
+    Yields ``(workers, addrs)`` with ``addrs = [worker, dead, worker]``:
+    a :class:`~repro.service.RemoteExecutor` over them stripes three
+    shards, and the dead one's shard costs a retry, not a result.
+    """
+    from repro.service import WorkerServer
+
+    workers = [WorkerServer(), WorkerServer()]
+    live = [worker.start_in_thread() for worker in workers]
+    try:
+        with hang_up_address() as dead:
+            yield workers, [live[0], dead, live[1]]
+    finally:
+        for worker in workers:
+            worker.close()

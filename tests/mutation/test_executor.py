@@ -166,11 +166,45 @@ class TestTelemetry:
         assert "mutation.worker_seconds" in histograms
 
 
+def _fleet(addrs, factory_ref=RANDOM_FACTORY, suite_ref=RANDOM_SUITE, **kwargs):
+    from repro.service import RemoteExecutor
+
+    return RemoteExecutor(addrs, factory_ref, suite_ref, timeout=300, **kwargs)
+
+
+def _assert_same_verdicts(expected, got):
+    assert kill_matrix_bytes(expected) == kill_matrix_bytes(got)
+    assert [o.killed_at for o in expected.outcomes] == [
+        o.killed_at for o in got.outcomes
+    ]
+
+
 class TestBackendDeterminism:
-    def test_kill_matrix_identical_across_worker_counts(self):
+    def test_kill_matrix_identical_across_worker_counts(self, fleet_addrs):
         serial = _mutate_random(config=DftConfig(seed=0, workers=1))
         parallel = _mutate_random(config=DftConfig(seed=0, workers=2))
-        assert kill_matrix_bytes(serial) == kill_matrix_bytes(parallel)
+        fleet = _fleet(fleet_addrs, factory_args=(7,), suite_args=(7,))
+        remote = _mutate_random(config=DftConfig(seed=0, executor=fleet))
+        for run in (parallel, remote):
+            _assert_same_verdicts(serial, run)
+
+    @pytest.mark.parametrize("cluster_seed", [3, 1234])
+    def test_random_clusters_identical_on_every_backend(
+        self, cluster_seed, fleet_addrs
+    ):
+        def run(**changes):
+            return _mutate_random(
+                factory_args=(cluster_seed,),
+                suite_args=(cluster_seed,),
+                config=DftConfig(seed=0, **changes),
+            )
+
+        serial = run()
+        fleet = _fleet(
+            fleet_addrs, factory_args=(cluster_seed,), suite_args=(cluster_seed,)
+        )
+        for fanned in (run(workers=2), run(executor=fleet)):
+            _assert_same_verdicts(serial, fanned)
 
     def test_kill_matrix_identical_across_engines(self):
         interp = _mutate_random(config=DftConfig(seed=0, engine="interp"))
@@ -198,6 +232,21 @@ def _buck_boost_sample(engine):
 
 
 class TestCaseStudyKillRows:
+    def test_buck_boost_sample_identical_on_every_backend(self, fleet_addrs):
+        """The seed-1123 sample: the pool and the fleet reproduce the
+        in-process kill rows and kill sites."""
+        refs = (
+            "repro.systems.buck_boost:BuckBoostTop",
+            "repro.systems.campaigns:buck_boost_base_suite",
+        )
+        serial = _buck_boost_sample("block")
+        for changes in ({"workers": 2}, {"executor": _fleet(fleet_addrs, *refs)}):
+            fanned = run_mutation(
+                *refs, DftConfig(seed=1123, engine="block", **changes),
+                max_mutants=6,
+            )
+            _assert_same_verdicts(serial, fanned)
+
     def test_buck_boost_sample_kill_rows(self):
         """Every verdict of the seed-1123 sample, including the two SISO
         netlist mutants that only some testcases kill."""

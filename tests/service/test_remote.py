@@ -7,10 +7,9 @@ shards answer from the workers' content-addressed memo caches.
 """
 
 import json
-import socket
-import threading
 
 import pytest
+from helpers import hang_up_address
 
 from repro.core import DftConfig, run_dft
 from repro.obs.store.history import coverage_summary
@@ -82,6 +81,46 @@ class TestWorkerProtocol:
             request(addrs[0], {"op": "run_shard"}, timeout=5)
 
 
+class TestEmbeddedWorkers:
+    def test_workers_in_one_process_take_turns(self, monkeypatch):
+        """Two workers embedded in one process never run tasks at the
+        same time: CPython 3.11's AST compiler, which mutation drives,
+        is not thread-safe."""
+        import threading
+        import time
+        from concurrent.futures import ThreadPoolExecutor
+
+        import repro.service.worker as worker_module
+        from helpers import worker_fleet
+
+        guard = threading.Lock()
+        running = []
+        peaks = []
+
+        def slow_task(task, cache=None):
+            with guard:
+                running.append(task)
+                peaks.append(len(running))
+            time.sleep(0.05)
+            with guard:
+                running.remove(task)
+            return {"results": [], "telemetry": [], "wall": 0.0, "cache_hits": 0}
+
+        monkeypatch.setattr(worker_module, "run_task", slow_task)
+        with worker_fleet() as (_, addrs):
+            live = [addrs[0], addrs[2]]
+            with ThreadPoolExecutor(4) as pool:
+                replies = list(pool.map(
+                    lambda i: request(
+                        live[i % 2], {"op": "run_shard", "job": {"n": i}},
+                        timeout=30,
+                    ),
+                    range(4),
+                ))
+        assert [reply["ok"] for reply in replies] == [True] * 4
+        assert peaks == [1, 1, 1, 1]
+
+
 class TestRemoteExecution:
     def test_sharded_run_is_byte_identical(self, fleet, local_summary):
         _, addrs = fleet
@@ -118,24 +157,7 @@ class TestRemoteExecution:
         # A listener that accepts and immediately hangs up: the shard
         # dispatched to it fails mid-flight, exactly like a worker
         # process dying between connect and response.
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        sock.listen(4)
-        dead_addr = sock.getsockname()
-        stop = threading.Event()
-
-        def _hang_up():
-            sock.settimeout(0.2)
-            while not stop.is_set():
-                try:
-                    conn, _ = sock.accept()
-                except socket.timeout:
-                    continue
-                conn.close()
-
-        thread = threading.Thread(target=_hang_up, daemon=True)
-        thread.start()
-        try:
+        with hang_up_address() as dead_addr:
             executor = RemoteExecutor(
                 [dead_addr, addrs[1]], FACTORY_REF, SUITE_REF,
                 timeout=120, retries=2,
@@ -143,10 +165,6 @@ class TestRemoteExecution:
             remote = run_dft(
                 _sensor_factory, _sensor_suite(), DftConfig(executor=executor)
             )
-        finally:
-            stop.set()
-            thread.join(timeout=2)
-            sock.close()
         assert (
             json.dumps(coverage_summary(remote.coverage), sort_keys=True)
             == local_summary

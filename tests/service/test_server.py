@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from helpers import worker_fleet
 from repro.core import DftConfig, run_dft
 from repro.obs.store.history import coverage_summary
 from repro.service import JobServer, JobSpec, WorkerServer
@@ -104,6 +105,21 @@ class TestSubmitValidation:
             assert err.value.status == 400
             assert field in str(err.value)
 
+    def test_ill_typed_config_value_is_400(self, server):
+        """Field values are validated at submit time, by DftConfig."""
+        _, addr = server
+        for field, value in (
+            ("workers", "two"), ("workers", 0), ("tolerance", "tiny"),
+            ("seed", "x"), ("budget_seconds", -1),
+        ):
+            with pytest.raises(ServiceError) as err:
+                submit_job(
+                    addr,
+                    {"kind": "run", "system": "sensor", "config": {field: value}},
+                )
+            assert err.value.status == 400
+            assert field in str(err.value)
+
     def test_unknown_spec_field_is_400(self, server):
         _, addr = server
         with pytest.raises(ServiceError) as err:
@@ -152,6 +168,39 @@ class TestJobExecution:
         with pytest.raises(ServiceError) as err:
             job_result(addr, job_id)
         assert err.value.status == 500
+
+
+def _job_payload(addr, spec, timeout=600):
+    job_id = submit_job(addr, spec)
+    wait_for_job(addr, job_id, timeout=timeout)
+    return job_id, job_result(addr, job_id)["payload"]
+
+
+def _cli_json(capsys, argv):
+    from repro.cli import main
+
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestMutateJob:
+    @pytest.mark.parametrize("targets", ["all", "frontier"])
+    def test_payload_equals_the_cli_json(self, server, capsys, targets):
+        """The job scores its criteria on the kill matrix's own suite
+        (24 buck-boost testcases) and honours ``targets``, like the
+        ``mutate`` command."""
+        _, addr = server
+        _, payload = _job_payload(addr, {
+            "kind": "mutate", "system": "buck_boost", "config": {"seed": 3},
+            "options": {"max_mutants": 2, "targets": targets},
+        })
+        local = _cli_json(capsys, [
+            "mutate", "buck_boost", "--max-mutants", "2", "--seed", "3",
+            "--targets", targets, "--json", "--no-history",
+        ])
+        assert payload == local
+        assert len(payload["testcases"]) == 24
+        assert payload["targets_mode"] == targets
 
 
 class TestRestartRecovery:
@@ -211,3 +260,45 @@ class TestRemoteFleetJobs:
         assert [row["tests"] for row in trajectory] == [
             rec.tests for rec in records
         ]
+
+    def test_mutate_and_generate_jobs_shard_over_the_fleet(self, tmp_path, capsys):
+        """Every job kind shards over ``--worker``: a mutate job and a
+        generate job through two workers and one dead address match the
+        local runs, and the dead address costs only retries."""
+        with worker_fleet() as (workers, addrs):
+            srv = JobServer(str(tmp_path / "state"), worker_addrs=addrs)
+            addr = srv.start_in_thread()
+            try:
+                mutate_id, mutate = _job_payload(addr, {
+                    "kind": "mutate", "system": "buck_boost",
+                    "config": {"seed": 1123}, "options": {"max_mutants": 6},
+                })
+                shards = [worker.shards_run for worker in workers]
+                generate_id, generate = _job_payload(addr, {
+                    "kind": "generate", "system": "sensor",
+                    "config": {"seed": 3, "budget_simulations": 8},
+                })
+                counters = [
+                    job_status(addr, job_id)["progress"]["counters"]
+                    for job_id in (mutate_id, generate_id)
+                ]
+            finally:
+                srv.close()
+        assert all(count > 0 for count in shards)
+        assert all(c.get("service.shard_retries", 0) > 0 for c in counters)
+
+        local_mutate = _cli_json(capsys, [
+            "mutate", "buck_boost", "--max-mutants", "6", "--seed", "1123",
+            "--json", "--no-history",
+        ])
+        rows = ("mutants", "criteria", "counts", "mutation_score")
+        assert {k: mutate[k] for k in rows} == {k: local_mutate[k] for k in rows}
+        assert mutate["workers"] == 3  # the fleet's three addresses
+
+        local_generate = _cli_json(capsys, [
+            "generate", "sensor", "--seed", "3", "--budget-simulations", "8",
+            "--json", "--no-history",
+        ])
+        generate.pop("throughput")
+        local_generate.pop("throughput")
+        assert generate == local_generate

@@ -549,6 +549,33 @@ class TestConfigFlag:
         assert err.count("\n") == 1
         assert "config file" in err and "bogus" in err
 
+    @pytest.mark.parametrize("doc,field", [
+        ('{"workers": "two"}', "workers"),
+        ('{"tolerance": "tiny"}', "tolerance"),
+        ('{"seed": "x"}', "seed"),
+    ])
+    def test_ill_typed_config_value_is_one_line_error(
+        self, tmp_path, capsys, doc, field
+    ):
+        cfg = tmp_path / "dft.json"
+        cfg.write_text(doc)
+        assert main(["run", "sensor", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "config file" in err and f"{field} must be" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "sensor", "--workers", "0"],
+        ["run", "sensor", "--workers", "-2"],
+        ["generate", "sensor", "--workers", "0"],
+        ["mutate", "buck_boost", "--workers", "0"],
+    ])
+    def test_workers_below_one_rejected_everywhere(self, capsys, argv):
+        assert main(argv + ["--no-history"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "workers must be None or an int >= 1" in err
+
     def test_missing_config_file_is_clean_exit(self, tmp_path, capsys):
         assert main(["run", "sensor", "--config", str(tmp_path / "no.toml")]) == 1
         assert "cannot read config file" in capsys.readouterr().err

@@ -56,7 +56,6 @@ from ..tdf.cluster import Cluster
 from ..testing.testcase import TestCase
 from .operators import (
     ALL_OPERATORS,
-    MutantNotApplicable,
     MutantSpec,
     apply_mutant,
     generate_mutants,
@@ -106,7 +105,9 @@ class KillSite:
 
 @dataclass(frozen=True)
 class MutantOutcome:
-    """The verdict for one mutant, independent of execution backend."""
+    """The verdict for one mutant, independent of execution backend
+    (``nonviable_reason``: the class of the exception that rejected a
+    nonviable mutant)."""
 
     spec: MutantSpec
     status: str  # "killed" | "survived" | "nonviable"
@@ -114,6 +115,7 @@ class MutantOutcome:
     timed_out: bool
     seconds: float
     killed_at: Optional[KillSite] = None
+    nonviable_reason: Optional[str] = None
 
     def to_dict(self) -> dict:
         """The JSON-ready verdict, without the spec (a task reply entry
@@ -124,12 +126,14 @@ class MutantOutcome:
             "timed_out": self.timed_out,
             "seconds": self.seconds,
             "killed_at": self.killed_at.to_dict() if self.killed_at else None,
+            "nonviable_reason": self.nonviable_reason,
         }
 
     @classmethod
     def from_dict(cls, spec: MutantSpec, entry: dict) -> "MutantOutcome":
         """Re-attach ``spec`` to a :meth:`to_dict` entry (an older ledger
-        entry without timing or site keys restores their defaults)."""
+        entry without timing, site or reason keys restores their
+        defaults)."""
         site = entry.get("killed_at")
         return cls(
             spec,
@@ -138,6 +142,7 @@ class MutantOutcome:
             bool(entry.get("timed_out", False)),
             float(entry.get("seconds", 0.0)),
             KillSite.from_dict(site) if site else None,
+            entry.get("nonviable_reason"),
         )
 
 
@@ -273,6 +278,8 @@ def _first_mismatch(
     mutant that reproduces the baseline NaN-for-NaN did not change
     behaviour), and a list that ends early differs at its end.
     """
+    if rows_a == rows_b:
+        return None
     for i, ((ta, va), (tb, vb)) in enumerate(zip(rows_a, rows_b)):
         if ta != tb:
             return i
@@ -303,13 +310,10 @@ def traces_diverge(a: TraceMap, b: TraceMap, tolerance: float) -> bool:
     """
     if a.keys() != b.keys():
         return True
-    for name, rows_a in a.items():
-        rows_b = b[name]
-        if len(rows_a) != len(rows_b):
-            return True
-        if _first_mismatch(rows_a, rows_b, tolerance) is not None:
-            return True
-    return False
+    return any(
+        _first_mismatch(rows, b[name], tolerance) is not None
+        for name, rows in a.items()
+    )
 
 
 def _divergence_site(
@@ -358,18 +362,19 @@ def _kill_site(
     except for a trace that stops short of the baseline, which the
     whole-trace check after an uninterrupted run catches.
 
-    The site is the same on both engines.  Traced writers are never
-    hoisted (the ``traced_signal`` fallback of the block compiler), so
-    oracle rows appear in canonical order; and a row carries a time
-    inside the period that emitted it, so at any period boundary every
-    earlier row has been emitted and no later row has.  The earliest
-    diverging row a block window finds is therefore the one the
-    interpreter finds at its period.  A crash first checks the rows
+    The site is the same on both engines.  A row's time lies in the
+    period that emitted it and a block window commits whole periods
+    (hoisted tokens of cut-off periods are rolled back before the
+    tracer copies them), so wherever ``until`` runs both engines hold
+    exactly the rows timed before it.  A crash first checks the rows
     emitted before it, so a divergence the interpreter would already
-    have stopped at wins over the exception; this is exact for every
-    crash raised at its canonical firing (a mutated module is never
-    hoisted or deferred), not for one raised inside a whole-window
-    block call of an unmutated library module.
+    have stopped at wins over the exception.  The block engine then
+    also holds hoisted rows past the crash.  A module is hoisted only
+    with its whole input cone and never with a registered processing
+    (every AST mutant), so for an AST mutant those rows are unmutated,
+    equal the baseline and add no divergence.  Inexact: a netlist
+    mutant of a hoisted library element (its rows past the crash are
+    mutated), and a crash inside a whole-window library block call.
     """
     cursor = dict.fromkeys(oracle, 0)
     found: List[KillSite] = []
@@ -432,12 +437,14 @@ def run_mutant(
             tracer = _attach_tracer(cluster, oracle)
             sim = Simulator(cluster, engine=engine)
             sim.initialize()
-        except MutantNotApplicable:
-            return MutantOutcome(spec, "nonviable", (), False, time.perf_counter() - t0)
-        except Exception:
-            # Elaboration rejected the mutated cluster: nonviable, and
+        except Exception as exc:
+            # The spec does not apply (MutantNotApplicable), or
+            # elaboration rejected the mutated cluster: nonviable, and
             # deterministically so for every testcase of the suite.
-            return MutantOutcome(spec, "nonviable", (), False, time.perf_counter() - t0)
+            return MutantOutcome(
+                spec, "nonviable", (), False, time.perf_counter() - t0,
+                nonviable_reason=type(exc).__name__,
+            )
         site = _kill_site(sim, tracer, tc, baselines[tc.name], oracle, tolerance)
         if site is not None:
             killed_by.append(tc.name)

@@ -147,6 +147,7 @@ def build_report(
                 "killed_by": list(o.killed_by),
                 "timed_out": o.timed_out,
                 "killed_at": o.killed_at.to_dict() if o.killed_at else None,
+                "nonviable_reason": o.nonviable_reason,
             }
             for o in run.outcomes
         ],
@@ -288,22 +289,20 @@ def format_report(payload: dict) -> str:
                 f"    {row['criterion']:13s} {'yes' if row['satisfied'] else 'no ':9s} "
                 f"{row['num_testcases']:9d}  {100.0 * row['score']:5.1f}%"
             )
-    killed = [m for m in payload["mutants"] if m["status"] == "killed"]
-    if killed:
-        lines.append("")
-        lines.append(f"  killed mutants ({len(killed)}), first kill:")
-        for m in killed[:20]:
-            lines.append(f"    {m['id']}: {_format_site(m.get('killed_at'))}")
-        if len(killed) > 20:
-            lines.append(f"    ... and {len(killed) - 20} more")
-    survivors = [m for m in payload["mutants"] if m["status"] == "survived"]
-    if survivors:
-        lines.append("")
-        lines.append(f"  surviving mutants ({len(survivors)}):")
-        for m in survivors[:20]:
-            lines.append(f"    {m['id']}: {m['detail']}")
-        if len(survivors) > 20:
-            lines.append(f"    ... and {len(survivors) - 20} more")
+    sections = (
+        ("killed", "killed mutants ({}), first kill",
+         lambda m: _format_site(m.get("killed_at"))),
+        ("nonviable", "nonviable mutants ({})",
+         lambda m: m.get("nonviable_reason") or "-"),
+        ("survived", "surviving mutants ({})", lambda m: m["detail"]),
+    )
+    for status, header, describe in sections:
+        listed = [m for m in payload["mutants"] if m["status"] == status]
+        if listed:
+            lines += ["", f"  {header.format(len(listed))}:"]
+            lines += [f"    {m['id']}: {describe(m)}" for m in listed[:20]]
+            if len(listed) > 20:
+                lines.append(f"    ... and {len(listed) - 20} more")
     return "\n".join(lines)
 
 

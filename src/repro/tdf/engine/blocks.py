@@ -22,7 +22,10 @@ from itertools import islice
 from typing import Any, List, TYPE_CHECKING
 
 from ..errors import TdfError
-from ..time import ScaTime
+from ..time import _UNIT_FS
+
+#: ``ScaTime.to_seconds()`` divides the femtosecond count by this.
+_FS_PER_S = _UNIT_FS["s"]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..ports import TdfIn, TdfOut
@@ -85,13 +88,13 @@ def produce_block(port: "TdfOut", values: List[Any]) -> None:
     """Append a whole block of samples through ``port``.
 
     Equivalent to ``n`` interpreted rate-1 activations each flushing one
-    written sample (the ``_end_activation`` fast path).  Only legal when
-    the signal has no write observers — the compiler guarantees this.
+    written sample (``TdfOut._end_activation``).  A traced signal
+    needs nothing more: its tracer copies the tokens out of the buffer
+    and times them from the schedule (:mod:`repro.tdf.trace`).
     """
     sig = port.signal
     sig._tokens.extend(values)
     sig._write_count += len(values)
-    sig.last_write_time = None
     port._flushed += len(values)
     port._last_value = values[-1]
 
@@ -127,6 +130,8 @@ class FiringBlock:
     def __init__(self, n: int, module, base_fs: int, ts_fs: int) -> None:
         self.n = n
         self.module = module
+        # Module time as the interpreter leaves it: the last firing's.
+        object.__setattr__(module, "_time_fs", base_fs + (n - 1) * ts_fs)
         self._base_fs = base_fs
         self._ts_fs = ts_fs
         #: ``(port, values)`` pairs in write order; flushed by the engine.
@@ -147,21 +152,18 @@ class FiringBlock:
         self.writes.append((port, values if isinstance(values, list) else list(values)))
 
     def times_seconds(self) -> List[float]:
-        """``local_time().to_seconds()`` for each firing, bit-identical.
-
-        Computed through the same exact-femtosecond ScaTime conversion
-        the interpreter uses, then cached (sinks that never look at
-        times skip the cost entirely).
-        """
+        """``local_time().to_seconds()`` for each firing, bit-identical:
+        the same exact femtosecond count over the same divisor, without
+        a ScaTime per firing.  Cached; sinks that never look at times
+        skip the cost entirely."""
         if self._times is None:
-            from_fs = ScaTime.from_femtoseconds
             base, ts = self._base_fs, self._ts_fs
-            self._times = [from_fs(base + k * ts).to_seconds() for k in range(self.n)]
+            self._times = [(base + k * ts) / _FS_PER_S for k in range(self.n)]
         return self._times
 
     def timestep_seconds(self) -> float:
         """The module timestep in seconds (constant within a block)."""
-        return ScaTime.from_femtoseconds(self._ts_fs).to_seconds()
+        return self._ts_fs / _FS_PER_S
 
 
 def _vectorizable(values: List[Any]) -> bool:

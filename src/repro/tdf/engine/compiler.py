@@ -4,8 +4,8 @@ lookups or ScaTime arithmetic.
 
 SDF theory guarantees the periodic schedule is fully static, so every
 decision the interpreter re-makes per firing — which ports, what
-timestep offset, whether hooks/observers exist, whether the fast flush
-applies — is made once here and baked into closures.  A compiled
+timestep offset, whether hooks exist, whether the fast flush applies —
+is made once here and baked into closures.  A compiled
 program has four parts:
 
 * **pre ops** — *windowable* block-capable modules whose entire input
@@ -36,7 +36,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ...obs import get_telemetry
 from ..module import TdfModule
-from ..time import ScaTime
 from .blocks import FiringBlock, produce_block
 
 #: Periods per execution window on the fast (hook-free, static-schedule)
@@ -92,12 +91,9 @@ def _classify(module: TdfModule) -> _ModuleInfo:
         if port._read_hooks:
             reasons.append("read_hooks")
             break
-    traced = foreign = False
+    foreign = False
     hooked = 0
     for port in module.out_ports():
-        sig = port.signal
-        if sig is not None and sig._write_observers:
-            traced = True
         if port._write_hooks:
             infos = [
                 getattr(hook, "__dft_probe_writer__", None)
@@ -108,8 +104,6 @@ def _classify(module: TdfModule) -> _ModuleInfo:
             else:
                 hooked += 1
                 info.event_specs.append((port, infos))
-    if traced:
-        reasons.append("traced_signal")
     if foreign:
         reasons.append("foreign_write_hook")
     if hooked > 1:
@@ -154,7 +148,7 @@ class _BlockFireOp:
             note_in = rollback.ins.append
             for port in self.ins:
                 note_in((port.signal, id(port), q))
-            rollback.mods.append((module, q))
+            rollback.mods.append((module, q, self.ts_fs))
         module.processing_block(block)
         if rollback is not None:
             note_out = rollback.outs.append
@@ -173,7 +167,7 @@ class _WindowRollback:
     def __init__(self) -> None:
         self.ins: List[tuple] = []   # (signal, cursor_key, per_period_tokens)
         self.outs: List[tuple] = []  # (port, per_period, values, prev_last)
-        self.mods: List[tuple] = []  # (module, per_period_activations)
+        self.mods: List[tuple] = []  # (module, per_period_activations, ts_fs)
 
     def apply(self, total_periods: int, completed: int) -> None:
         dropped = total_periods - completed
@@ -187,9 +181,12 @@ class _WindowRollback:
             keep = completed * q
             last = values[keep - 1] if keep > 0 else prev_last
             rollback_block(port, dropped * q, last)
-        for module, q in self.mods:
+        for module, q, ts_fs in self.mods:
             object.__setattr__(
                 module, "activation_count", module.activation_count - dropped * q
+            )
+            object.__setattr__(
+                module, "_time_fs", module._time_fs - dropped * q * ts_fs
             )
 
 
@@ -268,7 +265,6 @@ def _make_siso_op(module, kind, event_infos):
         index = out_port._flushed
         out_tokens.append(value)
         out_sig._write_count += 1
-        out_sig.last_write_time = None
         out_port._flushed = index + 1
         out_port._last_value = value
         if event is not None:
@@ -280,36 +276,28 @@ def _make_siso_op(module, kind, event_infos):
 
 def _make_generic_op(module, offset_fs):
     """One interpreted firing with the framing decisions precomputed:
-    prebound port lists, inline rate-1 flush when unobserved, a single
+    prebound port lists, inline flush of rate-1 outputs, a single
     resolved processing callable."""
     ins = tuple(
         (port, port.signal, id(port), port.rate) for port in module.in_ports()
     )
-    fast_outs = []
-    slow_outs = []
-    for port in module.out_ports():
-        if port.rate == 1 and not port.signal._write_observers:
-            fast_outs.append((port, port.signal))
-        else:
-            slow_outs.append(port)
-    fast_outs = tuple(fast_outs)
-    slow_outs = tuple(slow_outs)
+    outs = module.out_ports()
+    fast_outs = tuple((port, port.signal) for port in outs if port.rate == 1)
+    slow_outs = tuple(port for port in outs if port.rate != 1)
     processing = module.resolved_processing()
-    from_fs = ScaTime.from_femtoseconds
     setattr_ = object.__setattr__
 
     def op(base_fs, module=module, offset_fs=offset_fs, ins=ins,
            fast_outs=fast_outs, slow_outs=slow_outs, processing=processing,
-           from_fs=from_fs, setattr_=setattr_):
-        t = from_fs(base_fs + offset_fs)
-        setattr_(module, "_time", t)
+           setattr_=setattr_):
+        setattr_(module, "_time_fs", base_fs + offset_fs)
         for port, _sig, _key, _rate in ins:
             port._in_activation = True
         for port, _sig in fast_outs:
             port._in_activation = True
             port._pending.clear()
         for port in slow_outs:
-            port._begin_activation(t)
+            port._begin_activation()
         try:
             processing()
         finally:
@@ -324,7 +312,6 @@ def _make_generic_op(module, offset_fs):
                     pending.clear()
                 sig._tokens.append(port._last_value)
                 sig._write_count += 1
-                sig.last_write_time = None
                 port._flushed += 1
             for port in slow_outs:
                 port._end_activation()
@@ -363,15 +350,11 @@ class CompiledProgram:
 
 def program_signature(simulator) -> tuple:
     """Everything a compiled program bakes in that the kernel lets
-    callers change between runs: processing registrations, hooks,
-    observers.  Unequal signatures force a recompile."""
+    callers change between runs: processing registrations and hooks.
+    Unequal signatures force a recompile."""
     parts = []
     for module in simulator.cluster.modules:
-        out_state = tuple(
-            (tuple(port._write_hooks),
-             tuple(port.signal._write_observers) if port.signal is not None else ())
-            for port in module.out_ports()
-        )
+        out_state = tuple(tuple(port._write_hooks) for port in module.out_ports())
         in_state = tuple(tuple(port._read_hooks) for port in module.in_ports())
         parts.append((module._processing_fn, out_state, in_state))
     return tuple(parts)

@@ -81,7 +81,9 @@ class TdfModule:
         object.__setattr__(self, "_ports", {})
         self._processing_fn: Optional[Callable[[], None]] = None
         self.activation_count = 0
-        self._time: ScaTime = ScaTime.zero()
+        #: Time of the current (or last) activation, in femtoseconds;
+        #: :attr:`time` builds the :class:`ScaTime` only when read.
+        self._time_fs = 0
         self._module_timestep_request: Optional[ScaTime] = None
         self.timestep: Optional[ScaTime] = None
         self._pending_timestep: Optional[ScaTime] = None
@@ -255,30 +257,30 @@ class TdfModule:
     @property
     def time(self) -> ScaTime:
         """Time of the current activation's first sample."""
-        return self._time
+        return ScaTime.from_femtoseconds(self._time_fs)
 
     def local_time(self, sample: int = 0) -> ScaTime:
         """Time of sample ``sample`` of the current activation."""
         if self.timestep is None:
-            return self._time
-        return self._time + self.timestep * sample
+            return self.time
+        return self.time + self.timestep * sample
 
     # -- kernel hooks -----------------------------------------------------------------
 
-    def _activate(self, time: ScaTime) -> None:
-        """Run one activation at ``time`` (kernel use only).
+    def _activate(self, time_fs: int) -> None:
+        """Run one activation at ``time_fs`` femtoseconds (kernel use only).
 
         Bypasses :meth:`__setattr__` (its port-capture check is pure
         overhead for plain state) and resolves the port lists once per
         activation instead of once per loop.
         """
-        object.__setattr__(self, "_time", time)
+        object.__setattr__(self, "_time_fs", time_fs)
         ins = self.in_ports()
         outs = self.out_ports()
         for port in ins:
             port._begin_activation()
         for port in outs:
-            port._begin_activation(time)
+            port._begin_activation()
         try:
             self.resolved_processing()()
         finally:

@@ -265,7 +265,6 @@ class TdfOut(Port):
         "_pending",
         "_flushed",
         "_in_activation",
-        "_activation_time",
         "_last_value",
     )
 
@@ -277,7 +276,6 @@ class TdfOut(Port):
         self._pending: List[Tuple[int, Any]] = []
         self._flushed = 0
         self._in_activation = False
-        self._activation_time: Optional[ScaTime] = None
         self._last_value: Any = None
 
     def _attach(self, signal: Signal) -> None:
@@ -304,9 +302,8 @@ class TdfOut(Port):
                 if self.initial_values:
                     self._last_value = self.initial_values[-1]
 
-    def _begin_activation(self, time: Optional[ScaTime] = None) -> None:
+    def _begin_activation(self) -> None:
         self._in_activation = True
-        self._activation_time = time
         self._pending.clear()
 
     def _end_activation(self) -> None:
@@ -319,33 +316,13 @@ class TdfOut(Port):
         """
         self._in_activation = False
         assert self.signal is not None
-        signal = self.signal
-        # Sample timestamps are only needed when someone observes the
-        # signal (tracers); skip the ScaTime arithmetic otherwise.
-        want_times = bool(signal._write_observers)
-        pending = self._pending
-        if self.rate == 1 and not want_times:
-            # Dominant case (single-rate port, no tracers): skip the
-            # dict round-trip; the last write for offset 0 wins.
-            if pending:
-                self._last_value = pending[-1][1]
-                pending.clear()
-            signal.write(self._last_value, None)
-            self._flushed += 1
-            return
-        values = {i: v for i, v in pending}
+        values = dict(self._pending)  # the last write of an offset wins
         for i in range(self.rate):
             value = values.get(i, self._last_value)
             self._last_value = value
-            sample_time = self._sample_time(i) if want_times else None
-            signal.write(value, sample_time)
+            self.signal.write(value)
         self._flushed += self.rate
-        pending.clear()
-
-    def _sample_time(self, offset: int) -> Optional[ScaTime]:
-        if self._activation_time is None or self.timestep is None:
-            return self._activation_time
-        return self._activation_time + self.timestep * offset
+        self._pending.clear()
 
     # -- user interface -------------------------------------------------------
 

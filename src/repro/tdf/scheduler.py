@@ -67,19 +67,11 @@ class Schedule:
         self.period_fs = period.femtoseconds
         #: Precomputed ``(module, femtosecond-offset-within-period)``
         #: pairs: the per-period hot loop turns each into an absolute
-        #: activation time with one integer add and one
-        #: :meth:`ScaTime.from_femtoseconds` call — no ScaTime
-        #: arithmetic per firing.
+        #: activation time with one integer add — no ScaTime per firing.
         self.timed_firings = [
             (module, module_timesteps[module.name].femtoseconds * firing_index)
             for module, firing_index in firings
         ]
-
-    def activation_time(self, module: TdfModule, firing_index: int, period_start: ScaTime) -> ScaTime:
-        """Absolute time of ``module``'s ``firing_index``-th activation in a
-        period starting at ``period_start``."""
-        ts = self.module_timesteps[module.name]
-        return period_start + ts * firing_index
 
     def apply_timesteps(self) -> None:
         """Re-assign the derived module/port timesteps to the cluster.

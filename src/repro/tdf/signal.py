@@ -18,19 +18,13 @@ exact because the kernel is deterministic (see
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from .errors import BindingError, SimulationError
-from .time import ScaTime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .ports import TdfIn, TdfOut
-
-#: Callback signature for write observers: (signal, token_index, value, time).
-WriteObserver = Callable[["Signal", int, Any, Optional[ScaTime]], None]
-
-#: Callback signature for read observers: (signal, reader_port, token_index, value).
-ReadObserver = Callable[["Signal", "TdfIn", int, Any], None]
+    from .trace import SignalTrace
 
 
 class Signal:
@@ -45,9 +39,8 @@ class Signal:
         "_base_index",
         "_write_count",
         "_cursors",
-        "_write_observers",
-        "_read_observers",
-        "last_write_time",
+        "_traces",
+        "_anchor",
     )
 
     def __init__(self, name: str, initial_value: Any = 0.0) -> None:
@@ -64,10 +57,12 @@ class Signal:
         # Per-reader cursor: global index of the next token the reader
         # will consume.  Negative cursors address initial (delay) values.
         self._cursors: Dict[int, int] = {}
-        self._write_observers: List[WriteObserver] = []
-        self._read_observers: List[ReadObserver] = []
-        #: Timestamp of the most recent write (set by the simulator).
-        self.last_write_time: Optional[ScaTime] = None
+        # Trace sinks (:class:`~repro.tdf.trace.SignalTrace`): tokens are
+        # handed to them before garbage collection drops them.
+        self._traces: Tuple["SignalTrace", ...] = ()
+        #: ``(token_index, time_fs, timestep_fs)``: where the schedule
+        #: puts the tokens from ``token_index`` on (see :meth:`anchor`).
+        self._anchor: Optional[Tuple[int, int, int]] = None
 
     # -- topology ---------------------------------------------------------
 
@@ -92,29 +87,16 @@ class Signal:
         self.readers.clear()
         self._cursors.clear()
 
-    # -- observers --------------------------------------------------------
-
-    def add_write_observer(self, callback: WriteObserver) -> None:
-        """Invoke ``callback`` after every token written to this signal."""
-        self._write_observers.append(callback)
-
-    def add_read_observer(self, callback: ReadObserver) -> None:
-        """Invoke ``callback`` after every token consumed from this signal."""
-        self._read_observers.append(callback)
-
-    def clear_observers(self) -> None:
-        """Drop all registered observers."""
-        self._write_observers.clear()
-        self._read_observers.clear()
-
     # -- elaboration-time state -------------------------------------------
 
     def reset(self) -> None:
         """Reset token storage and cursors for a fresh simulation run."""
+        for trace in self._traces:
+            trace.restart()
         self._tokens.clear()
         self._base_index = 0
         self._write_count = 0
-        self.last_write_time = None
+        self._anchor = None
         for port in self.readers:
             self._cursors[id(port)] = -port.delay
 
@@ -127,10 +109,20 @@ class Signal:
         (padded with :attr:`initial_value`).
         """
         for i in range(count):
-            if values is not None and i < len(values):
-                self._append(values[i], None)
-            else:
-                self._append(self.initial_value, None)
+            given = values is not None and i < len(values)
+            self.write(values[i] if given else self.initial_value)
+
+    def anchor(self, now_fs: int) -> None:
+        """Time the next token at ``now_fs``: the simulator calls this at
+        ``initialize()`` and after every schedule swap, and the static
+        schedule then puts one token per driver-port timestep."""
+        for trace in self._traces:
+            trace.copy()  # the tokens so far belong to the old anchor
+        driver = self.driver
+        if driver is None or driver.timestep is None:
+            self._anchor = None
+        else:
+            self._anchor = (self._write_count, now_fs, driver.timestep.femtoseconds)
 
     # -- simulation-time API ------------------------------------------------
 
@@ -155,17 +147,11 @@ class Signal:
         cursor = self._cursors[id(port)]
         return self._write_count - max(cursor, 0) + max(-cursor, 0)
 
-    def write(self, value: Any, time: Optional[ScaTime] = None) -> int:
+    def write(self, value: Any) -> int:
         """Append one token; returns its global index."""
-        return self._append(value, time)
-
-    def _append(self, value: Any, time: Optional[ScaTime]) -> int:
         index = self._write_count
         self._tokens.append(value)
         self._write_count += 1
-        self.last_write_time = time
-        for callback in self._write_observers:
-            callback(self, index, value, time)
         return index
 
     def peek(self, port: "TdfIn", offset: int = 0) -> Any:
@@ -175,19 +161,10 @@ class Signal:
         return self._value_at(index, port)
 
     def consume(self, port: "TdfIn", count: int) -> List[Any]:
-        """Consume ``count`` tokens for ``port`` and return them in order.
-
-        Fires the read observers once per token with the token's global
-        index (delay/initial tokens have negative indices).
-        """
+        """Consume ``count`` tokens for ``port`` and return them in order
+        (delay/initial tokens first)."""
         cursor = self._cursors[id(port)]
-        values = []
-        for i in range(count):
-            index = cursor + i
-            value = self._value_at(index, port)
-            values.append(value)
-            for callback in self._read_observers:
-                callback(self, port, index, value)
+        values = [self._value_at(cursor + i, port) for i in range(count)]
         self._cursors[id(port)] = cursor + count
         self._collect_garbage()
         return values
@@ -221,7 +198,9 @@ class Signal:
 
         Amortised: the min-cursor scan only runs once the retained
         backlog exceeds a small threshold, which keeps the per-sample
-        cost constant without letting buffers grow unbounded.
+        cost constant without letting buffers grow unbounded.  This is
+        the only place tokens leave the buffer, so trace sinks copy
+        their rows here before the drop.
         """
         if not self.readers:
             return
@@ -230,10 +209,13 @@ class Signal:
         min_cursor = min(self._cursors[id(p)] for p in self.readers)
         limit = min(min_cursor, self._write_count)
         drop = limit - self._base_index
-        for _ in range(max(drop, 0)):
+        if drop <= 0:
+            return
+        for trace in self._traces:
+            trace.copy()
+        for _ in range(drop):
             self._tokens.popleft()
-        if drop > 0:
-            self._base_index += drop
+        self._base_index += drop
 
     # -- debugging ----------------------------------------------------------
 

@@ -90,9 +90,18 @@ class Simulator:
         if self.schedule is None:
             self.elaborate()
         self.cluster.reset_signals()
+        self._anchor_signals()
         for module in self.cluster.modules:
             module.initialize()
         self._initialized = True
+
+    def _anchor_signals(self) -> None:
+        """Time every signal's next token at ``now`` (traces stamp their
+        rows from this, see :mod:`repro.tdf.trace`): the schedule is
+        static from here to the next swap."""
+        now_fs = self.now.femtoseconds
+        for signal in self.cluster.signals:
+            signal.anchor(now_fs)
 
     # -- execution --------------------------------------------------------------
 
@@ -103,10 +112,9 @@ class Simulator:
         assert self.schedule is not None
         schedule = self.schedule
         base_fs = self.now.femtoseconds
-        from_fs = ScaTime.from_femtoseconds
         for module, offset_fs in schedule.timed_firings:
-            module._activate(from_fs(base_fs + offset_fs))
-        self.now = from_fs(base_fs + schedule.period_fs)
+            module._activate(base_fs + offset_fs)
+        self.now = ScaTime.from_femtoseconds(base_fs + schedule.period_fs)
         self.periods_run += 1
         for hook in self._period_hooks:
             hook(self)
@@ -191,6 +199,7 @@ class Simulator:
                     "tdf.schedule_cache_misses", cluster=self.cluster.name
                 ).inc()
         self.reelaborations += 1
+        self._anchor_signals()
 
     @property
     def schedule_cache_stats(self) -> Dict[str, float]:

@@ -6,6 +6,7 @@ small seeded random cluster.  One case-study sample (buck_boost, seed
 1123) pins its kill rows, netlist mutants included.
 """
 
+import dataclasses
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -17,6 +18,8 @@ from repro.core import DftConfig
 from repro.mutation import (
     KillSite,
     MutantOutcome,
+    build_report,
+    format_report,
     kill_matrix_bytes,
     run_mutation,
     traces_diverge,
@@ -177,6 +180,9 @@ def _assert_same_verdicts(expected, got):
     assert [o.killed_at for o in expected.outcomes] == [
         o.killed_at for o in got.outcomes
     ]
+    assert [o.nonviable_reason for o in expected.outcomes] == [
+        o.nonviable_reason for o in got.outcomes
+    ]
 
 
 class TestBackendDeterminism:
@@ -266,6 +272,31 @@ class TestCaseStudyKillRows:
             "bb_buck_0v9", "bb_buck_1v2", "bb_buck_1v8", "bb_buck_2v5",
             "bb_buck_3v0",
         )
+        reasons = {o.spec.mutant_id: o.nonviable_reason for o in run.outcomes}
+        assert reasons.pop("swap:001:sw_ctrl") == "SchedulingDeadlockError"
+        assert set(reasons.values()) == {None}
+
+    def test_nonviable_reason_reaches_every_record(self):
+        """The reason rides the outcome dict (task replies, the ledger),
+        the JSON report and the text report, but not the kill matrix."""
+        run = _buck_boost_sample("block")
+        outcome = next(o for o in run.outcomes if o.status == "nonviable")
+        entry = outcome.to_dict()
+        assert entry["nonviable_reason"] == "SchedulingDeadlockError"
+        assert MutantOutcome.from_dict(outcome.spec, entry) == outcome
+        del entry["nonviable_reason"]  # a ledger entry from before the key
+        assert MutantOutcome.from_dict(outcome.spec, entry).nonviable_reason is None
+        payload = build_report(run, system="buck_boost")
+        rows = {m["id"]: m["nonviable_reason"] for m in payload["mutants"]}
+        assert rows["swap:001:sw_ctrl"] == "SchedulingDeadlockError"
+        assert "    swap:001:sw_ctrl: SchedulingDeadlockError" in format_report(payload)
+        unexplained = dataclasses.replace(
+            run,
+            outcomes=[
+                dataclasses.replace(o, nonviable_reason=None) for o in run.outcomes
+            ],
+        )
+        assert kill_matrix_bytes(unexplained) == kill_matrix_bytes(run)
 
 
 def _run_to_end_oracle(factory, testcases, specs, oracle, engine, tolerance):

@@ -101,7 +101,8 @@ class TestEquivalenceProperties:
             assert block[name].use_without_def == match.use_without_def, name
 
     def test_traced_signals_identical(self):
-        """A tracer subscription forces the fallback path yet stays exact."""
+        """A traced writer keeps its block path (the tracer copies the
+        committed tokens) and the rows stay exact."""
         rows = {}
         for engine in ("interp", "block"):
             top = _build([0.3, 1.2, -0.7, 2.0], 2, 2)

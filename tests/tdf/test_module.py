@@ -157,7 +157,7 @@ class TestLifecycle:
     def test_local_time_offsets_by_sample(self):
         m = TdfModule("m")
         m.timestep = ms(2)
-        m._time = ms(10)
+        m._time_fs = ms(10).femtoseconds
         assert m.local_time(0) == ms(10)
         assert m.local_time(3) == ms(16)
 

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.tdf import BindingError, Signal, SimulationError, TdfIn, TdfModule, TdfOut
-from repro.tdf.time import ms
 
 
 def _reader(name="m"):
@@ -155,35 +154,6 @@ class TestDelaysAndInitialValues:
         sig.reset()
         sig.prime_output_delay(2, [1.0, 2.0])
         assert sig.consume(r, 2) == [1.0, 2.0]
-
-
-class TestObservers:
-    def test_write_observer_sees_index_value_time(self):
-        sig = Signal("s")
-        seen = []
-        sig.add_write_observer(lambda s, i, v, t: seen.append((i, v, t)))
-        sig.write(4.2, ms(1))
-        assert seen == [(0, 4.2, ms(1))]
-
-    def test_read_observer_sees_negative_delay_indices(self):
-        sig = Signal("s")
-        r = _reader()
-        r.set_delay(1)
-        sig.attach_reader(r)
-        sig.reset()
-        seen = []
-        sig.add_read_observer(lambda s, p, i, v: seen.append(i))
-        sig.write(1.0)
-        sig.consume(r, 2)
-        assert seen == [-1, 0]
-
-    def test_clear_observers(self):
-        sig = Signal("s")
-        seen = []
-        sig.add_write_observer(lambda *a: seen.append(1))
-        sig.clear_observers()
-        sig.write(0.0)
-        assert seen == []
 
 
 class TestReset:

@@ -153,12 +153,10 @@ class CoverageDatabase:
             return cls.from_json(fh.read())
 
 
-def coverage_to_dict(coverage: "CoverageResult") -> Dict[str, Any]:
-    """Full machine-readable export of one coverage result."""
-    classes = coverage.class_coverage()
+def coverage_totals(coverage: "CoverageResult") -> Dict[str, Any]:
+    """The ``totals`` and per-class ``classes`` counts of one coverage
+    result, shared by the JSON export and the history record."""
     return {
-        "cluster": coverage.static.cluster,
-        "fingerprint": universe_fingerprint(coverage.static),
         "totals": {
             "static": coverage.static_total,
             "exercised": coverage.exercised_total,
@@ -170,8 +168,17 @@ def coverage_to_dict(coverage: "CoverageResult") -> Dict[str, Any]:
                 "covered": cc.covered,
                 "percent": None if cc.percent is None else round(cc.percent, 2),
             }
-            for klass, cc in classes.items()
+            for klass, cc in coverage.class_coverage().items()
         },
+    }
+
+
+def coverage_to_dict(coverage: "CoverageResult") -> Dict[str, Any]:
+    """Full machine-readable export of one coverage result."""
+    return {
+        "cluster": coverage.static.cluster,
+        "fingerprint": universe_fingerprint(coverage.static),
+        **coverage_totals(coverage),
         "criteria": {
             str(status.criterion): {
                 "satisfied": status.satisfied,

@@ -9,7 +9,7 @@ from .instrumenter import (
 )
 from .matching import MatchResult, match_events
 from .parallel_print import ParallelPrint, tap_signal
-from .probes import ProbeRuntime, UseWithoutDefWarning, WriterKind
+from .probes import ProbeRuntime, UseWithoutDefWarning
 from .runner import ClusterFactory, DynamicAnalyzer, DynamicResult
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "ParallelPrint",
     "ProbeRuntime",
     "UseWithoutDefWarning",
-    "WriterKind",
     "compile_processing_ast",
     "install_processing_ast",
     "instrument_processing",

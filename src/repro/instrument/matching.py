@@ -10,14 +10,15 @@ mapping while the simulation runs; :func:`match_events` finalizes it:
   values persist, so the last def may be from an earlier activation —
   exactly the paper's ``m_mux_s`` cross-activation pairs);
 
-* **ports** — a read of token ``i`` on a signal pairs with the last
-  write of the greatest token index ``<= i`` on that signal (the floor
-  accounts for the kernel's sample-and-hold repetition of unwritten
-  samples).  The write carries the definition anchor: a source line
-  for instrumented models, the netlist bind line for redefining
-  library elements, or the *testbench* marker, in which case the read
-  pairs with the reader's own placeholder definition at its model
-  start (Table I's ``(ip_signal_in, 1, TS, 3, TS)``);
+* **ports** — a read of token ``i`` on a signal an instrumented model
+  drives pairs with the last write of the greatest token index
+  ``<= i`` on that signal (the floor accounts for the kernel's
+  sample-and-hold repetition of unwritten samples), anchored at the
+  write's source line.  Every token of a signal an uninstrumented
+  module drives is defined at one static site: the netlist bind line
+  for redefining library elements, or the *testbench* marker, in which
+  case the read pairs with the reader's own placeholder definition at
+  its model start (Table I's ``(ip_signal_in, 1, TS, 3, TS)``);
 
 * **initial/delay tokens** (negative index or below the priming count)
   pair with nothing — they are initial values, not definitions;

@@ -6,11 +6,12 @@ modifying them, the paper inserts a separate TDF module in parallel —
 :class:`ParallelPrint` is that module; :func:`tap_signal` attaches one
 to an existing signal.
 
-The dynamic runner achieves the same observation through kernel port
-hooks (its events are checked against a ParallelPrint tap for
-observational equivalence in the test suite), but the tap remains part
-of the public API because it works on *any* kernel object graph, e.g.
-when replaying recorded schedules.
+The dynamic runner needs no observer: a redefining element's tokens
+are defined at its static netlist bind site (see
+:mod:`repro.instrument.probes`).  The tap remains part of the public
+API because it works on *any* kernel object graph; the test suite
+checks that it sees exactly the rows a :class:`~repro.tdf.trace.Tracer`
+records on the same signal.
 """
 
 from __future__ import annotations

@@ -10,10 +10,14 @@ that while the simulation runs; no event is stored:
   ``((var, model, line), last def line)`` to
   :attr:`ProbeRuntime.use_hits` (the instrumenter emits both as C-level
   dict/set operations on per-site constants);
-* **ports** — the ``pw``/``generic_write`` probes fold every token
-  write into the signal's :class:`_SignalWrites` index, and ``pr``
-  pairs each read with the floor of the writes recorded so far,
-  adding the resolved pair to :attr:`ProbeRuntime.read_hits`;
+* **ports** — the ``pw`` probe folds every token an instrumented model
+  writes into the signal's :class:`_SignalWrites` index.  A signal
+  driven by an uninstrumented module (a testbench source or a
+  redefining library element) has one *static* def site instead, the
+  reader's placeholder def or the netlist bind site (paper §V), in
+  :attr:`ProbeRuntime.static_sites`.  ``pr`` pairs each read with that
+  site or with the floor of the writes recorded so far, adding the
+  resolved pair to :attr:`ProbeRuntime.read_hits`;
 * reads of **undriven** signals are noted once per port, in
   first-seen order (:attr:`ProbeRuntime.undriven`).
 
@@ -25,10 +29,7 @@ runs), not O(events).
 from __future__ import annotations
 
 import bisect
-import enum
 from typing import Dict, List, Optional, Set, Tuple
-
-from ..tdf.errors import PortAccessError
 
 
 class UseWithoutDefWarning(UserWarning):
@@ -38,14 +39,6 @@ class UseWithoutDefWarning(UserWarning):
     exactly this bug class in both case-study VPs ("the ports were not
     defined, but still used in a different TDF model", §VI-B).
     """
-
-
-class WriterKind(enum.Enum):
-    """Who produced a token (decides how a read is paired)."""
-
-    MODEL = "model"          #: instrumented model write (def anchored in source)
-    REDEF = "redef"          #: redefining library element (netlist anchor)
-    TESTBENCH = "testbench"  #: testbench stimulus (pairs to placeholder defs)
 
 
 #: Write site of every testbench token: a read of one pairs with the
@@ -116,19 +109,32 @@ class _SignalWrites:
 class ProbeRuntime:
     """Pairs the defs and uses of one testcase execution as they run.
 
-    The pairing of reads relies on one condition that every TDF
-    schedule meets: *every write of token j on a signal is recorded
-    before any read of a token >= j on that signal* (a reader fires
-    after the writers of the tokens it consumes; the block engine emits
-    hoisted writes at their canonical positions).  Under it the floor
-    of the writes seen so far is the floor of all writes of the run.
+    Every driven signal has one driver, so its tokens are paired one of
+    two ways:
+
+    * an uninstrumented driver (testbench source, redefining library
+      element) defines every token at one static site, whether or not
+      its ``processing()`` called ``write()``; a read of token ``j``
+      pairs with that site unless ``j`` is below the driver port's
+      delay (output-delay priming: initial values, not definitions);
+    * an instrumented model's ``pw`` calls are recorded, and a read
+      pairs with the floor of the writes recorded so far.  That is the
+      floor of all writes of the run because every TDF schedule
+      records *every write of token j on a signal before any read of a
+      token >= j on it* (a reader fires after the writers of the tokens
+      it consumes; the block engine fires instrumented models one
+      firing at a time, in schedule order).
 
     State, all of it bounded by sites and write runs:
 
     * :attr:`last_def` — ``(model, var)`` -> line of the latest def;
     * :attr:`use_hits` — ``((var, model, use_line), def_line)``, with
       ``def_line`` ``None`` for a use before any def;
-    * :attr:`signal_writes` — signal name -> :class:`_SignalWrites`;
+    * :attr:`static_sites` — signal name -> ``(driver_port, site)`` for
+      the uninstrumented drivers, ``site`` being
+      :data:`TESTBENCH_SITE` or ``(var, model, line)``;
+    * :attr:`signal_writes` — signal name -> :class:`_SignalWrites` of
+      the instrumented-model writes;
     * :attr:`read_hits` — ``(var, def_model, def_line, use_model,
       use_line)`` pairs of port reads; ``def_line`` is ``None`` for a
       testbench token (var and def model are then the reading port and
@@ -141,92 +147,66 @@ class ProbeRuntime:
         self.cluster_name = cluster_name
         self.last_def: Dict[Tuple[str, str], int] = {}
         self.use_hits: Set[tuple] = set()
+        self.static_sites: Dict[str, tuple] = {}
         self.signal_writes: Dict[str, _SignalWrites] = {}
         self.read_hits: Set[tuple] = set()
         self.undriven: Dict[Tuple[str, str], str] = {}
         self._install()
 
     def _install(self) -> None:
-        """Install the ``pr``/``pw``/``generic_write`` closures and the
-        ``record_write``/``record_read`` entry points they pair through.
+        """Install the ``pr``/``pw`` closures and the ``record_write`` /
+        ``record_read`` entry points they pair through.
 
         The instrumented code calls ``__dft_probe__.pr(self, ...)`` — an
         instance-dict lookup resolving to these plain functions, which
-        skips the bound-method creation.  ``pr``/``pw`` inline the port
-        fast paths but keep every user-visible validation and hook of
-        :meth:`~repro.tdf.ports.TdfIn.read` /
-        :meth:`~repro.tdf.ports.TdfOut.write`.
+        skips the bound-method creation.  ``pr``/``pw`` access the port
+        through :meth:`~repro.tdf.ports.TdfIn.read` /
+        :meth:`~repro.tdf.ports.TdfOut.write` and add only the pairing.
         """
         cluster_name = self.cluster_name
         signal_writes = self.signal_writes
         writes_get = signal_writes.get
+        static_get = self.static_sites.get
         add_read_hit = self.read_hits.add
         undriven = self.undriven
-        testbench = WriterKind.TESTBENCH
         testbench_site = TESTBENCH_SITE
-        model_kind = WriterKind.MODEL
         # id(port) -> (anchor_model, anchor_line) for opaque uses, or
         # None when the anchor is the instrumented source line.
         anchor_cache: dict = {}
 
-        def record_write(sig_name, token, var, model, line, kind):
+        def record_write(sig_name, token, var, model, line):
             writes = writes_get(sig_name)
             if writes is None:
                 writes = signal_writes[sig_name] = _SignalWrites()
-            writes.add(
-                token, testbench_site if kind is testbench else (var, model, line)
-            )
+            writes.add(token, (var, model, line))
 
         def record_read(sig_name, token, port_name, reader, anchor_model,
                         anchor_line, is_undriven):
             if is_undriven:
                 undriven[(reader, port_name)] = sig_name
                 return
-            if token < 0:  # initial/delay token: not a definition
+            if token < 0:  # reader-side delay token: not a definition
                 return
-            writes = writes_get(sig_name)
-            if writes is None:
-                return
-            site = writes.floor(token)
-            if site is None:
-                return
+            static = static_get(sig_name)
+            if static is not None:
+                driver, site = static
+                if token < driver.delay:  # output-delay priming
+                    return
+            else:
+                writes = writes_get(sig_name)
+                if writes is None:
+                    return
+                site = writes.floor(token)
+                if site is None:
+                    return
             if site is testbench_site:
                 add_read_hit((port_name, reader, None, anchor_model, anchor_line))
             else:
                 add_read_hit((site[0], site[1], site[2], anchor_model, anchor_line))
 
         def pr(module, port, line, offset=0):
+            value = port.read(offset)
             sig = port.signal
-            if sig is None:
-                raise PortAccessError(f"read from unbound port {port.full_name()}")
-            if not port._in_activation:
-                raise PortAccessError(
-                    f"port {port.full_name()} read outside of processing()"
-                )
-            if offset and not 0 <= offset < port.rate:
-                raise PortAccessError(
-                    f"sample offset {offset} out of range for port "
-                    f"{port.full_name()} with rate {port.rate}"
-                )
-            index = sig._cursors[id(port)] + offset
-            driver = sig.driver
-            if driver is None:
-                value = sig.initial_value
-            else:
-                # Inline _value_at's in-buffer fast path; delegate the
-                # delay region and bounds diagnostics to the slow path.
-                i = index - sig._base_index
-                if i >= 0:
-                    try:
-                        value = sig._tokens[i]
-                    except IndexError:
-                        value = sig._value_at(index, port)
-                else:
-                    value = sig._value_at(index, port)
-            hooks = port._read_hooks
-            if hooks:
-                for hook in hooks:
-                    hook(port, index, value, offset)
             key = id(port)
             anchor = anchor_cache.get(key, 0)
             if anchor == 0:
@@ -235,41 +215,21 @@ class ProbeRuntime:
                 else:
                     anchor = None
                 anchor_cache[key] = anchor
+            index = sig._cursors[key] + offset
             if anchor is None:
                 record_read(sig.name, index, port.name, module.name,
-                            module.name, line, driver is None)
+                            module.name, line, sig.driver is None)
             else:
                 record_read(sig.name, index, port.name, module.name,
-                            anchor[0], anchor[1], driver is None)
+                            anchor[0], anchor[1], sig.driver is None)
             return value
 
         def pw(module, port, line, value, offset=0):
-            sig = port.signal
-            if sig is None:
-                raise PortAccessError(f"write to unbound port {port.full_name()}")
-            if not port._in_activation:
-                raise PortAccessError(
-                    f"port {port.full_name()} written outside of processing()"
-                )
-            if offset and not 0 <= offset < port.rate:
-                raise PortAccessError(
-                    f"sample offset {offset} out of range for port "
-                    f"{port.full_name()} with rate {port.rate}"
-                )
-            index = port._flushed + offset
-            port._pending.append((offset, value))
-            hooks = port._write_hooks
-            if hooks:
-                for hook in hooks:
-                    hook(port, index, value, offset)
-            record_write(sig.name, index, port.name, module.name, line, model_kind)
+            index = port.write(value, offset)
+            record_write(port.signal.name, index, port.name, module.name, line)
             return index
-
-        def generic_write(port, token_index, var, model, line, kind):
-            record_write(port.signal.name, token_index, var, model, line, kind)
 
         self.record_write = record_write
         self.record_read = record_read
         self.pr = pr
         self.pw = pw
-        self.generic_write = generic_write

@@ -2,10 +2,10 @@
 
 For every testcase the runner builds a fresh cluster (testcases must
 not contaminate each other's member state), instruments every analysed
-model's ``processing()``, installs port hooks on the uninstrumented
-modules (testbench sources, redefining library elements), applies the
-testcase's stimuli, simulates, and collects the def-use pairs the
-probe paired along the way.
+model's ``processing()``, registers the static def site of every
+signal an uninstrumented module drives (testbench sources, redefining
+library elements), applies the testcase's stimuli, simulates, and
+collects the def-use pairs the probe paired along the way.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from ..tdf.simulator import Simulator
 from ..testing.testcase import TestCase, TestSuite
 from .instrumenter import instrument_processing
 from .matching import MatchResult, match_events
-from .probes import ProbeRuntime, WriterKind
+from .probes import TESTBENCH_SITE, ProbeRuntime
 
 #: A nullary callable producing a **fresh** cluster instance per call.
 #:
 #: The fresh-instance contract is load-bearing: the dynamic analysis
 #: runs every testcase on its own cluster so module member state,
-#: signal buffers and instrumentation hooks can never leak between
+#: signal buffers and instrumentation can never leak between
 #: testcases, and the pipeline builds one more instance for the static
 #: stage.  Returning a cached/shared cluster breaks testcase isolation
 #: and double-instruments ``processing()``.  Telemetry records how many
@@ -102,7 +102,7 @@ class DynamicAnalyzer:
             cluster = self.cluster_factory()
             probe = ProbeRuntime(cluster.name)
             self._instrument(cluster, probe)
-            self._install_hooks(cluster, probe)
+            self._register_static_sites(cluster, probe)
             testcase.apply(cluster)
             simulator = Simulator(cluster, engine=self.engine)
             with tel.span("dynamic.simulate", testcase=testcase.name):
@@ -138,20 +138,23 @@ class DynamicAnalyzer:
                 continue
             instrument_processing(module, probe)
 
-    def _install_hooks(self, cluster: Cluster, probe: ProbeRuntime) -> None:
+    def _register_static_sites(self, cluster: Cluster, probe: ProbeRuntime) -> None:
         for module in cluster.modules:
-            if module.TESTBENCH:
-                for port in module.out_ports():
-                    self._hook_write(probe, module, port, WriterKind.TESTBENCH, port.name, 0)
-            elif module.REDEFINING:
-                for port in module.out_ports():
-                    var, kind, line = self._redef_annotation(cluster, module, port)
-                    self._hook_write(probe, module, port, kind, var, line)
+            if not (module.TESTBENCH or module.REDEFINING):
+                continue
+            for port in module.out_ports():
+                if port.signal is None:
+                    continue
+                if module.TESTBENCH:
+                    site = TESTBENCH_SITE
+                else:
+                    site = self._redef_site(cluster, module, port)
+                probe.static_sites[port.signal.name] = (port, site)
 
-    def _redef_annotation(
+    def _redef_site(
         self, cluster: Cluster, module: TdfModule, port: TdfOut
     ) -> tuple:
-        """Definition anchor for tokens leaving a redefining element.
+        """Definition site of the tokens leaving a redefining element.
 
         The variable is the originating (non-redefining) output port's
         name; the anchor is this element's output bind statement, and
@@ -162,32 +165,10 @@ class DynamicAnalyzer:
         """
         ins = module.in_ports()
         origin = origin_of(ins[0]) if ins else None
-        line = port.bind_site.lineno if port.bind_site is not None else 0
         if origin is None:
-            return port.name, WriterKind.TESTBENCH, line
+            return TESTBENCH_SITE
         driver, _redefined, _anchor = origin
         if driver.module is not None and driver.module.TESTBENCH:
-            return driver.name, WriterKind.TESTBENCH, line
-        return driver.name, WriterKind.REDEF, line
-
-    def _hook_write(
-        self,
-        probe: ProbeRuntime,
-        module: TdfModule,
-        port: TdfOut,
-        kind: WriterKind,
-        var: str,
-        line: int,
-    ) -> None:
-        if port.signal is None:
-            return
-        model = probe.cluster_name if kind is WriterKind.REDEF else module.name
-
-        def hook(p: TdfOut, index: int, value, offset: int) -> None:
-            probe.generic_write(p, index, var, model, line, kind)
-
-        # Marker consumed by the engine compiler: a hook carrying it is a
-        # pure probe-write recorder whose effect the compiled program can
-        # replay without firing the interpreted write path.
-        hook.__dft_probe_writer__ = (probe, var, model, line, kind)
-        port.add_write_hook(hook)
+            return TESTBENCH_SITE
+        line = port.bind_site.lineno if port.bind_site is not None else 0
+        return (driver.name, cluster.name, line)

@@ -85,24 +85,11 @@ def span_percentiles(telemetry: Any) -> Dict[str, Dict[str, float]]:
 def coverage_summary(coverage: Any) -> Dict[str, Any]:
     """The coverage slice of a history record (compact, diffable)."""
     from ...core.criteria import evaluate_all
-    from ...core.database import universe_fingerprint
+    from ...core.database import coverage_totals, universe_fingerprint
 
-    classes = coverage.class_coverage()
     return {
         "universe": universe_fingerprint(coverage.static),
-        "totals": {
-            "static": coverage.static_total,
-            "exercised": coverage.exercised_total,
-            "percent": round(coverage.overall_percent, 2),
-        },
-        "classes": {
-            klass.value: {
-                "total": cc.total,
-                "covered": cc.covered,
-                "percent": None if cc.percent is None else round(cc.percent, 2),
-            }
-            for klass, cc in classes.items()
-        },
+        **coverage_totals(coverage),
         "criteria": {
             str(criterion): satisfied
             for criterion, satisfied in evaluate_all(coverage).items()

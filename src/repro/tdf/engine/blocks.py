@@ -49,8 +49,6 @@ def consume_block(port: "TdfIn", n: int) -> List[Any]:
     Collecting here would be unsafe: a mid-window dynamic-TDF request
     rolls this cursor *back*, and tokens collected under the advanced
     cursor would be unrecoverable.  GC timing is internal either way.
-    Read hooks are *not* fired — the compiler never block-fires a module
-    whose input ports carry hooks.
     """
     sig = port.signal
     key = id(port)

@@ -4,24 +4,23 @@ lookups or ScaTime arithmetic.
 
 SDF theory guarantees the periodic schedule is fully static, so every
 decision the interpreter re-makes per firing — which ports, what
-timestep offset, whether hooks exist, whether the fast flush applies —
-is made once here and baked into closures.  A compiled
-program has four parts:
+timestep offset, whether the fast flush applies — is made once here
+and baked into closures.  A compiled program has four parts:
 
 * **pre ops** — *windowable* block-capable modules whose entire input
   cone is also hoisted: fired once per execution window, producing
   ``window × repetitions`` samples in a single ``processing_block``
-  call.  Their probe writes (if any) are recorded at the canonical
-  schedule positions by event ops, so the probe sees writes and reads
-  in the interpreter's order.
+  call.  The probe records nothing for them: a testbench or library
+  writer's definition is a static site (see
+  :mod:`repro.instrument.probes`).
 * **core ops** — everything in between, in PASS order: per-firing
   specialised SISO ops (gain/delay/buffer), per-period coalesced block
-  ops, generic interpreted firings (instrumented or user-defined
-  modules — per-sample fallback), and the event ops of hoisted firings.
+  ops and generic interpreted firings (instrumented or user-defined
+  modules — per-sample fallback).
 * **post ops** — block-capable sinks (no output ports): fired once per
   window for the completed periods.
-* **metadata** — window size, dynamic-TDF watch list, event counter
-  cells and a validation signature.
+* **metadata** — window size, dynamic-TDF watch list and a validation
+  signature.
 
 Fallback classification is per module and reported through the
 ``tdf.engine_fallbacks`` telemetry counter, with
@@ -32,27 +31,25 @@ the interpreted path.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ...obs import get_telemetry
 from ..module import TdfModule
 from .blocks import FiringBlock, produce_block
 
-#: Periods per execution window on the fast (hook-free, static-schedule)
-#: path.  Bounds both rollback cost on a mid-window dynamic-TDF request
-#: and the latency of deferred post-op sinks.
+#: Periods per execution window on the fast (static-schedule) path.
+#: Bounds both rollback cost on a mid-window dynamic-TDF request and the
+#: latency of deferred post-op sinks.
 WINDOW_PERIODS = 32
 
 
 class _ModuleInfo:
-    __slots__ = ("capable", "windowable", "reasons", "event_specs", "siso")
+    __slots__ = ("capable", "windowable", "reasons", "siso")
 
     def __init__(self) -> None:
         self.capable = False
         self.windowable = False
         self.reasons: List[str] = []
-        #: ``(out_port, [marker_info, ...])`` for probe-marked write hooks.
-        self.event_specs: List[Tuple[Any, List[tuple]]] = []
         self.siso: Optional[str] = None  # "gain" | "copy" | None
 
 
@@ -87,27 +84,6 @@ def _classify(module: TdfModule) -> _ModuleInfo:
         reasons.append("instrumented")
     if any(port.rate != 1 for port in module.ports()):
         reasons.append("multirate")
-    for port in module.in_ports():
-        if port._read_hooks:
-            reasons.append("read_hooks")
-            break
-    foreign = False
-    hooked = 0
-    for port in module.out_ports():
-        if port._write_hooks:
-            infos = [
-                getattr(hook, "__dft_probe_writer__", None)
-                for hook in port._write_hooks
-            ]
-            if any(i is None for i in infos):
-                foreign = True
-            else:
-                hooked += 1
-                info.event_specs.append((port, infos))
-    if foreign:
-        reasons.append("foreign_write_hook")
-    if hooked > 1:
-        reasons.append("multi_out_events")
     info.capable = not reasons
     info.windowable = info.capable and type(module).BLOCK_WINDOWABLE
     if info.capable:
@@ -190,33 +166,9 @@ class _WindowRollback:
             )
 
 
-def _make_event_op(port, infos, cell):
-    """Probe writes of one hoisted firing, recorded at its canonical
-    position in the period with a running token counter."""
-    sig_name = port.signal.name
-    if len(infos) == 1:
-        probe, var, model, line, kind = infos[0]
-
-        def op(base_fs, cell=cell, record=probe.record_write, sig_name=sig_name,
-               var=var, model=model, line=line, kind=kind):
-            index = cell[0]
-            cell[0] = index + 1
-            record(sig_name, index, var, model, line, kind)
-
-        return op
-
-    def op(base_fs, cell=cell, port=port, infos=infos):
-        index = cell[0]
-        cell[0] = index + 1
-        for probe, var, model, line, kind in infos:
-            probe.generic_write(port, index, var, model, line, kind)
-
-    return op
-
-
-def _make_siso_op(module, kind, event_infos):
+def _make_siso_op(module, kind, offset_fs):
     """Specialised per-firing op for uninstrumented gain/delay/buffer:
-    direct token move with an inline probe write, no FiringBlock."""
+    direct token move, no FiringBlock."""
     in_port = module.in_ports()[0]
     out_port = module.out_ports()[0]
     in_sig = in_port.signal
@@ -225,27 +177,13 @@ def _make_siso_op(module, kind, event_infos):
     cursors = in_sig._cursors
     out_tokens = out_sig._tokens
     is_gain = kind == "gain"
+    setattr_ = object.__setattr__
 
-    event = None
-    if event_infos:
-        port, infos = event_infos
-        if len(infos) == 1:
-            probe, var, model, line, wkind = infos[0]
-            sig_name = out_sig.name
-
-            def event(index, r=probe.record_write, s=sig_name, v=var, m=model,
-                      l=line, k=wkind):
-                r(s, index, v, m, l, k)
-
-        else:
-
-            def event(index, port=out_port, infos=infos):
-                for probe, var, model, line, wkind in infos:
-                    probe.generic_write(port, index, var, model, line, wkind)
-
-    def op(base_fs, module=module, in_port=in_port, out_port=out_port,
-           in_sig=in_sig, out_sig=out_sig, in_key=in_key, cursors=cursors,
-           out_tokens=out_tokens, is_gain=is_gain, event=event):
+    def op(base_fs, module=module, offset_fs=offset_fs, in_port=in_port,
+           out_port=out_port, in_sig=in_sig, out_sig=out_sig, in_key=in_key,
+           cursors=cursors, out_tokens=out_tokens, is_gain=is_gain,
+           setattr_=setattr_):
+        setattr_(module, "_time_fs", base_fs + offset_fs)
         cursor = cursors[in_key]
         if cursor >= 0:
             try:
@@ -262,14 +200,11 @@ def _make_siso_op(module, kind, event_infos):
         cursors[in_key] = cursor + 1
         if is_gain:
             value = value * module.m_gain
-        index = out_port._flushed
         out_tokens.append(value)
         out_sig._write_count += 1
-        out_port._flushed = index + 1
+        out_port._flushed += 1
         out_port._last_value = value
-        if event is not None:
-            event(index)
-        object.__setattr__(module, "activation_count", module.activation_count + 1)
+        setattr_(module, "activation_count", module.activation_count + 1)
 
     return op
 
@@ -329,7 +264,6 @@ class CompiledProgram:
         "pre_ops",
         "core_ops",
         "post_ops",
-        "event_cells",
         "dynamic_watch",
         "window",
         "full_dynamic",
@@ -341,7 +275,6 @@ class CompiledProgram:
         self.pre_ops: List[_BlockFireOp] = []
         self.core_ops: List = []
         self.post_ops: List[_BlockFireOp] = []
-        self.event_cells: List[tuple] = []
         self.dynamic_watch: List[TdfModule] = []
         self.window = WINDOW_PERIODS
         self.full_dynamic = False
@@ -350,14 +283,9 @@ class CompiledProgram:
 
 def program_signature(simulator) -> tuple:
     """Everything a compiled program bakes in that the kernel lets
-    callers change between runs: processing registrations and hooks.
-    Unequal signatures force a recompile."""
-    parts = []
-    for module in simulator.cluster.modules:
-        out_state = tuple(tuple(port._write_hooks) for port in module.out_ports())
-        in_state = tuple(tuple(port._read_hooks) for port in module.in_ports())
-        parts.append((module._processing_fn, out_state, in_state))
-    return tuple(parts)
+    callers change between runs: the processing registrations.  Unequal
+    signatures force a recompile."""
+    return tuple(module._processing_fn for module in simulator.cluster.modules)
 
 
 def compile_program(simulator, schedule) -> CompiledProgram:
@@ -422,14 +350,6 @@ def compile_program(simulator, schedule) -> CompiledProgram:
                 _BlockFireOp(module, reps[module.name], ts_fs[module.name])
             )
 
-    # Event counter cells for hoisted firings with probe-marked hooks.
-    cell_map: Dict[int, list] = {}
-    for module in pre:
-        for port, _infos in info_map[module].event_specs:
-            cell = [0]
-            cell_map[id(port)] = cell
-            program.event_cells.append((port, cell))
-
     firings = schedule.firings
     total = len(firings)
     block_firings = 0
@@ -438,28 +358,19 @@ def compile_program(simulator, schedule) -> CompiledProgram:
     while i < total:
         module, fidx = firings[i]
         info = info_map[module]
-        if module in pre:
-            for port, infos in info.event_specs:
-                program.core_ops.append(
-                    _make_event_op(port, infos, cell_map[id(port)])
-                )
+        if module in pre or module in post:
             block_firings += 1
             i += 1
             continue
-        if module in post:
-            block_firings += 1
-            i += 1
-            continue
+        offset = ts_fs[module.name] * fidx
         if info.siso is not None:
-            specs = info.event_specs[0] if info.event_specs else None
-            program.core_ops.append(_make_siso_op(module, info.siso, specs))
+            program.core_ops.append(_make_siso_op(module, info.siso, offset))
             block_firings += 1
             i += 1
             continue
         q = reps[module.name]
         if (
             info.capable
-            and not info.event_specs
             and fidx == 0
             and i + q <= total
             and all(firings[i + k] == (module, k) for k in range(q))
@@ -474,7 +385,6 @@ def compile_program(simulator, schedule) -> CompiledProgram:
             block_firings += q
             i += q
             continue
-        offset = ts_fs[module.name] * fidx
         program.core_ops.append(_make_generic_op(module, offset))
         if fidx == 0:
             generic_modules.append(module)

@@ -13,8 +13,8 @@ file attribute requests on the fast path) and, on a request, truncates
 the window — excess pre-produced samples are rolled back token-for-token
 before the schedule swap, so the data in flight is exactly what the
 interpreter would have left behind.  Clusters that override
-``change_attributes()`` (or carry period hooks) run with a window of
-one period and the interpreter's full end-of-period protocol.
+``change_attributes()`` run with a window of one period and the
+interpreter's full end-of-period protocol.
 
 Engine selection is a three-valued knob resolved by
 :func:`resolve_engine`: ``"interp"`` (the historical loop),
@@ -66,9 +66,8 @@ class BlockEngine:
 
         Programs are cached on the schedule object itself (schedules are
         memoized by the simulator's schedule cache, so a dynamic-TDF
-        oscillation recompiles nothing).  A signature mismatch — hooks or
-        processing registrations changed since compilation — forces a
-        recompile.
+        oscillation recompiles nothing).  A signature mismatch — processing
+        registrations changed since compilation — forces a recompile.
         """
         program = getattr(schedule, "_engine_program", None)
         if program is not None and program.signature == program_signature(self.sim):
@@ -91,8 +90,8 @@ class BlockEngine:
         stop_fs = stop.femtoseconds if stop is not None else None
         executed = 0
         windows = 0
-        # Signature validation once per schedule per run: hooks cannot
-        # change while the kernel itself is running.
+        # Signature validation once per schedule per run: processing
+        # registrations cannot change while the kernel itself is running.
         validated: Dict[int, CompiledProgram] = {}
         try:
             while True:
@@ -121,7 +120,7 @@ class BlockEngine:
                         by_time if remaining is None else min(remaining, by_time)
                     )
                 t0 = time.perf_counter() if period_hist is not None else 0.0
-                if sim._period_hooks or program.full_dynamic:
+                if program.full_dynamic:
                     completed = self._run_one(program, now_fs)
                 else:
                     n = (
@@ -159,10 +158,8 @@ class BlockEngine:
 
     def _run_one(self, program: CompiledProgram, base_fs: int) -> int:
         """One period with the interpreter's full end-of-period protocol
-        (period hooks, ``change_attributes`` on every module)."""
+        (``change_attributes`` on every module)."""
         sim = self.sim
-        for port, cell in program.event_cells:
-            cell[0] = port._flushed
         for op in program.pre_ops:
             op.fire(1, base_fs, None)
         for op in program.core_ops:
@@ -171,16 +168,12 @@ class BlockEngine:
             op.fire(1, base_fs, None)
         sim.now = ScaTime.from_femtoseconds(base_fs + program.period_fs)
         sim.periods_run += 1
-        for hook in sim._period_hooks:
-            hook(sim)
         sim._handle_dynamic_tdf()
         return 1
 
     def _run_window(self, program: CompiledProgram, base_fs: int, n: int) -> int:
         """Up to ``n`` periods in one window; returns periods completed."""
         sim = self.sim
-        for port, cell in program.event_cells:
-            cell[0] = port._flushed
         rollback = _WindowRollback() if n > 1 else None
         for op in program.pre_ops:
             op.fire(n, base_fs, rollback)

@@ -26,7 +26,7 @@ components (paper §V, "Binding Info. Extraction").
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, List, Optional, Tuple, TYPE_CHECKING
 
 from .errors import BindingError, PortAccessError
 from .signal import Signal
@@ -34,15 +34,6 @@ from .time import ScaTime
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .module import TdfModule
-
-#: Hook fired on every ``TdfOut.write`` call:
-#: ``(port, global_token_index, value, sample_index)``.
-WriteHook = Callable[["TdfOut", int, Any, int], None]
-
-#: Hook fired on every ``TdfIn.read`` call:
-#: ``(port, global_token_index, value, sample_offset)``.
-ReadHook = Callable[["TdfIn", int, Any, int], None]
-
 
 class BindSite:
     """Source location of a ``bind()`` call (the netlist anchor)."""
@@ -181,25 +172,16 @@ class Port:
 class TdfIn(Port):
     """TDF input port (``sca_tdf::sca_in`` analogue)."""
 
-    __slots__ = ("_read_hooks", "_in_activation")
+    __slots__ = ("_in_activation",)
 
     direction = "in"
 
     def __init__(self, name: str = "") -> None:
         super().__init__(name)
-        self._read_hooks: List[ReadHook] = []
         self._in_activation = False
 
     def _attach(self, signal: Signal) -> None:
         signal.attach_reader(self)
-
-    def add_read_hook(self, hook: ReadHook) -> None:
-        """Fire ``hook`` on every :meth:`read` call."""
-        self._read_hooks.append(hook)
-
-    def clear_hooks(self) -> None:
-        """Remove all read hooks."""
-        self._read_hooks.clear()
 
     # -- kernel interface ---------------------------------------------------
 
@@ -207,7 +189,7 @@ class TdfIn(Port):
         self._in_activation = True
 
     def _end_activation(self) -> None:
-        """Advance past this activation's samples without firing hooks."""
+        """Advance past this activation's samples."""
         self._in_activation = False
         assert self.signal is not None
         self.signal._cursors[id(self)] += self.rate
@@ -224,33 +206,36 @@ class TdfIn(Port):
         """Read sample ``offset`` (``0 .. rate-1``) of the current activation.
 
         Reading is non-destructive within the activation: the same
-        sample may be read any number of times, and each read fires the
-        read hooks (each read is a distinct *use* for data-flow
-        purposes).
+        sample may be read any number of times.
         """
-        if self.signal is None:
+        sig = self.signal
+        if sig is None:
             raise PortAccessError(f"read from unbound port {self.full_name()}")
         if not self._in_activation:
             raise PortAccessError(
                 f"port {self.full_name()} read outside of processing()"
             )
-        if not 0 <= offset < self.rate:
+        if offset and not 0 <= offset < self.rate:
             raise PortAccessError(
                 f"sample offset {offset} out of range for port "
                 f"{self.full_name()} with rate {self.rate}"
             )
-        index = self.global_index(offset)
-        if self.signal.driver is None:
+        if sig.driver is None:
             # Undriven signal: undefined behaviour per the SystemC-AMS
             # standard.  The kernel yields the signal's initial value so
-            # the simulation proceeds; the dynamic analysis observes the
-            # read (hooks below) and reports a use-without-def warning.
-            value = self.signal.initial_value
-        else:
-            value = self.signal._value_at(index, self)
-        for hook in self._read_hooks:
-            hook(self, index, value, offset)
-        return value
+            # the simulation proceeds; the dynamic analysis reports the
+            # read as a use-without-def.
+            return sig.initial_value
+        index = sig._cursors[id(self)] + offset
+        # The in-buffer fast path; the delay region and the bounds
+        # diagnostics take _value_at.
+        i = index - sig._base_index
+        if i >= 0:
+            try:
+                return sig._tokens[i]
+            except IndexError:
+                pass
+        return sig._value_at(index, self)
 
     def __call__(self, offset: int = 0) -> Any:
         """Alias for :meth:`read` (matches ``port.read()`` shorthand)."""
@@ -261,7 +246,6 @@ class TdfOut(Port):
     """TDF output port (``sca_tdf::sca_out`` analogue)."""
 
     __slots__ = (
-        "_write_hooks",
         "_pending",
         "_flushed",
         "_in_activation",
@@ -272,7 +256,6 @@ class TdfOut(Port):
 
     def __init__(self, name: str = "") -> None:
         super().__init__(name)
-        self._write_hooks: List[WriteHook] = []
         self._pending: List[Tuple[int, Any]] = []
         self._flushed = 0
         self._in_activation = False
@@ -280,14 +263,6 @@ class TdfOut(Port):
 
     def _attach(self, signal: Signal) -> None:
         signal.attach_driver(self)
-
-    def add_write_hook(self, hook: WriteHook) -> None:
-        """Fire ``hook`` on every :meth:`write` call."""
-        self._write_hooks.append(hook)
-
-    def clear_hooks(self) -> None:
-        """Remove all write hooks."""
-        self._write_hooks.clear()
 
     # -- kernel interface ---------------------------------------------------
 
@@ -330,9 +305,7 @@ class TdfOut(Port):
         """Write sample ``offset`` of the current activation.
 
         Returns the global token index the sample will occupy.  Writing
-        the same offset twice overwrites the earlier value, but each
-        call still fires the write hooks (each write statement executed
-        is a distinct *definition* for data-flow purposes).
+        the same offset twice overwrites the earlier value.
         """
         if self.signal is None:
             raise PortAccessError(f"write to unbound port {self.full_name()}")
@@ -340,13 +313,10 @@ class TdfOut(Port):
             raise PortAccessError(
                 f"port {self.full_name()} written outside of processing()"
             )
-        if not 0 <= offset < self.rate:
+        if offset and not 0 <= offset < self.rate:
             raise PortAccessError(
                 f"sample offset {offset} out of range for port "
                 f"{self.full_name()} with rate {self.rate}"
             )
-        index = self._flushed + offset
         self._pending.append((offset, value))
-        for hook in self._write_hooks:
-            hook(self, index, value, offset)
-        return index
+        return self._flushed + offset

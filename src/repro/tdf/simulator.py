@@ -25,7 +25,7 @@ counters).
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..obs import get_telemetry
 from .cluster import Cluster
@@ -65,14 +65,6 @@ class Simulator:
         self.schedule_cache_hits = 0
         self.schedule_cache_misses = 0
         self._initialized = False
-        #: Observers called after every period: ``(simulator)``.
-        self._period_hooks: List[Callable[["Simulator"], None]] = []
-
-    # -- observers --------------------------------------------------------
-
-    def add_period_hook(self, hook: Callable[["Simulator"], None]) -> None:
-        """Run ``hook(self)`` after every completed cluster period."""
-        self._period_hooks.append(hook)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -116,8 +108,6 @@ class Simulator:
             module._activate(base_fs + offset_fs)
         self.now = ScaTime.from_femtoseconds(base_fs + schedule.period_fs)
         self.periods_run += 1
-        for hook in self._period_hooks:
-            hook(self)
         self._handle_dynamic_tdf()
 
     def _attribute_key(self) -> Tuple:

@@ -3,14 +3,23 @@
 The pairer in :class:`repro.instrument.probes.ProbeRuntime` maps each
 use to its definition while the simulation runs.  This module keeps the
 join it replaced: record every event, then pair uses against the
-running last def and floor-join every port read against *all* writes
-of the run.  On causal streams — every write of token ``j`` on a signal
+running last def and join every port read against *all* writes of the
+run.  On causal streams — every write of token ``j`` on a signal
 precedes any read of a token ``>= j`` on it — both give the same pairs.
+
+A signal has one driver, so its tokens are defined one of two ways: by
+instrumented-model writes (``PW`` events, floor-joined), or at one
+static site declared before the run (a ``SITE`` event, as the runner
+registers for testbench sources and redefining library elements), which
+defines every token from the driver's output delay on.
 
 Events are flat tuples:
 
 * ``(USE | DEF, var, model, line)``;
-* ``(PW, signal, token, var, model, line, kind)``;
+* ``(SITE, signal, delay, site)`` with ``site`` either
+  :data:`~repro.instrument.probes.TESTBENCH_SITE` or ``(var, model,
+  line)``;
+* ``(PW, signal, token, var, model, line)``;
 * ``(PR, signal, token, port, reader_model, anchor_model, anchor_line,
   undriven)``.
 """
@@ -18,20 +27,22 @@ Events are flat tuples:
 from __future__ import annotations
 
 import bisect
+from types import SimpleNamespace
 from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.instrument.matching import MatchResult, match_events
-from repro.instrument.probes import ProbeRuntime, WriterKind
+from repro.instrument.probes import TESTBENCH_SITE, ProbeRuntime
 
-USE, DEF, PW, PR = range(4)
+USE, DEF, SITE, PW, PR = range(5)
 
 
 def replay(events: Iterable[tuple], cluster_name: str = "top") -> ProbeRuntime:
     """Feed ``events`` through the pairer's record entry points.
 
     Defs and uses do what the instrumented code does (a last-def store,
-    a use-hit add); port events go through ``record_write`` /
-    ``record_read``.
+    a use-hit add); a static site is registered as the runner does, with
+    a stand-in for the driver port; port events go through
+    ``record_write`` / ``record_read``.
     """
     probe = ProbeRuntime(cluster_name)
     last_def = probe.last_def
@@ -43,6 +54,9 @@ def replay(events: Iterable[tuple], cluster_name: str = "top") -> ProbeRuntime:
         elif tag == DEF:
             _, var, model, line = ev
             last_def[(model, var)] = line
+        elif tag == SITE:
+            _, sig, delay, site = ev
+            probe.static_sites[sig] = (SimpleNamespace(delay=delay), site)
         elif tag == PW:
             probe.record_write(*ev[1:])
         else:
@@ -67,11 +81,13 @@ def oracle_match(
 
     Var events pair inline against the running last-def map; port
     writes build per-signal token maps (a later write of the same token
-    overwrites an earlier one); port reads resolve after all writes.
+    overwrites an earlier one); port reads resolve after all writes,
+    against the static site if their signal has one.
     """
     result = MatchResult(testcase="tc")
     pairs = result.pairs
     last_def: Dict[Tuple[str, str], int] = {}
+    static: Dict[str, Tuple[int, tuple]] = {}
     per_signal: Dict[str, Dict[int, tuple]] = {}
     reads: List[tuple] = []
     for ev in events:
@@ -82,8 +98,10 @@ def oracle_match(
                 pairs.add((ev[1], ev[2], def_line, ev[2], ev[3]))
         elif tag == DEF:
             last_def[(ev[2], ev[1])] = ev[3]
+        elif tag == SITE:
+            static[ev[1]] = (ev[2], ev[3])
         elif tag == PW:
-            per_signal.setdefault(ev[1], {})[ev[2]] = ev
+            per_signal.setdefault(ev[1], {})[ev[2]] = ev[3:]
         else:
             reads.append(ev)
 
@@ -97,18 +115,25 @@ def oracle_match(
                 warned.add(desc)
                 result.use_without_def.append(desc)
             continue
-        if token < 0 or sig not in per_signal:
+        if token < 0:
             continue
-        tokens = sorted_tokens[sig]
-        pos = bisect.bisect_right(tokens, token) - 1
-        if pos < 0:
+        if sig in static:
+            delay, site = static[sig]
+            if token < delay:
+                continue
+        elif sig in per_signal:
+            tokens = sorted_tokens[sig]
+            pos = bisect.bisect_right(tokens, token) - 1
+            if pos < 0:
+                continue
+            site = per_signal[sig][tokens[pos]]
+        else:
             continue
-        write = per_signal[sig][tokens[pos]]
-        if write[6] is WriterKind.TESTBENCH:
+        if site == TESTBENCH_SITE:
             start = model_start_lines.get(reader)
             if start is None:
                 continue
             pairs.add((port, reader, start, anchor_model, anchor_line))
         else:
-            pairs.add((write[3], write[4], write[5], anchor_model, anchor_line))
+            pairs.add((site[0], site[1], site[2], anchor_model, anchor_line))
     return result

@@ -63,10 +63,15 @@ def _run(module_cls=Sample, periods=3, src_value=2.0):
     probe.events = []
     probe.last_def = _DefLog(probe.events)
     probe.use_hits = _UseLog(probe.events)
+    # Log the token index of every port read the instrumented code makes.
     probe.reads = []
-    top.dut.ip.add_read_hook(
-        lambda port, index, value, offset: probe.reads.append(index)
-    )
+    pr = probe.pr
+
+    def logged_pr(module, port, line, offset=0):
+        probe.reads.append(port.global_index(offset))
+        return pr(module, port, line, offset)
+
+    probe.pr = logged_pr
     instrument_processing(top.dut, probe)
     Simulator(top).run_periods(periods)
     return top, probe

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import DEF, PR, PW, USE, oracle_match, pairer_match
-from repro.instrument.probes import UseWithoutDefWarning, WriterKind
+from oracle import DEF, PR, PW, SITE, USE, oracle_match, pairer_match
+from repro.instrument.probes import TESTBENCH_SITE, UseWithoutDefWarning
 
 #: The pairing paths: the online pairer and the reference join.
 PATHS = ("pairer", "oracle")
@@ -28,8 +28,12 @@ def _def(var, model, line):
     return (DEF, var, model, line)
 
 
-def _write(token, line=30, kind=WriterKind.MODEL, signal="s", var="op", model="w"):
-    return (PW, signal, token, var, model, line, kind)
+def _write(token, line=30, signal="s", var="op", model="w"):
+    return (PW, signal, token, var, model, line)
+
+
+def _site(site=TESTBENCH_SITE, delay=0, signal="s"):
+    return (SITE, signal, delay, site)
 
 
 def _read(token, line=40, signal="s", undriven=False, port="ip", reader="r"):
@@ -103,19 +107,24 @@ class TestPortMatching:
         assert _pairs(events) == _each({("op", "w", 33, "r", 40)})
 
     def test_testbench_write_pairs_with_placeholder(self):
-        events = [_write(0, kind=WriterKind.TESTBENCH), _read(0)]
+        events = [_site(), _read(0)]
         assert _pairs(events, starts={"r": 7}) == _each({("ip", "r", 7, "r", 40)})
 
     def test_testbench_without_start_line_skipped(self):
-        events = [_write(0, kind=WriterKind.TESTBENCH), _read(0)]
+        events = [_site(), _read(0)]
         assert _pairs(events) == _each(set())
 
     def test_redef_write_uses_netlist_anchor(self):
-        events = [
-            _write(0, line=99, kind=WriterKind.REDEF, var="op_src", model="top"),
-            _read(0),
-        ]
+        events = [_site(("op_src", "top", 99)), _read(0)]
         assert _pairs(events) == _each({("op_src", "top", 99, "r", 40)})
+
+    def test_static_site_skips_output_delay_priming(self):
+        # Tokens below the driver's output delay are initial values.
+        priming = [_site(("op_src", "top", 99), delay=2), _read(0), _read(1)]
+        assert _pairs(priming) == _each(set())
+        assert _pairs(priming + [_read(2)]) == _each(
+            {("op_src", "top", 99, "r", 40)}
+        )
 
 
 class TestUseWithoutDef:
@@ -151,20 +160,32 @@ class TestExercisedRecords:
 # -- pairer == reference join on random causal streams ----------------------
 
 _SIGNALS = ("s0", "s1")
-_KINDS = (WriterKind.MODEL, WriterKind.REDEF, WriterKind.TESTBENCH)
 
 
 @st.composite
 def causal_streams(draw):
     """Random §V streams meeting the pairer's causality condition.
 
-    Writes on a signal only target tokens above the greatest token
-    already read on it, so every write of token ``j`` precedes any read
-    of a token ``>= j``.  Re-writes, gaps, out-of-order tokens, writer
-    site changes, negative reads and an undriven signal all occur.
+    Each signal has one driver: instrumented-model writes, or one
+    static site (testbench or netlist, with an output delay) declared
+    before the run.  Model writes on a signal only target tokens above
+    the greatest token already read on it, so every write of token
+    ``j`` precedes any read of a token ``>= j``.  Re-writes, gaps,
+    out-of-order tokens, writer site changes, priming and negative
+    reads and an undriven signal all occur.
     """
     max_read = {sig: -1 for sig in _SIGNALS}
     events = []
+    written = []
+    for sig in _SIGNALS:
+        driver = draw(st.sampled_from(("model", "testbench", "netlist")))
+        if driver == "model":
+            written.append(sig)
+            continue
+        site = TESTBENCH_SITE
+        if driver == "netlist":
+            site = (draw(st.sampled_from(("x", "y"))), "top", draw(st.integers(1, 4)))
+        events.append(_site(site, delay=draw(st.integers(0, 2)), signal=sig))
     for _ in range(draw(st.integers(0, 40))):
         op = draw(st.sampled_from(("use", "def", "write", "read", "undriven")))
         var = draw(st.sampled_from(("x", "y")))
@@ -175,12 +196,11 @@ def causal_streams(draw):
         elif op == "def":
             events.append(_def(var, model, line))
         elif op == "write":
-            sig = draw(st.sampled_from(_SIGNALS))
+            if not written:
+                continue
+            sig = draw(st.sampled_from(written))
             token = max_read[sig] + 1 + draw(st.integers(0, 4))
-            kind = draw(st.sampled_from(_KINDS))
-            events.append(
-                _write(token, line=line, kind=kind, signal=sig, var=var, model=model)
-            )
+            events.append(_write(token, line=line, signal=sig, var=var, model=model))
         elif op == "read":
             sig = draw(st.sampled_from(_SIGNALS))
             token = draw(st.integers(-2, 12))

@@ -2,7 +2,7 @@
 
 from repro.analysis import analyze_cluster
 from repro.instrument import ParallelPrint, tap_signal
-from repro.tdf import Cluster, Simulator, ms
+from repro.tdf import Cluster, Simulator, Tracer, ms
 from repro.tdf.library import CollectorSink, GainTdf, StimulusSource
 
 from helpers import Passthrough
@@ -53,14 +53,15 @@ class TestTap:
         tapped_keys = {a.key for a in tapped_result.associations}
         assert plain_keys == tapped_keys
 
-    def test_observational_equivalence_with_port_hooks(self):
-        """The tap sees exactly the tokens the runner's hooks see."""
+    def test_observational_equivalence_with_tracer(self):
+        """The tap sees exactly the tokens a Tracer records."""
         top = _top()
         tap = tap_signal(top, top.sig_mid)
-        hook_seen = []
-        top.dut.op.add_write_hook(lambda p, i, v, o: hook_seen.append((i, v)))
+        tracer = Tracer()
+        tracer.trace(top.sig_mid, "mid")
         Simulator(top).run(ms(4))
-        assert tap.m_samples == hook_seen
+        assert tap.m_samples == list(enumerate(tracer.values("mid")))
+        assert len(tap.m_samples) == 4
 
     def test_clear(self):
         top = _top()

@@ -3,7 +3,7 @@
 import inspect
 
 from repro.instrument import instrument_processing
-from repro.instrument.probes import ProbeRuntime, WriterKind
+from repro.instrument.probes import ProbeRuntime
 from repro.tdf import Cluster, Simulator, TdfModule, ms
 from repro.tdf.library import CollectorSink, ConstantSource
 
@@ -78,9 +78,9 @@ class TestPortApi:
             probe.pw(top.dut, top.dut.op, 102, value * 3)
 
         top.dut.register_processing(processing)
-        # A write of token 0 on the read signal, as the runner's
-        # testbench hook would record it (floor of both reads).
-        probe.record_write(top.dut.ip.signal.name, 0, "op", "src", 7, WriterKind.MODEL)
+        # A model write of token 0 on the read signal (the floor of
+        # both reads).
+        probe.record_write(top.dut.ip.signal.name, 0, "op", "src", 7)
         Simulator(top).run(ms(2))
         assert top.sink.values() == [6.0, 6.0]
         assert probe.read_hits == {("op", "src", 7, "dut", 101)}  # anchor line
@@ -97,9 +97,7 @@ class TestPortApi:
                 probe.pw(top.dut, top.dut.op, 102, probe.pr(top.dut, top.dut.ip, 101))
 
             top.dut.register_processing(processing)
-            probe.record_write(
-                top.dut.ip.signal.name, 0, "op", "src", 7, WriterKind.MODEL
-            )
+            probe.record_write(top.dut.ip.signal.name, 0, "op", "src", 7)
             Simulator(top).run(ms(1))
             assert probe.read_hits == {
                 ("op", "src", 7, "top", top.dut.ip.bind_site.lineno)

@@ -186,9 +186,29 @@ class TestCompilerClassification:
         engine = BlockEngine(sim)
         first = engine.program_for(sim.schedule)
         assert engine.program_for(sim.schedule) is first
-        # A new hook invalidates the signature and forces a recompile.
-        top.dut.op.add_write_hook(lambda p, i, v, o: None)
+        # A processing registration invalidates the signature and
+        # forces a recompile.
+        top.dut.register_processing(top.dut.processing)
         assert engine.program_for(sim.schedule) is not first
+
+
+class TestModuleState:
+    def test_buck_boost_module_time_and_activations_match_interp(self):
+        """Every module, SISO ops included, leaves the interpreter's
+        ``time`` (its last firing) and ``activation_count`` behind."""
+        from repro.systems.buck_boost import BuckBoostTop
+
+        state = {}
+        for engine in ("interp", "block"):
+            top = BuckBoostTop("top")
+            Simulator(top, engine=engine).run(ms(5))
+            state[engine] = {
+                m.name: (m.time, m.activation_count) for m in top.modules
+            }
+        assert state["block"] == state["interp"]
+        # The SISO library elements fired last at 4.95 ms.
+        for name in ("i_sense_gain", "i_vout_delay"):
+            assert state["block"][name][0].femtoseconds == 4_950_000_000_000
 
 
 class TestResolveEngine:

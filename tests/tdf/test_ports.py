@@ -231,42 +231,3 @@ class TestUndrivenRead:
         Simulator(top).run(ms(2))
         assert top.r.m_seen == [3.3, 3.3]
 
-
-class TestHooks:
-    def test_write_hook_receives_token_indices(self, passthrough_cluster):
-        top = passthrough_cluster
-        seen = []
-        top.dut.op.add_write_hook(lambda p, i, v, o: seen.append((i, v)))
-        Simulator(top).run(ms(3))
-        assert seen == [(0, 1.5), (1, 1.5), (2, 1.5)]
-
-    def test_read_hook_fires_per_read_call(self):
-        class DoubleReader(TdfModule):
-            def __init__(self, name):
-                super().__init__(name)
-                self.ip = TdfIn()
-
-            def processing(self):
-                self.ip.read()
-                self.ip.read()
-
-        class Top(Cluster):
-            def architecture(self):
-                self.src = self.add(ConstantSource("src", 1.0, timestep=ms(1)))
-                self.r = self.add(DoubleReader("r"))
-                self.connect(self.src.op, self.r.ip)
-
-        top = Top("top")
-        seen = []
-        top.r.ip.add_read_hook(lambda p, i, v, o: seen.append(i))
-        Simulator(top).run(ms(2))
-        # Two reads of the same sample per activation.
-        assert seen == [0, 0, 1, 1]
-
-    def test_clear_hooks(self, passthrough_cluster):
-        top = passthrough_cluster
-        seen = []
-        top.dut.op.add_write_hook(lambda *a: seen.append(1))
-        top.dut.op.clear_hooks()
-        Simulator(top).run(ms(1))
-        assert seen == []

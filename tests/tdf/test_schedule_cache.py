@@ -67,9 +67,10 @@ class TestScheduleCache:
         # Compare against a simulator whose cache is defeated by
         # clearing it after every period: token streams must match.
         plain = Simulator(_flipper_top())
-        plain.add_period_hook(lambda sim: sim._schedule_cache.clear())
         cached = Simulator(_flipper_top())
-        plain.run_periods(8)
+        for _ in range(8):
+            plain.run_period()
+            plain._schedule_cache.clear()
         cached.run_periods(8)
         assert plain.schedule_cache_hits == 0
         assert cached.schedule_cache_hits > 0

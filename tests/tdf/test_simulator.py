@@ -49,13 +49,6 @@ class TestBasicExecution:
         sim.run(ms(2))
         assert len(passthrough_cluster.sink.values()) == 4
 
-    def test_period_hook_called(self, passthrough_cluster):
-        sim = Simulator(passthrough_cluster)
-        seen = []
-        sim.add_period_hook(lambda s: seen.append(s.now))
-        sim.run(ms(2))
-        assert seen == [ms(1), ms(2)]
-
 
 class TestDataflowCorrectness:
     def test_accumulator_state_across_periods(self):

@@ -264,10 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the machine-readable coverage export instead of text",
     )
-    p_run.add_argument(
-        "--save-db", metavar="PATH",
-        help="write a mergeable coverage database (JSON) to PATH",
-    )
 
     p_campaign = sub.add_parser(
         "campaign", help="iterative refinement (Table II)",
@@ -954,10 +950,6 @@ def _dispatch(args) -> int:
         result = run_dft(
             entry["factory"], suite, cfg.replace(executor=executor)
         )
-        if args.save_db:
-            from .core import CoverageDatabase
-
-            CoverageDatabase.from_coverage(result.coverage).save(args.save_db)
         if args.json:
             import json
 

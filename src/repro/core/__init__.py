@@ -16,17 +16,14 @@ from .associations import (
 )
 from .config import DftConfig
 from .coverage import ClassCoverage, CoverageResult
-from .database import CoverageDatabase, coverage_to_dict, universe_fingerprint
+from .database import coverage_to_dict, universe_fingerprint
 from .criteria import Criterion, CriterionStatus, detailed_status, evaluate_all, satisfied
 from .pipeline import PipelineResult, run_dft
 from .report import (
-    ReportEnvelope,
     format_iteration_table,
     format_matrix,
     format_summary,
-    is_envelope,
     make_envelope,
-    read_envelope,
 )
 from .workflow import GenerationCampaign, IterationRecord, IterativeCampaign
 
@@ -34,7 +31,6 @@ __all__ = [
     "AssocClass",
     "Association",
     "ClassCoverage",
-    "CoverageDatabase",
     "CoverageResult",
     "Criterion",
     "CriterionStatus",
@@ -45,7 +41,6 @@ __all__ = [
     "IterationRecord",
     "IterativeCampaign",
     "PipelineResult",
-    "ReportEnvelope",
     "SourceLocation",
     "VarScope",
     "coverage_to_dict",
@@ -54,9 +49,7 @@ __all__ = [
     "format_iteration_table",
     "format_matrix",
     "format_summary",
-    "is_envelope",
     "make_envelope",
-    "read_envelope",
     "run_dft",
     "satisfied",
     "universe_fingerprint",

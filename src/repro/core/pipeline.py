@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Any, Dict, Optional, TYPE_CHECKING
 
 from ..obs import Telemetry, get_telemetry
 from ..testing.testcase import TestSuite
@@ -134,25 +134,20 @@ def run_dft(
         },
         telemetry=tel,
     )
-    _record_history(cfg, suite, result)
+    history = cfg.run_history()
+    if history is not None:
+        history.append(run_record(cfg, suite, result))
     return result
 
 
-def _record_history(
+def run_record(
     cfg: DftConfig, suite: TestSuite, result: PipelineResult
-) -> None:
-    """Append one ``run`` record to the history ledger (best-effort).
-
-    History is an observability side channel: an unwritable ledger must
-    never fail the analysis run itself, so I/O errors are swallowed
-    (the CLI validates explicitly requested history dirs up front).
-    """
-    history = cfg.run_history()
-    if history is None:
-        return
+) -> Dict[str, Any]:
+    """The ``run`` history record of one pipeline run (the ledger entry
+    and the service's ``run`` job payload)."""
     from ..obs.store import build_record
 
-    record = build_record(
+    return build_record(
         "run",
         system=suite.name,
         fingerprint=result.static.fingerprint,
@@ -161,10 +156,6 @@ def _record_history(
         coverage=result.coverage,
         telemetry=result.telemetry,
     )
-    try:
-        history.append(record)
-    except OSError:
-        pass
 
 
 def _run_dynamic(

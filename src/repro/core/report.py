@@ -9,49 +9,23 @@ Three textual report shapes, matching the paper's presentation:
 * :func:`format_iteration_table` — the Table-II iteration rows
   (tests added vs. coverage growth).
 
-Plus the **report envelope** (:func:`make_envelope` /
-:func:`read_envelope`): one wrapper shape —
-``{"schema", "config_hash", "fingerprint", "payload"}`` — around the
-three machine-readable report schemas (``repro-dft-mutation/1``,
-``repro-dft-generation/1``, ``repro-dft-history/1``).  The job service
-returns envelopes verbatim from ``GET /v1/jobs/{id}/result``, so every
-job kind has the same metadata header and a consumer can route on
-``schema`` without probing the payload.  :func:`read_envelope` also
-accepts the bare legacy documents (pre-envelope on-disk reports and
-ledger records) and lifts them into the same view.
+Plus the **report envelope** (:func:`make_envelope`): one wrapper
+shape — ``{"schema", "config_hash", "fingerprint", "payload"}`` —
+around the three machine-readable report schemas
+(``repro-dft-mutation/1``, ``repro-dft-generation/1``,
+``repro-dft-history/1``).  The job service returns envelopes verbatim
+from ``GET /v1/jobs/{id}/result``, so every job kind has the same
+metadata header and a consumer can route on ``schema`` without probing
+the payload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from .associations import AssocClass
 from .coverage import CoverageResult
 from .criteria import detailed_status
-
-#: The payload schema tags the envelope knows how to wrap.  (The
-#: history tag lives under a ``format`` key in ledger records — see
-#: :mod:`repro.obs.store.history` — which is why :func:`read_envelope`
-#: checks both keys on legacy documents.)
-KNOWN_PAYLOAD_SCHEMAS = (
-    "repro-dft-mutation/1",
-    "repro-dft-generation/1",
-    "repro-dft-history/1",
-)
-
-
-@dataclass(frozen=True)
-class ReportEnvelope:
-    """The decoded view of an enveloped (or legacy bare) report."""
-
-    schema: Optional[str]
-    config_hash: Optional[str]
-    fingerprint: Optional[str]
-    payload: Dict[str, Any]
-    #: ``False`` when :func:`read_envelope` lifted a bare legacy
-    #: document instead of unwrapping a real envelope.
-    enveloped: bool = True
 
 
 def make_envelope(
@@ -65,7 +39,7 @@ def make_envelope(
 
     ``schema`` defaults to the payload's own tag (its ``schema`` key,
     or ``format`` for history records).  The payload is embedded
-    verbatim — wrapping then :func:`read_envelope`-ing is lossless.
+    verbatim.
     """
     resolved = schema or payload.get("schema") or payload.get("format")
     return {
@@ -74,44 +48,6 @@ def make_envelope(
         "fingerprint": fingerprint,
         "payload": payload,
     }
-
-
-def is_envelope(doc: Any) -> bool:
-    """Whether ``doc`` is an envelope (rather than a bare report)."""
-    return (
-        isinstance(doc, dict)
-        and isinstance(doc.get("payload"), dict)
-        and "schema" in doc
-    )
-
-
-def read_envelope(doc: Dict[str, Any]) -> ReportEnvelope:
-    """Decode an envelope — or lift a bare legacy document into one.
-
-    The compatibility path keeps every pre-envelope on-disk record
-    readable: a bare mutation/generation report (top-level ``schema``)
-    or history record (top-level ``format``) comes back with itself as
-    the payload and its own metadata fields hoisted.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError(
-            f"report document must be a mapping, got {type(doc).__name__}"
-        )
-    if is_envelope(doc):
-        return ReportEnvelope(
-            schema=doc.get("schema"),
-            config_hash=doc.get("config_hash"),
-            fingerprint=doc.get("fingerprint"),
-            payload=doc["payload"],
-            enveloped=True,
-        )
-    return ReportEnvelope(
-        schema=doc.get("schema") or doc.get("format"),
-        config_hash=doc.get("config_hash"),
-        fingerprint=doc.get("fingerprint"),
-        payload=doc,
-        enveloped=False,
-    )
 
 
 def _pct(value: Optional[float]) -> str:

@@ -11,7 +11,7 @@ with the Table-II columns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..tdf.errors import TdfError
 from ..testing.testcase import TestCase, TestSuite
@@ -25,7 +25,7 @@ from .associations import AssocClass
 from .config import DftConfig
 from .coverage import CoverageResult
 from .criteria import Criterion, evaluate_all
-from .pipeline import PipelineResult, run_dft
+from .pipeline import run_dft
 
 
 @dataclass
@@ -100,38 +100,35 @@ class IterativeCampaign:
         # pipeline runs must not each add a "run" entry of their own.
         inner_cfg = cfg.replace(history_dir=None)
         records: List[IterationRecord] = []
-        result: Optional[PipelineResult] = None
-        suite: Optional[TestSuite] = None
         for index in range(len(self._batches)):
             suite = self.suite_for(index)
             result = run_dft(self.cluster_factory, suite, inner_cfg)
-            coverage = result.coverage
-            records.append(_record_for(index, suite, coverage))
-        self._record_history(cfg, suite, result, records)
+            records.append(_record_for(index, suite, result.coverage))
+        history = cfg.run_history()
+        if history is not None:
+            history.append(self.history_record(cfg, records, result.telemetry))
         return records
 
-    def _record_history(
+    def history_record(
         self,
         cfg: DftConfig,
-        suite: Optional[TestSuite],
-        result: Optional[PipelineResult],
-        records: List[IterationRecord],
-    ) -> None:
-        """Append one ``campaign`` record (final-iteration coverage plus
-        the per-iteration trajectory) to the history ledger."""
-        history = cfg.run_history()
-        if history is None or result is None or suite is None:
-            return
+        records: Sequence[IterationRecord],
+        telemetry: Any,
+    ) -> Dict[str, Any]:
+        """The ``campaign`` history record of a finished :meth:`run`:
+        final-iteration coverage plus the per-iteration trajectory (the
+        ledger entry and the service's ``campaign`` job payload)."""
         from ..obs.store import build_record
 
-        record = build_record(
+        coverage = records[-1].coverage
+        return build_record(
             "campaign",
             system=self.name,
-            fingerprint=result.static.fingerprint,
+            fingerprint=coverage.static.fingerprint,
             config_hash=cfg.config_hash(),
-            suite_names=[tc.name for tc in suite],
-            coverage=result.coverage,
-            telemetry=result.telemetry,
+            suite_names=[tc.name for tc in self.suite_for(len(records) - 1)],
+            coverage=coverage,
+            telemetry=telemetry,
             extra={
                 "campaign": {
                     "iterations": len(records),
@@ -147,10 +144,6 @@ class IterativeCampaign:
                 }
             },
         )
-        try:
-            history.append(record)
-        except OSError:
-            pass
 
 
 def _record_for(

@@ -554,10 +554,7 @@ def generate_suite(
                 }
             },
         )
-        try:
-            history.append(record)
-        except OSError:
-            pass
+        history.append(record)
 
     return GenerationResult(
         system=system,

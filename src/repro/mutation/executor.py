@@ -705,8 +705,5 @@ def run_mutation(
                 }
             },
         )
-        try:
-            history.append(record)
-        except OSError:
-            pass
+        history.append(record)
     return run

@@ -14,6 +14,7 @@ from .history import (
     format_diff,
     format_history_table,
     format_trend,
+    merge_records,
     span_percentiles,
     suite_sha,
     trend_rows,
@@ -28,6 +29,7 @@ __all__ = [
     "format_diff",
     "format_history_table",
     "format_trend",
+    "merge_records",
     "span_percentiles",
     "suite_sha",
     "trend_rows",

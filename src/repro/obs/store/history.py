@@ -11,10 +11,13 @@ keys), kind-specific payloads (mutation kill matrix, generation
 acceptances) and wall-time percentiles pulled from the telemetry span
 tree.
 
-On top of the ledger, :func:`diff_records` compares two runs field by
-field (a regression diff), :func:`trend_rows` flattens the history into
-one row per run per association class (the trend table / exporter
-input), and the ``repro-dft history`` CLI renders both.  Warm-start
+The ledger is the project's one coverage store: :func:`merge_records`
+unions the exercised association keys of runs recorded against the
+same static universe (regressions, nightly suites, machines) and
+refuses to merge across universes.  :func:`diff_records` compares two
+runs field by field (a regression diff), :func:`trend_rows` flattens the
+history into one row per run per association class (the trend table /
+exporter input), and the ``repro-dft history`` CLI renders both.  Warm-start
 hooks in mutation and generation use :meth:`RunHistory.latest` to seed
 from the most recent matching record.
 """
@@ -25,7 +28,7 @@ import hashlib
 import json
 import os
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
 FORMAT = "repro-dft-history/1"
 FILENAME = "history.jsonl"
@@ -163,29 +166,32 @@ class RunHistory:
 
     # -- writing ------------------------------------------------------------
 
-    def append(self, record: Dict[str, Any]) -> str:
+    def append(self, record: Dict[str, Any]) -> Optional[str]:
         """Stamp ``record`` (run_id + recorded_at) and append it.
 
         The run id is a content hash over the record *including* the
         timestamp, so re-running an identical configuration still gets
-        a distinct ledger entry.  Returns the run id.
+        a distinct ledger entry.  Returns the run id, or ``None`` when
+        the ledger cannot be written: history is a side channel, and an
+        unwritable ledger never fails the run that records into it (the
+        CLI validates an explicit ``--history-dir`` up front).
         """
         stamped = dict(record)
         stamped.setdefault("format", FORMAT)
         stamped["recorded_at"] = round(time.time(), 3)
-        os.makedirs(self.directory, exist_ok=True)
-        # The ledger offset participates in the id (but is not stored):
-        # two identical runs appended within the same timestamp tick
-        # still get distinct ids.
         try:
-            offset = os.path.getsize(self.path)
+            os.makedirs(self.directory, exist_ok=True)
+            # The ledger offset participates in the id (but is not
+            # stored): two identical runs appended within the same
+            # timestamp tick still get distinct ids.
+            offset = os.path.getsize(self.path) if os.path.isfile(self.path) else 0
+            payload = json.dumps(stamped, sort_keys=True, default=str)
+            stamped["run_id"] = hashlib.sha1(
+                f"{offset}|{payload}".encode()
+            ).hexdigest()[:12]
+            append_line(self.path, json.dumps(stamped, sort_keys=True, default=str))
         except OSError:
-            offset = 0
-        payload = json.dumps(stamped, sort_keys=True, default=str)
-        stamped["run_id"] = hashlib.sha1(
-            f"{offset}|{payload}".encode()
-        ).hexdigest()[:12]
-        append_line(self.path, json.dumps(stamped, sort_keys=True, default=str))
+            return None
         return stamped["run_id"]
 
     # -- reading ------------------------------------------------------------
@@ -256,6 +262,48 @@ class RunHistory:
 # -- cross-run queries ------------------------------------------------------
 
 
+def merge_records(records: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """Union the exercised association keys of ``records``.
+
+    Every record must carry a coverage slice recorded against one
+    static universe: pair keys of another universe name other source
+    lines, so merging across universes raises :class:`ValueError`, as
+    does a record without coverage (a mutation record).
+    """
+    universe: Optional[str] = None
+    static = 0
+    runs: List[str] = []
+    exercised: Set[str] = set()
+    for record in records:
+        coverage = record.get("coverage")
+        if not coverage:
+            raise ValueError(
+                f"record {record.get('run_id', '?')} ({record.get('kind')}) "
+                f"has no coverage to merge"
+            )
+        if universe is None:
+            universe = coverage["universe"]
+            static = coverage["totals"]["static"]
+        elif coverage["universe"] != universe:
+            raise ValueError(
+                f"cannot merge coverage of universe {coverage['universe']} "
+                f"into universe {universe}"
+            )
+        runs.append(record.get("run_id"))
+        exercised.update(coverage["exercised"])
+    return {
+        "universe": universe,
+        "runs": runs,
+        "static": static,
+        "exercised": sorted(exercised),
+    }
+
+
+def _preview(items: Sequence[str]) -> str:
+    """The first five of ``items``, comma-joined (``...`` if more)."""
+    return ", ".join(items[:5]) + ("..." if len(items) > 5 else "")
+
+
 def diff_records(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     """Field-by-field comparison of two history records.
 
@@ -286,13 +334,25 @@ def diff_records(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     ex_a, ex_b = set(cov_a.get("exercised") or ()), set(cov_b.get("exercised") or ())
     added, removed = sorted(ex_b - ex_a), sorted(ex_a - ex_b)
     if added:
-        changes.append(f"exercised.added: {len(added)} ({', '.join(added[:5])}{'...' if len(added) > 5 else ''})")
+        changes.append(f"exercised.added: {len(added)} ({_preview(added)})")
     if removed:
-        changes.append(f"exercised.removed: {len(removed)} ({', '.join(removed[:5])}{'...' if len(removed) > 5 else ''})")
+        changes.append(f"exercised.removed: {len(removed)} ({_preview(removed)})")
 
     mut_a, mut_b = a.get("mutation") or {}, b.get("mutation") or {}
     for field in ("score", "killed", "total"):
         check(f"mutation.{field}", mut_a.get(field), mut_b.get(field))
+    # Verdicts only: ``seconds`` and ``timed_out`` are timing.
+    km_a, km_b = mut_a.get("kill_matrix") or {}, mut_b.get("kill_matrix") or {}
+    changed = sorted(
+        mutant
+        for mutant in set(km_a) | set(km_b)
+        if any(
+            (km_a.get(mutant) or {}).get(key) != (km_b.get(mutant) or {}).get(key)
+            for key in ("status", "killed_at")
+        )
+    )
+    if changed:
+        changes.append(f"mutation.kill_matrix: {len(changed)} changed ({_preview(changed)})")
     gen_a, gen_b = a.get("generation") or {}, b.get("generation") or {}
     for field in ("closed", "accepted", "simulations"):
         check(f"generation.{field}", gen_a.get(field), gen_b.get(field))

@@ -87,7 +87,7 @@ def _execute_job(
     """
     from ..cli import SYSTEMS, _campaign
     from ..core import DftConfig, make_envelope, run_dft
-    from ..obs.store import build_record
+    from ..core.pipeline import run_record
     from ..testing.testcase import TestSuite
 
     if spec.system not in SYSTEMS:
@@ -118,17 +118,8 @@ def _execute_job(
         result = run_dft(
             entry["factory"], suite, cfg.replace(executor=executor)
         )
-        record = build_record(
-            "run",
-            system=spec.system,
-            fingerprint=result.static.fingerprint,
-            config_hash=cfg.config_hash(),
-            suite_names=[tc.name for tc in suite],
-            coverage=result.coverage,
-            telemetry=result.telemetry,
-        )
         return make_envelope(
-            record,
+            run_record(cfg, suite, result),
             config_hash=cfg.config_hash(),
             fingerprint=result.static.fingerprint,
         )
@@ -136,34 +127,10 @@ def _execute_job(
     if spec.kind == "campaign":
         campaign = _campaign(spec.system, cfg)
         records = campaign.run()
-        last = records[-1]
-        suite = campaign.suite_for(campaign.iteration_count - 1)
-        fingerprint = last.coverage.static.fingerprint
-        record = build_record(
-            "campaign",
-            system=campaign.name,
-            fingerprint=fingerprint,
-            config_hash=cfg.config_hash(),
-            suite_names=[tc.name for tc in suite],
-            coverage=last.coverage,
-            telemetry=tel,
-            extra={
-                "campaign": {
-                    "iterations": len(records),
-                    "trajectory": [
-                        {
-                            "index": rec.index,
-                            "tests": rec.tests,
-                            "exercised": rec.exercised_total,
-                            "percent": round(rec.overall_percent, 2),
-                        }
-                        for rec in records
-                    ],
-                }
-            },
-        )
         return make_envelope(
-            record, config_hash=cfg.config_hash(), fingerprint=fingerprint
+            campaign.history_record(cfg, records, tel),
+            config_hash=cfg.config_hash(),
+            fingerprint=records[-1].coverage.static.fingerprint,
         )
 
     if spec.kind == "mutate":

@@ -1,4 +1,4 @@
-"""Unit tests for coverage persistence and merging."""
+"""Unit tests for the universe fingerprint and the coverage export."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from repro.analysis.cluster_analysis import StaticAnalysisResult
 from repro.core import (
     AssocClass,
-    CoverageDatabase,
     CoverageResult,
     Criterion,
     coverage_to_dict,
@@ -62,52 +61,6 @@ class TestFingerprint:
         s1 = _static([_assoc("a", 1, AssocClass.STRONG)])
         s2 = _static([_assoc("a", 1, AssocClass.FIRM)])
         assert universe_fingerprint(s1) != universe_fingerprint(s2)
-
-
-class TestDatabase:
-    def test_from_coverage_and_queries(self, static):
-        cov = _coverage(static, {("a", "m", 1, "m", 2)})
-        db = CoverageDatabase.from_coverage(cov)
-        assert db.testcases == ["t1"]
-        assert db.pairs_of("t1") == {("a", "m", 1, "m", 2)}
-        assert db.coverage_against(static) == (1, 2)
-
-    def test_merge_unions_pairs(self, static):
-        db1 = CoverageDatabase.from_coverage(_coverage(static, {("a", "m", 1, "m", 2)}))
-        db2 = CoverageDatabase.from_coverage(_coverage(static, {("b", "m", 3, "m", 4)}))
-        db1.merge(db2)
-        assert db1.coverage_against(static) == (2, 2)
-
-    def test_merge_refuses_different_universe(self, static):
-        other = _static([_assoc("z", 9)])
-        db1 = CoverageDatabase.from_coverage(_coverage(static, set()))
-        db2 = CoverageDatabase.from_coverage(_coverage(other, set()))
-        with pytest.raises(ValueError, match="cannot merge"):
-            db1.merge(db2)
-
-    def test_coverage_against_wrong_universe(self, static):
-        db = CoverageDatabase.from_coverage(_coverage(static, set()))
-        with pytest.raises(ValueError, match="re-run the static analysis"):
-            db.coverage_against(_static([_assoc("z", 9)]))
-
-    def test_roundtrip_json(self, static, tmp_path):
-        cov = _coverage(static, {("a", "m", 1, "m", 2)})
-        db = CoverageDatabase.from_coverage(cov)
-        path = tmp_path / "cov.json"
-        db.save(str(path))
-        loaded = CoverageDatabase.load(str(path))
-        assert loaded.fingerprint == db.fingerprint
-        assert loaded.pairs_of("t1") == db.pairs_of("t1")
-
-    def test_rejects_unknown_format(self):
-        with pytest.raises(ValueError, match="unsupported"):
-            CoverageDatabase.from_dict({"format": "bogus"})
-
-    def test_record_accumulates(self, static):
-        db = CoverageDatabase("top", universe_fingerprint(static))
-        db.record("t", [("a", "m", 1, "m", 2)])
-        db.record("t", [("b", "m", 3, "m", 4)])
-        assert len(db.pairs_of("t")) == 2
 
 
 class TestExport:

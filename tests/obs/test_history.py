@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.core import DftConfig, run_dft
+from repro.core import DftConfig, run_dft, universe_fingerprint
 from repro.obs.store import (
     HISTORY_FORMAT,
     RunHistory,
@@ -15,6 +15,7 @@ from repro.obs.store import (
     format_diff,
     format_history_table,
     format_trend,
+    merge_records,
     suite_sha,
     trend_rows,
 )
@@ -129,6 +130,89 @@ def test_diff_ignores_identity_metadata(tmp_path):
     assert diff_records(first, second)["identical"]
 
 
+def _mutation_record(**kill_matrix):
+    """A mutation record: 1 of 2 mutants killed, whichever the
+    ``kill_matrix`` entries say."""
+    entries = {
+        mutant: {
+            "status": status,
+            "killed_by": ["t1"] if status == "killed" else [],
+            "timed_out": False,
+            "seconds": 0.5,
+            "killed_at": (
+                {"testcase": "t1", "signal": "out", "time_fs": 10}
+                if status == "killed" else None
+            ),
+            "nonviable_reason": None,
+        }
+        for mutant, status in kill_matrix.items()
+    }
+    record = _tiny_record(kind="mutation")
+    del record["coverage"]
+    record["mutation"] = {
+        "score": 0.5, "killed": 1, "total": 2, "kill_matrix": entries,
+    }
+    return record
+
+
+def test_diff_reports_changed_kills_with_equal_counts():
+    a = _mutation_record(m1="killed", m2="survived")
+    b = _mutation_record(m1="survived", m2="killed")
+    diff = diff_records(a, b)
+    assert diff["changes"] == ["mutation.kill_matrix: 2 changed (m1, m2)"]
+    assert "history diff: 1 change(s)" in format_diff(diff)
+
+
+def test_diff_compares_kill_site_not_timing():
+    a = _mutation_record(m1="killed", m2="survived")
+    b = _mutation_record(m1="killed", m2="survived")
+    b["mutation"]["kill_matrix"]["m1"].update(seconds=9.0, timed_out=True)
+    assert diff_records(a, b)["identical"]
+    b["mutation"]["kill_matrix"]["m1"]["killed_at"]["time_fs"] = 20
+    assert diff_records(a, b)["changes"] == [
+        "mutation.kill_matrix: 1 changed (m1)"
+    ]
+
+
+def test_merge_records_unions_exercised_keys(tmp_path):
+    history = RunHistory(str(tmp_path))
+    first = history.append(_tiny_record(exercised=("b|3|m|4|m",)))
+    second = history.append(_tiny_record(exercised=("a|1|m|2|m", "b|3|m|4|m")))
+    merged = merge_records(history.records())
+    assert merged == {
+        "universe": "u" * 16,
+        "runs": [first, second],
+        "static": 4,
+        "exercised": ["a|1|m|2|m", "b|3|m|4|m"],
+    }
+
+
+def test_merge_records_refuses_different_universes():
+    a = _tiny_record()
+    b = _tiny_record()
+    b["coverage"] = dict(b["coverage"], universe="v" * 16)
+    with pytest.raises(ValueError, match="cannot merge") as err:
+        merge_records([a, b])
+    message = str(err.value)
+    assert "\n" not in message
+    assert "u" * 16 in message and "v" * 16 in message
+
+
+def test_merge_records_refuses_a_record_without_coverage():
+    with pytest.raises(ValueError, match="no coverage to merge"):
+        merge_records([_tiny_record(), _mutation_record(m1="killed")])
+
+
+def test_merge_records_counts_a_run_against_its_universe(tmp_path):
+    factory = lambda: build_random_cluster(3)
+    suite = TestSuite("rand3", random_suite(3)[:2])
+    result = run_dft(factory, suite, DftConfig(history_dir=str(tmp_path)))
+    merged = merge_records(RunHistory(str(tmp_path)).records())
+    assert merged["static"] == result.coverage.static_total
+    assert len(merged["exercised"]) == result.coverage.exercised_total
+    assert merged["universe"] == universe_fingerprint(result.static)
+
+
 def test_trend_rows_and_exports(tmp_path):
     history = RunHistory(str(tmp_path))
     history.append(_tiny_record())
@@ -199,6 +283,7 @@ def test_history_write_failure_is_best_effort(tmp_path):
     suite = TestSuite("rand3", random_suite(3)[:1])
     result = run_dft(factory, suite, DftConfig(history_dir=str(blocker)))
     assert result.coverage.static_total > 0
+    assert RunHistory(str(blocker)).append(_tiny_record()) is None
 
 
 def test_campaign_records_one_entry_with_trajectory(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import worker_fleet
 from repro.core import DftConfig, run_dft
+from repro.obs.store import RunHistory
 from repro.obs.store.history import coverage_summary
 from repro.service import JobServer, JobSpec, WorkerServer
 from repro.service.client import (
@@ -142,6 +143,33 @@ class TestJobExecution:
             envelope["payload"]["coverage"], sort_keys=True
         ) == json.dumps(coverage_summary(local.coverage), sort_keys=True)
         assert envelope["fingerprint"] == local.static.fingerprint
+
+    def test_run_and_campaign_payloads_equal_their_ledger_records(
+        self, server, tmp_path
+    ):
+        """A job's payload is the ledger record the same job appends,
+        apart from the stamp (run_id, recorded_at) and the timings."""
+        _, addr = server
+        config = {"history_dir": str(tmp_path / "ledger")}
+        payloads = []
+        for kind, system in (("run", "sensor"), ("campaign", "buck_boost")):
+            job_id = submit_job(
+                addr, {"kind": kind, "system": system, "config": config}
+            )
+            wait_for_job(addr, job_id, timeout=600)
+            payloads.append(job_result(addr, job_id)["payload"])
+        records = RunHistory(config["history_dir"]).records()
+        assert [r["kind"] for r in records] == ["run", "campaign"]
+
+        def strip(doc):
+            return {
+                key: value for key, value in doc.items()
+                if key not in ("run_id", "recorded_at", "timings")
+            }
+
+        for payload, record in zip(payloads, records):
+            assert strip(payload) == strip(record)
+            assert set(payload["timings"]) == set(record["timings"])
 
     def test_result_before_done_is_409(self, server):
         srv, addr = server

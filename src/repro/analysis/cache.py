@@ -67,9 +67,11 @@ def fingerprint_cluster(cluster: Cluster) -> str:
     Covered: cluster identity, per-module class/flags and the
     ``processing()`` source of every analysable model, and the netlist
     (signal topology plus the bind sites that anchor opaque-use and
-    redefinition associations).  Anything else — port rates, timesteps,
-    stimuli — is invisible to the static stage and deliberately left
-    out, so dynamic-TDF configuration flips do not defeat the cache.
+    redefinition associations, each as its module name and line, so
+    the fingerprint does not depend on where the checkout lives).
+    Anything else — port rates, timesteps, stimuli — is invisible to
+    the static stage and deliberately left out, so dynamic-TDF
+    configuration flips do not defeat the cache.
     """
     h = hashlib.sha256()
 
@@ -92,7 +94,7 @@ def fingerprint_cluster(cluster: Cluster) -> str:
         for port in ([driver] if driver is not None else []) + readers:
             site = port.bind_site
             put(port.direction, port.full_name(),
-                site.filename if site else "", site.lineno if site else 0)
+                site.module if site else "", site.lineno if site else 0)
     return h.hexdigest()
 
 

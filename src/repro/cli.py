@@ -41,135 +41,49 @@ Subcommands:
     out to (``serve --worker HOST:PORT``, repeatable), and ``submit``
     posts a job to a running server and polls for its report envelope.
 
-``run``, ``campaign``, ``mutate`` and ``generate`` accept ``--config
-FILE`` (TOML or JSON of :class:`repro.core.DftConfig` fields); explicit
-flags override file values, which override the subcommand defaults.
+``run``, ``campaign``, ``mutate`` and ``generate`` are the job kinds
+of :mod:`repro.jobs`: each parses its flags into a config and job
+options, calls :func:`repro.jobs.run_job` — the call the job server
+makes — and renders the result.  Each accepts ``--config FILE`` (TOML
+or JSON of :class:`repro.core.DftConfig` fields); explicit flags
+override file values, which override the job kind's defaults.
 
-``run``, ``campaign``, ``mutate`` and ``generate`` append one record
-per invocation to the history ledger under the cache directory
-(``--history-dir`` overrides the location, ``--no-history`` opts out);
-``mutate`` and ``generate`` accept ``--warm-start`` to reuse verdicts
-/ seeds from the most recent matching record.
-
-``static``, ``run`` and ``campaign`` accept ``--telemetry PATH`` (save
-a JSON-lines event log) and ``--trace-events PATH`` (save a Chrome /
-Perfetto trace-event file); either flag enables telemetry recording
-for the command.  ``run`` and ``campaign`` accept ``--workers N`` to
-fan the dynamic stage out across worker processes (reported results
-are identical for any worker count; the default is an automatic
-heuristic that stays serial on single-CPU hosts and tiny suites),
-``--engine {auto,interp,block}`` to pick the TDF execution engine
-(bit-identical results either way), plus ``--cache-dir PATH`` /
-``--no-static-cache`` to control static-analysis memoization.
+They append one record per invocation to the history ledger under the
+cache directory (``--history-dir`` overrides the location,
+``--no-history`` opts out).  ``--workers``, ``--engine`` and the cache
+flags never change a result; ``--telemetry`` / ``--trace-events`` save
+an event log / a Chrome trace of the command.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 from .analysis.cache import DEFAULT_CACHE_DIR
 from .core import (
     DftConfig,
+    coverage_to_dict,
     format_iteration_table,
     format_matrix,
     format_summary,
-    run_dft,
 )
+from .generation.search import STRATEGIES
+from .generation.space import SPACES
+from .jobs import (
+    JOB_KINDS,
+    JOB_OPTIONS,
+    RANDOM_SYSTEM,
+    TARGET_MODES,
+    job_config,
+    run_job,
+)
+from .systems.registry import CAMPAIGN_SYSTEMS, SYSTEMS
 from .tdf.errors import TdfError
-from .testing import TestCase, TestSuite
-
-
-def _sensor_factory():
-    from .systems.sensor import SenseTop
-
-    return SenseTop()
-
-
-def _sensor_suite() -> List[TestCase]:
-    from .systems.sensor import paper_testcases
-
-    return paper_testcases()
-
-
-def _window_lifter_factory():
-    from .systems.window_lifter import WindowLifterTop
-
-    return WindowLifterTop()
-
-
-def _window_lifter_suite() -> List[TestCase]:
-    from .systems.campaigns import window_lifter_base_suite
-
-    return window_lifter_base_suite()
-
-
-def _buck_boost_factory():
-    from .systems.buck_boost import BuckBoostTop
-
-    return BuckBoostTop()
-
-
-def _buck_boost_suite() -> List[TestCase]:
-    from .systems.campaigns import buck_boost_base_suite
-
-    return buck_boost_base_suite()
-
-
-def _riscv_factory():
-    from .systems.riscv_platform import RiscvPlatformTop
-
-    return RiscvPlatformTop()
-
-
-def _riscv_suite() -> List[TestCase]:
-    from .systems.riscv_platform import paper_style_testcases
-
-    return paper_style_testcases()
-
-
-#: Per-system entries: ``factory``/``suite`` build the objects in this
-#: process; ``factory_ref``/``suite_ref`` are the importable references
-#: worker processes use to rebuild them (``--workers``).
-SYSTEMS: Dict[str, Dict[str, object]] = {
-    "sensor": {
-        "factory": _sensor_factory,
-        "suite": _sensor_suite,
-        "factory_ref": "repro.systems.sensor:SenseTop",
-        "suite_ref": "repro.systems.sensor:paper_testcases",
-    },
-    "window_lifter": {
-        "factory": _window_lifter_factory,
-        "suite": _window_lifter_suite,
-        "factory_ref": "repro.systems.window_lifter:WindowLifterTop",
-        "suite_ref": "repro.systems.campaigns:window_lifter_all_testcases",
-    },
-    "buck_boost": {
-        "factory": _buck_boost_factory,
-        "suite": _buck_boost_suite,
-        "factory_ref": "repro.systems.buck_boost:BuckBoostTop",
-        "suite_ref": "repro.systems.campaigns:buck_boost_all_testcases",
-    },
-    "riscv_platform": {
-        "factory": _riscv_factory,
-        "suite": _riscv_suite,
-        "factory_ref": "repro.systems.riscv_platform:RiscvPlatformTop",
-        "suite_ref": "repro.systems.riscv_platform:paper_style_testcases",
-    },
-}
-
-
-def _campaign(system: str, config: DftConfig):
-    from .systems import campaigns
-
-    if system == "window_lifter":
-        return campaigns.window_lifter_campaign(config=config)
-    if system == "buck_boost":
-        return campaigns.buck_boost_campaign(config=config)
-    raise SystemExit(f"no campaign defined for system {system!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -211,24 +125,62 @@ def _build_parser() -> argparse.ArgumentParser:
              "values",
     )
 
-    engine_opts = argparse.ArgumentParser(add_help=False)
-    engine_opts.add_argument(
+    # The four job kinds (repro.jobs).  Job-option flags also use
+    # SUPPRESS defaults: an unpassed option takes its default from
+    # repro.jobs.JOB_OPTIONS, as a service job's does.
+    job_opts = argparse.ArgumentParser(
+        add_help=False, parents=[telemetry_opts, cache_opts, config_opts]
+    )
+    job_opts.add_argument(
         "--engine", choices=["auto", "interp", "block"],
         default=argparse.SUPPRESS,
         help="TDF execution engine: the per-firing interpreter or the "
              "compiled block engine (auto = block, the default); "
              "results are bit-identical either way",
     )
-
-    history_opts = argparse.ArgumentParser(add_help=False)
-    history_opts.add_argument(
+    job_opts.add_argument(
+        "--workers", type=int, default=argparse.SUPPRESS, metavar="N",
+        help="worker processes for the testcases, mutants or candidate "
+             "batches (default: run/campaign auto — serial on "
+             "single-CPU hosts or suites with <2 testcases — else 1); "
+             "results are identical for any worker count",
+    )
+    job_opts.add_argument(
         "--history-dir", metavar="PATH",
         help="append the run record to the history ledger under PATH "
              "(default: <cache-dir>/history)",
     )
-    history_opts.add_argument(
+    job_opts.add_argument(
         "--no-history", action="store_true",
         help="do not record this invocation in the run-history ledger",
+    )
+    targets_opts = argparse.ArgumentParser(add_help=False)
+    targets_opts.add_argument(
+        "--targets", choices=TARGET_MODES, default=argparse.SUPPRESS,
+        help="'frontier' runs the subsumption pass: run adds "
+             "non-subsumed target counts to the summary, mutate scores "
+             "criterion sub-suites over the frontier (kill scores match "
+             "'all'), generate searches only the frontier and closes "
+             "subsumed pairs with their subsumer (default: all)",
+    )
+    report_opts = argparse.ArgumentParser(add_help=False)
+    report_opts.add_argument(
+        "--json", action="store_true",
+        help="emit the machine-readable report instead of text",
+    )
+    mutate_generate_opts = argparse.ArgumentParser(add_help=False)
+    mutate_generate_opts.add_argument(
+        "--output", metavar="PATH", help="also write the JSON report to PATH"
+    )
+    mutate_generate_opts.add_argument(
+        "--seed", type=int, default=argparse.SUPPRESS, metavar="N",
+        help="master seed of mutant sampling or the search (default: 0)",
+    )
+    mutate_generate_opts.add_argument(
+        "--warm-start", action="store_true", default=argparse.SUPPRESS,
+        help="reuse the per-mutant verdicts or the accepted candidates "
+             "of the most recent matching history record (same design, "
+             "config and suite)",
     )
 
     sub.add_parser("list", help="list bundled systems")
@@ -241,72 +193,34 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser(
         "run", help="full DFT pipeline",
-        parents=[telemetry_opts, cache_opts, config_opts, engine_opts,
-                 history_opts],
+        parents=[job_opts, targets_opts, report_opts],
     )
     p_run.add_argument("system", choices=sorted(SYSTEMS))
-    p_run.add_argument(
-        "--workers", type=int, default=argparse.SUPPRESS, metavar="N",
-        help="worker processes for the dynamic stage (default: auto — "
-             "serial on single-CPU hosts or suites with <2 testcases)",
-    )
     p_run.add_argument("--matrix", action="store_true", help="print the Table-I matrix")
-    p_run.add_argument(
-        "--targets", choices=["all", "frontier"], default="all",
-        help="association accounting: 'frontier' runs the subsumption "
-             "pass and adds non-subsumed target counts to the summary "
-             "(default: all)",
-    )
     p_run.add_argument(
         "--max-missed", type=int, default=20, help="missed associations to list"
     )
-    p_run.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable coverage export instead of text",
-    )
 
     p_campaign = sub.add_parser(
-        "campaign", help="iterative refinement (Table II)",
-        parents=[telemetry_opts, cache_opts, config_opts, engine_opts,
-                 history_opts],
+        "campaign", help="iterative refinement (Table II)", parents=[job_opts],
     )
-    p_campaign.add_argument("system", choices=["window_lifter", "buck_boost"])
-    p_campaign.add_argument(
-        "--workers", type=int, default=argparse.SUPPRESS, metavar="N",
-        help="worker processes for the dynamic stage (default: auto — "
-             "serial on single-CPU hosts or suites with <2 testcases)",
-    )
+    p_campaign.add_argument("system", choices=CAMPAIGN_SYSTEMS)
 
     p_mutate = sub.add_parser(
         "mutate", help="mutation analysis (kill matrix + criterion join)",
-        parents=[telemetry_opts, cache_opts, config_opts, engine_opts,
-                 history_opts],
+        parents=[job_opts, targets_opts, report_opts, mutate_generate_opts],
     )
     p_mutate.add_argument(
-        "--warm-start", action="store_true", default=argparse.SUPPRESS,
-        help="reuse per-mutant verdicts from the most recent matching "
-             "history record (same design, config and suite)",
-    )
-    p_mutate.add_argument(
-        "system", choices=sorted(SYSTEMS) + ["random"],
+        "system", choices=sorted(SYSTEMS) + [RANDOM_SYSTEM],
         help="bundled system, or 'random' for a seeded random cluster",
     )
     p_mutate.add_argument(
-        "--operators", nargs="+", metavar="OP",
+        "--operators", nargs="+", metavar="OP", default=argparse.SUPPRESS,
         help="restrict to the named mutation operators (default: all)",
     )
     p_mutate.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, metavar="N",
-        help="sampling seed for --max-mutants (default: 0)",
-    )
-    p_mutate.add_argument(
-        "--max-mutants", type=int, default=None, metavar="N",
+        "--max-mutants", type=int, default=argparse.SUPPRESS, metavar="N",
         help="deterministically sample at most N mutants (default: all)",
-    )
-    p_mutate.add_argument(
-        "--workers", type=int, default=argparse.SUPPRESS, metavar="N",
-        help="worker processes for mutant execution (default: 1; the "
-             "kill matrix is identical for any worker count)",
     )
     p_mutate.add_argument(
         "--tolerance", type=float, default=argparse.SUPPRESS, metavar="EPS",
@@ -319,53 +233,29 @@ def _build_parser() -> argparse.ArgumentParser:
              "timed_out (default: 30)",
     )
     p_mutate.add_argument(
-        "--cluster-seed", type=int, default=0, metavar="N",
+        "--cluster-seed", type=int, default=argparse.SUPPRESS, metavar="N",
         help="construction seed for the 'random' system (default: 0)",
     )
     p_mutate.add_argument(
-        "--suite-ref", metavar="MODULE:ATTR",
+        "--suite-ref", metavar="MODULE:ATTR", default=argparse.SUPPRESS,
         help="override the testsuite with an importable reference to a "
              "callable returning testcases",
     )
     p_mutate.add_argument(
-        "--no-criteria", action="store_true",
+        "--no-criteria", action="store_true", default=argparse.SUPPRESS,
         help="skip the coverage run and the criterion-vs-score join",
-    )
-    p_mutate.add_argument(
-        "--targets", choices=["all", "frontier"], default="all",
-        help="criterion sub-suite targets: 'frontier' selects over the "
-             "subsumption-reduced association set (kill scores must "
-             "match 'all'; default: all)",
-    )
-    p_mutate.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable report instead of text",
     )
     p_mutate.add_argument(
         "--csv", metavar="PATH", help="also write one CSV row per mutant to PATH"
     )
-    p_mutate.add_argument(
-        "--output", metavar="PATH", help="also write the JSON report to PATH"
-    )
 
     p_generate = sub.add_parser(
         "generate", help="coverage-guided testcase generation",
-        parents=[telemetry_opts, cache_opts, config_opts, engine_opts,
-                 history_opts],
+        parents=[job_opts, targets_opts, report_opts, mutate_generate_opts],
     )
     p_generate.add_argument(
-        "--warm-start", action="store_true", default=argparse.SUPPRESS,
-        help="re-evaluate the accepted candidates of the most recent "
-             "matching history record before searching fresh",
-    )
-    p_generate.add_argument(
-        "system", choices=["buck_boost", "sensor", "window_lifter"],
+        "system", choices=sorted(SPACES),
         help="bundled system with a stimulus parameter space",
-    )
-    p_generate.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS, metavar="N",
-        help="master search seed (default: 0); results are identical "
-             "for any --workers count and --engine choice",
     )
     p_generate.add_argument(
         "--budget-simulations", type=int, default=argparse.SUPPRESS,
@@ -381,29 +271,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "diverge)",
     )
     p_generate.add_argument(
-        "--workers", type=int, default=argparse.SUPPRESS, metavar="N",
-        help="worker processes for candidate evaluation (default: 1)",
-    )
-    p_generate.add_argument(
-        "--strategy", choices=["mutation", "random", "guided"],
-        default="mutation",
+        "--strategy", choices=sorted(STRATEGIES), default=argparse.SUPPRESS,
         help="search strategy (default: mutation — random warm-up, then "
              "(1+lambda) mutation of the best candidate; guided — "
              "rank-weighted elite archive exploiting the graded du-path "
              "fitness)",
-    )
-    p_generate.add_argument(
-        "--targets", choices=["all", "frontier"], default="all",
-        help="search every missed association ('all', default) or only "
-             "the subsumption frontier ('frontier' — subsumed pairs "
-             "close opportunistically with their subsumer)",
-    )
-    p_generate.add_argument(
-        "--json", action="store_true",
-        help="emit the machine-readable report instead of text",
-    )
-    p_generate.add_argument(
-        "--output", metavar="PATH", help="also write the JSON report to PATH"
     )
 
     p_report = sub.add_parser(
@@ -499,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[config_opts],
     )
     p_submit.add_argument(
-        "kind", choices=["run", "campaign", "mutate", "generate"],
+        "kind", choices=JOB_KINDS,
         help="job kind",
     )
     p_submit.add_argument("system", help="system name known to the server")
@@ -551,31 +423,18 @@ def _validate_output_paths(args) -> None:
             raise OSError(f"{flag} {path!r} is not a writable file path")
 
 
-#: Per-subcommand config defaults that differ from the dataclass
-#: defaults (layered *under* a ``--config`` file, which is itself
-#: layered under explicit flags).
-_COMMAND_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "run": {"workers": None},        # auto fan-out
-    "campaign": {"workers": None},   # auto fan-out
-    "generate": {"budget_simulations": 200},
-}
-
-
 def _config_base(args) -> DftConfig:
     """The base config explicit flags layer onto.
 
-    Three layers, least binding first: the subcommand's defaults, then
-    the fields a ``--config FILE`` sets, then (via
-    :meth:`DftConfig.from_args` with ``base=``) the flags the user
-    actually passed — config-mapped flags register with
-    ``argparse.SUPPRESS`` defaults, so unpassed flags never mask the
-    file.
+    Three layers, least binding first: the job kind's defaults
+    (:data:`repro.jobs.JOB_DEFAULTS`), then the fields a ``--config
+    FILE`` sets, then (via :meth:`DftConfig.from_args` with ``base=``)
+    the flags the user actually passed — config-mapped flags register
+    with ``argparse.SUPPRESS`` defaults, so unpassed flags never mask
+    the file.
     """
-    values = dict(_COMMAND_DEFAULTS.get(args.command, {}))
     path = getattr(args, "config", None)
-    if path:
-        values.update(DftConfig.file_overrides(path))
-    return DftConfig(**values)  # type: ignore[arg-type]
+    return job_config(args.command, DftConfig.file_overrides(path) if path else {})
 
 
 def _resolve_history(args, cfg: DftConfig) -> DftConfig:
@@ -654,110 +513,65 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
-def _cmd_mutate(args) -> int:
-    import json
-
-    from .mutation import (
-        ALL_OPERATORS,
-        build_report,
-        criteria_report,
-        format_report,
-        run_mutation,
-        write_csv,
-    )
-
+def _cmd_job(args) -> int:
+    """``run`` / ``campaign`` / ``mutate`` / ``generate``: one
+    :func:`repro.jobs.run_job` call, then the rendering the flags ask
+    for."""
     cfg = _resolve_history(args, DftConfig.from_args(args, base=_config_base(args)))
-    cfg.apply_static_cache()
-    if args.operators:
-        unknown = [op for op in args.operators if op not in ALL_OPERATORS]
-        if unknown:
-            raise ValueError(
-                f"unknown mutation operator(s): {', '.join(sorted(unknown))} "
-                f"(available: {', '.join(ALL_OPERATORS)})"
-            )
-    if args.system == "random":
-        factory_ref = "repro.testing.generate:random_cluster_factory"
-        factory_args: tuple = (args.cluster_seed,)
-        if args.suite_ref:
-            suite_ref, suite_args = args.suite_ref, ()
-        else:
-            suite_ref = "repro.testing.generate:random_suite"
-            suite_args = (args.cluster_seed,)
-    else:
-        entry = SYSTEMS[args.system]
-        factory_ref = entry["factory_ref"]
-        factory_args = ()
-        suite_ref = args.suite_ref or entry["suite_ref"]
-        suite_args = ()
+    options = {
+        key: getattr(args, key)
+        for key in JOB_OPTIONS[args.command] if hasattr(args, key)
+    }
+    job = run_job(args.command, args.system, cfg, options)
 
-    run = run_mutation(
-        factory_ref,
-        suite_ref,
-        cfg,
-        factory_args=factory_args,
-        suite_args=suite_args,
-        operators=args.operators,
-        max_mutants=args.max_mutants,
-    )
+    if args.command == "run":
+        result = job.result
+        if args.json:
+            print(json.dumps(coverage_to_dict(result.coverage), indent=2))
+            return 0
+        if args.matrix:
+            print(format_matrix(result.coverage))
+            print()
+        subsumption = None
+        if getattr(args, "targets", "all") == "frontier":
+            from .analysis import analyze_subsumption
 
-    if args.no_criteria:
-        payload = build_report(run, system=args.system)
+            subsumption = analyze_subsumption(result.static)
+        print(format_summary(
+            result.coverage, max_missed=args.max_missed,
+            subsumption=subsumption,
+        ))
+        return 0
+
+    if args.command == "campaign":
+        print(format_iteration_table(job.result))
+        return 0
+
+    if args.command == "mutate":
+        from .mutation import format_report, write_csv
+
+        if args.csv:
+            with open(args.csv, "w", encoding="utf-8") as stream:
+                write_csv(job.payload, stream)
+            print(f"mutation CSV written to {args.csv}", file=sys.stderr)
+        label = "mutation"
     else:
-        payload = criteria_report(
-            run, args.system, factory_args=factory_args,
-            suite_args=suite_args, targets=args.targets,
-        )
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as stream:
-            write_csv(payload, stream)
-        print(f"mutation CSV written to {args.csv}", file=sys.stderr)
+        from .generation import format_report
+
+        label = "generation"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, indent=2)
+            json.dump(job.payload, stream, indent=2)
             stream.write("\n")
-        print(f"mutation report written to {args.output}", file=sys.stderr)
+        print(f"{label} report written to {args.output}", file=sys.stderr)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(job.payload, indent=2))
     else:
-        print(format_report(payload))
-    return 0
-
-
-def _cmd_generate(args) -> int:
-    import json
-
-    from .generation import build_report, format_report, generate_suite
-
-    cfg = _resolve_history(args, DftConfig.from_args(args, base=_config_base(args)))
-    cfg.apply_static_cache()
-    entry = SYSTEMS[args.system]
-    base = TestSuite(args.system, entry["suite"]())
-    result = generate_suite(
-        entry["factory"],
-        base,
-        args.system,
-        cfg,
-        factory_ref=entry["factory_ref"],
-        suite_ref=entry["suite_ref"],
-        strategy=args.strategy,
-        target_mode=args.targets,
-    )
-    payload = build_report(result)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
-        print(f"generation report written to {args.output}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_report(payload))
+        print(format_report(job.payload))
     return 0
 
 
 def _cmd_history(args) -> int:
-    import json
-
     from .obs.store import (
         RunHistory,
         default_history_dir,
@@ -843,8 +657,6 @@ def _cmd_serve(args) -> int:
 
 def _parse_submit_options(pairs: Optional[Sequence[str]]) -> Dict[str, object]:
     """``--option KEY=VALUE`` pairs (VALUE JSON-decoded when possible)."""
-    import json
-
     options: Dict[str, object] = {}
     for pair in pairs or []:
         key, sep, raw = pair.partition("=")
@@ -860,8 +672,6 @@ def _parse_submit_options(pairs: Optional[Sequence[str]]) -> Dict[str, object]:
 
 
 def _cmd_submit(args) -> int:
-    import json
-
     from .service import (
         ServiceError,
         job_result,
@@ -886,6 +696,8 @@ def _cmd_submit(args) -> int:
         raise OSError(
             f"cannot reach job server at {args.server}: {exc}"
         ) from None
+    except ServiceError as exc:
+        raise ValueError(f"job rejected: {exc}") from None
     if args.no_wait:
         print(job_id)
         return 0
@@ -914,7 +726,7 @@ def _cmd_submit(args) -> int:
 def _dispatch(args) -> int:
     if args.command == "list":
         for name in sorted(SYSTEMS):
-            suite = SYSTEMS[name]["suite"]()
+            suite = SYSTEMS[name].base_suite(name)
             print(f"{name:15s} {len(suite)} testcases")
         return 0
 
@@ -924,7 +736,7 @@ def _dispatch(args) -> int:
 
         DftConfig.from_args(args).apply_static_cache()
         with get_telemetry().span("static", system=args.system):
-            result = analyze_cluster(SYSTEMS[args.system]["factory"]())
+            result = analyze_cluster(SYSTEMS[args.system].factory()())
         print(f"cluster: {result.cluster}")
         counts = result.counts()
         total = len(result.associations)
@@ -939,51 +751,8 @@ def _dispatch(args) -> int:
                 print(f"  {port}")
         return 0
 
-    if args.command == "run":
-        cfg = _resolve_history(args, DftConfig.from_args(args, base=_config_base(args)))
-        cfg.apply_static_cache()
-        entry = SYSTEMS[args.system]
-        suite = TestSuite(args.system, entry["suite"]())
-        executor = cfg.make_executor(
-            entry["factory_ref"], entry["suite_ref"], len(suite)
-        )
-        result = run_dft(
-            entry["factory"], suite, cfg.replace(executor=executor)
-        )
-        if args.json:
-            import json
-
-            from .core import coverage_to_dict
-
-            print(json.dumps(coverage_to_dict(result.coverage), indent=2))
-            return 0
-        if args.matrix:
-            print(format_matrix(result.coverage))
-            print()
-        subsumption = None
-        if args.targets == "frontier":
-            from .analysis import analyze_subsumption
-
-            subsumption = analyze_subsumption(result.static)
-        print(format_summary(
-            result.coverage, max_missed=args.max_missed,
-            subsumption=subsumption,
-        ))
-        return 0
-
-    if args.command == "campaign":
-        cfg = _resolve_history(args, DftConfig.from_args(args, base=_config_base(args)))
-        cfg.apply_static_cache()
-        campaign = _campaign(args.system, cfg)
-        records = campaign.run()
-        print(format_iteration_table(records))
-        return 0
-
-    if args.command == "mutate":
-        return _cmd_mutate(args)
-
-    if args.command == "generate":
-        return _cmd_generate(args)
+    if args.command in JOB_KINDS:
+        return _cmd_job(args)
 
     if args.command == "telemetry-report":
         from .obs import format_tree, read_jsonl

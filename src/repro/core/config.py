@@ -318,8 +318,9 @@ class DftConfig:
         from ..analysis import get_default_cache
 
         cache = get_default_cache()
-        if not self.static_cache:
-            cache.enabled = False
+        # Set, not only cleared: a long-lived process (the job server)
+        # applies one config per job.
+        cache.enabled = self.static_cache
         if self.cache_dir:
             expanded = os.path.expanduser(self.cache_dir)
             try:

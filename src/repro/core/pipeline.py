@@ -144,7 +144,7 @@ def run_record(
     cfg: DftConfig, suite: TestSuite, result: PipelineResult
 ) -> Dict[str, Any]:
     """The ``run`` history record of one pipeline run (the ledger entry
-    and the service's ``run`` job payload)."""
+    and the ``run`` job payload)."""
     from ..obs.store import build_record
 
     return build_record(

@@ -63,6 +63,8 @@ class IterativeCampaign:
         self._batches: List[List[TestCase]] = [list(base_suite)]
         #: The unified run configuration (see :class:`repro.DftConfig`).
         self.config = config if config is not None else DftConfig()
+        #: The ``campaign`` history record of the last :meth:`run`.
+        self.record: Optional[Dict[str, Any]] = None
 
     def add_iteration(self, testcases: Sequence[TestCase]) -> None:
         """Schedule a batch of additional testcases as the next iteration."""
@@ -90,6 +92,7 @@ class IterativeCampaign:
     def run(self) -> List[IterationRecord]:
         """Execute every iteration and return the Table-II records."""
         from ..exec.cache import DynamicResultCache
+        from ..obs.store import build_record
 
         # Iteration *k* re-runs every testcase of iterations 0..k-1, and
         # each run is deterministic, so results are memoized across them.
@@ -104,31 +107,17 @@ class IterativeCampaign:
             suite = self.suite_for(index)
             result = run_dft(self.cluster_factory, suite, inner_cfg)
             records.append(_record_for(index, suite, result.coverage))
-        history = cfg.run_history()
-        if history is not None:
-            history.append(self.history_record(cfg, records, result.telemetry))
-        return records
-
-    def history_record(
-        self,
-        cfg: DftConfig,
-        records: Sequence[IterationRecord],
-        telemetry: Any,
-    ) -> Dict[str, Any]:
-        """The ``campaign`` history record of a finished :meth:`run`:
-        final-iteration coverage plus the per-iteration trajectory (the
-        ledger entry and the service's ``campaign`` job payload)."""
-        from ..obs.store import build_record
-
+        # The ledger entry and the ``campaign`` job payload: the final
+        # iteration's coverage plus the per-iteration trajectory.
         coverage = records[-1].coverage
-        return build_record(
+        self.record = build_record(
             "campaign",
             system=self.name,
             fingerprint=coverage.static.fingerprint,
             config_hash=cfg.config_hash(),
-            suite_names=[tc.name for tc in self.suite_for(len(records) - 1)],
+            suite_names=[tc.name for tc in suite],
             coverage=coverage,
-            telemetry=telemetry,
+            telemetry=result.telemetry,
             extra={
                 "campaign": {
                     "iterations": len(records),
@@ -144,6 +133,10 @@ class IterativeCampaign:
                 }
             },
         )
+        history = cfg.run_history()
+        if history is not None:
+            history.append(self.record)
+        return records
 
 
 def _record_for(

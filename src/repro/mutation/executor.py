@@ -162,6 +162,8 @@ class MutationRun:
     outcomes: List[MutantOutcome]
     testcase_names: List[str]
     oracle_signals: List[str]
+    #: Static fingerprint of the unmutated cluster.
+    fingerprint: str
 
     # -- aggregate counts ----------------------------------------------------
 
@@ -539,6 +541,7 @@ def run_mutation(
     configuration path (API v1): the removed per-call keyword
     arguments now raise ``TypeError``.
     """
+    from ..analysis.cache import fingerprint_cluster
     from ..core.config import DftConfig
 
     cfg = config if config is not None else DftConfig()
@@ -562,18 +565,15 @@ def run_mutation(
     ):
         all_specs = generate_mutants(factory(), op_names)
         specs = _sample_specs(all_specs, max_mutants, seed)
-        oracle = _oracle_names(factory(), oracle_signals)
+        cluster = factory()
+        oracle = _oracle_names(cluster, oracle_signals)
+        fingerprint = fingerprint_cluster(cluster)
         if tel.enabled:
             tel.metrics.counter("mutation.generated").inc(len(all_specs))
             tel.metrics.counter("mutation.sampled").inc(len(specs))
 
         suite_names = [tc.name for tc in testcases]
         history = cfg.run_history()
-        fingerprint: Optional[str] = None
-        if history is not None:
-            from ..analysis.cache import fingerprint_cluster
-
-            fingerprint = fingerprint_cluster(factory())
         # Warm start: verdicts are pure functions of (cluster, suite,
         # spec, engine, tolerance), so outcomes recorded by an earlier
         # run with the same fingerprint / config hash / suite can be
@@ -676,6 +676,7 @@ def run_mutation(
         outcomes=outcomes,
         testcase_names=[tc.name for tc in testcases],
         oracle_signals=list(oracle),
+        fingerprint=fingerprint,
     )
     if history is not None:
         from ..obs.store import build_record

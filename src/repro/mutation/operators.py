@@ -561,7 +561,7 @@ ALL_OPERATORS: Dict[str, MutationOperator] = {
 }
 
 
-def _select_operators(names: Optional[Sequence[str]]) -> List[str]:
+def select_operators(names: Optional[Sequence[str]]) -> List[str]:
     if not names:
         return list(ALL_OPERATORS)
     unknown = [n for n in names if n not in ALL_OPERATORS]
@@ -582,7 +582,7 @@ def generate_mutants(
     any process can regenerate it from the cluster factory alone.
     """
     specs: List[MutantSpec] = []
-    for name in _select_operators(operators):
+    for name in select_operators(operators):
         op = ALL_OPERATORS[name]
         for site, point in enumerate(op.points(cluster)):
             specs.append(

@@ -197,7 +197,7 @@ def criteria_report(
     feeds the criterion-vs-score join; sub-suites are then scored from
     the kill matrix without re-running any mutant.  ``targets=
     "frontier"`` adds the subsumption pass.  The ``mutate`` command and
-    the service's ``mutate`` job both build their payload here.
+    a ``mutate`` job build their payload here (:mod:`repro.jobs`).
     """
     from ..core import DftConfig, run_dft
     from ..exec.refs import resolve_ref

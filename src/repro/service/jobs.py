@@ -1,12 +1,8 @@
 """The durable job queue behind the HTTP job server.
 
-A *job* is one unit of DFT work — the same four workloads the CLI
-runs, addressed by kind:
-
-* ``run`` — one pipeline pass over a system's suite;
-* ``campaign`` — the iterative-refinement workflow;
-* ``mutate`` — the mutation-adequacy campaign;
-* ``generate`` — directed testcase generation.
+A *job* is one unit of DFT work — one of the job kinds of
+:mod:`repro.jobs` (``run``, ``campaign``, ``mutate``, ``generate``),
+the same workloads the CLI runs.
 
 Jobs are **journaled** as newline-delimited JSON to ``jobs.jsonl``
 inside the service's state directory (by default next to the
@@ -32,10 +28,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from ..jobs import JOB_KINDS
 from ..obs.store.history import append_line
-
-#: The job kinds the server accepts, in CLI-subcommand order.
-JOB_KINDS = ("run", "campaign", "mutate", "generate")
 
 #: Lifecycle states, in order.
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -45,13 +39,12 @@ _JOURNAL_NAME = "jobs.jsonl"
 
 @dataclass(frozen=True)
 class JobSpec:
-    """What to run: kind + system reference + serialized config.
+    """What to run: kind + system name + serialized config.
 
-    ``system`` names a registered system (see ``repro.cli.SYSTEMS``);
-    ``config`` is a :meth:`repro.core.config.DftConfig.to_json` dict
-    (validated at submit time); ``options`` carries kind-specific knobs
-    (``iterations`` for campaigns, ``max_mutants`` / ``operators`` for
-    mutation, ...).
+    ``system`` names a system of :data:`repro.systems.registry.SYSTEMS`
+    (or ``random`` for ``mutate``); ``config`` is a
+    :meth:`repro.core.config.DftConfig.to_json` dict; ``options`` are
+    the kind's :data:`repro.jobs.JOB_OPTIONS`.
     """
 
     kind: str

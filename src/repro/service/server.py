@@ -4,10 +4,9 @@ A deliberately small HTTP/1.1 surface, hand-rolled on
 ``asyncio.start_server`` (stdlib only — no web framework):
 
 * ``POST /v1/jobs`` — submit a job: ``{"kind", "system", "config",
-  "options"}`` where ``kind`` is one of :data:`~repro.service.jobs.JOB_KINDS`
-  and ``config`` is a serialized :class:`~repro.core.DftConfig`
-  (:meth:`~repro.core.DftConfig.to_json` shape).  Malformed bodies get a
-  ``400`` with a one-line ``{"error": ...}``.
+  "options"}`` (:class:`~repro.service.jobs.JobSpec`).  A malformed
+  body, a bad config and a spec :func:`repro.jobs.check_job` refuses
+  get a ``400`` with a one-line ``{"error": ...}``.
 * ``GET /v1/jobs/{id}`` — lifecycle + progress
   (``queued → running → done | failed``; progress is sampled off the
   job's live obs telemetry session while it runs).
@@ -15,7 +14,8 @@ A deliberately small HTTP/1.1 surface, hand-rolled on
   (:func:`repro.core.report.make_envelope`), verbatim.
 * ``GET /v1/healthz`` — liveness + queue depth + fleet size.
 
-Jobs execute one at a time on a worker thread (a job is itself
+Jobs execute one at a time on a worker thread through
+:func:`repro.jobs.run_job`, the call the CLI makes (a job is itself
 parallel — across remote shard workers or a local process pool), and
 the queue is journaled (:class:`~repro.service.jobs.JobQueue`) so a
 restarted server resumes its queued jobs.
@@ -79,104 +79,25 @@ def _execute_job(
     tel: Telemetry,
     worker_addrs: Sequence[Tuple[str, int]],
 ) -> Dict[str, Any]:
-    """Run one job to completion and return its report envelope.
+    """Run one job through :func:`repro.jobs.run_job`, as the CLI does,
+    sharding its tasks over the fleet if there is one; returns the
+    report envelope."""
+    from ..core import make_envelope
+    from ..jobs import job_config, job_refs, run_job
+    from .remote import RemoteExecutor
 
-    Runs on the job thread.  Mirrors the CLI subcommands exactly — a
-    service job and a same-config CLI run produce identical coverage
-    payloads (the CI smoke test compares them byte for byte).
-    """
-    from ..cli import SYSTEMS, _campaign
-    from ..core import DftConfig, make_envelope, run_dft
-    from ..core.pipeline import run_record
-    from ..testing.testcase import TestSuite
-
-    if spec.system not in SYSTEMS:
-        raise ValueError(
-            f"unknown system {spec.system!r} "
-            f"(available: {', '.join(sorted(SYSTEMS))})"
-        )
-    entry = SYSTEMS[spec.system]
-    cfg = DftConfig.from_json(spec.config).replace(telemetry=tel)
-    cfg.apply_static_cache()
-    options = spec.options
+    cfg = job_config(spec.kind, spec.config).replace(telemetry=tel)
     if worker_addrs:
-        # Every job kind shards over the fleet: the executor runs the
-        # suite tasks of run/campaign/generate and the mutants tasks of
-        # mutate (each task names its own factory and suite).
-        from .remote import RemoteExecutor
-
+        refs = job_refs(spec.system, spec.options)
         cfg = cfg.replace(executor=RemoteExecutor(
-            worker_addrs, entry["factory_ref"], entry["suite_ref"],
+            worker_addrs, refs.factory_ref, refs.suite_ref,
+            suite_args=refs.suite_args, factory_args=refs.factory_args,
             seed=cfg.seed,
         ))
-
-    if spec.kind == "run":
-        suite = TestSuite(spec.system, entry["suite"]())
-        executor = cfg.make_executor(
-            entry["factory_ref"], entry["suite_ref"], len(suite)
-        )
-        result = run_dft(
-            entry["factory"], suite, cfg.replace(executor=executor)
-        )
-        return make_envelope(
-            run_record(cfg, suite, result),
-            config_hash=cfg.config_hash(),
-            fingerprint=result.static.fingerprint,
-        )
-
-    if spec.kind == "campaign":
-        campaign = _campaign(spec.system, cfg)
-        records = campaign.run()
-        return make_envelope(
-            campaign.history_record(cfg, records, tel),
-            config_hash=cfg.config_hash(),
-            fingerprint=records[-1].coverage.static.fingerprint,
-        )
-
-    if spec.kind == "mutate":
-        from ..mutation import build_report, criteria_report, run_mutation
-
-        run = run_mutation(
-            entry["factory_ref"],
-            options.get("suite_ref") or entry["suite_ref"],
-            cfg,
-            operators=options.get("operators"),
-            max_mutants=options.get("max_mutants"),
-        )
-        if options.get("no_criteria", False):
-            payload = build_report(run, system=spec.system)
-        else:
-            payload = criteria_report(
-                run, spec.system, targets=options.get("targets", "all")
-            )
-        return make_envelope(
-            payload,
-            config_hash=cfg.config_hash(),
-            fingerprint=payload.get("fingerprint"),
-        )
-
-    if spec.kind == "generate":
-        from ..generation import build_report, generate_suite
-
-        base = TestSuite(spec.system, entry["suite"]())
-        result = generate_suite(
-            entry["factory"],
-            base,
-            spec.system,
-            cfg,
-            factory_ref=entry["factory_ref"],
-            suite_ref=entry["suite_ref"],
-            strategy=options.get("strategy"),
-            target_mode=options.get("targets", "all"),
-        )
-        payload = build_report(result)
-        return make_envelope(
-            payload,
-            config_hash=cfg.config_hash(),
-            fingerprint=payload.get("fingerprint"),
-        )
-
-    raise ValueError(f"unknown job kind {spec.kind!r}")  # pragma: no cover
+    job = run_job(spec.kind, spec.system, cfg, spec.options)
+    return make_envelope(
+        job.payload, config_hash=cfg.config_hash(), fingerprint=job.fingerprint
+    )
 
 
 class JobServer:
@@ -270,7 +191,7 @@ class JobServer:
                 self.queue.mark_progress(job.id, _progress_snapshot(tel))
             try:
                 envelope = future.result()
-            except Exception as exc:
+            except (Exception, SystemExit) as exc:  # a job never ends the loop
                 self.queue.mark_failed(
                     job.id, f"{type(exc).__name__}: {exc}"
                 )
@@ -383,12 +304,13 @@ class JobServer:
         except (ValueError, UnicodeDecodeError) as exc:
             return 400, {"error": f"malformed JSON body: {exc}"}
         try:
-            spec = JobSpec.from_json(doc)
-            # Validate the config shape at submit time — a typo must
-            # fail the POST, not the job minutes later.
-            from ..core import DftConfig
+            # Validate the whole spec at submit time — a typo must fail
+            # the POST, not the job minutes later.
+            from ..jobs import check_job, job_config
 
-            DftConfig.from_json(spec.config)
+            spec = JobSpec.from_json(doc)
+            job_config(spec.kind, spec.config)
+            check_job(spec.kind, spec.system, spec.options)
         except ValueError as exc:
             return 400, {"error": str(exc)}
         job = self.queue.submit(spec)

@@ -15,8 +15,8 @@ from ..core.config import DftConfig
 from ..core.workflow import IterativeCampaign
 from ..tdf import ms, sec
 from ..testing import Pulse, Pwl, Step, TestCase
-from .buck_boost import BuckBoostTop
-from .window_lifter import BTN_BOTH, BTN_DOWN, BTN_NONE, BTN_UP, WindowLifterTop
+from .registry import SYSTEMS
+from .window_lifter import BTN_BOTH, BTN_DOWN, BTN_NONE, BTN_UP
 
 
 # ---------------------------------------------------------------------------
@@ -175,30 +175,28 @@ def window_lifter_campaign(config: Optional[DftConfig] = None) -> IterativeCampa
     worker count and either engine.
     """
     return _build_campaign(
-        config if config is not None else DftConfig(),
-        lambda: WindowLifterTop(),
-        window_lifter_base_suite(),
+        config, "window_lifter", window_lifter_base_suite(),
         window_lifter_iteration_batches(),
-        name="window_lifter",
-        factory_ref="repro.systems.window_lifter:WindowLifterTop",
-        suite_ref="repro.systems.campaigns:window_lifter_all_testcases",
     )
 
 
 def _build_campaign(
-    cfg: DftConfig,
-    factory,
+    config: Optional[DftConfig],
+    name: str,
     base_suite: List[TestCase],
     batches: List[List[TestCase]],
-    name: str,
-    factory_ref: str,
-    suite_ref: str,
 ) -> IterativeCampaign:
-    """Assemble a campaign from a config (shared by both case studies)."""
+    """Assemble system ``name``'s campaign (shared by both case studies);
+    a process pool or fleet rebuilds it from the registry's refs."""
+    cfg = config if config is not None else DftConfig()
+    entry = SYSTEMS[name]
     suite_len = len(base_suite) + sum(len(b) for b in batches)
-    executor = cfg.make_executor(factory_ref, suite_ref, suite_len)
+    executor = cfg.make_executor(
+        entry.factory_ref, entry.all_suite_ref, suite_len
+    )
     campaign = IterativeCampaign(
-        factory, base_suite, name=name, config=cfg.replace(executor=executor)
+        entry.factory(), base_suite, name=name,
+        config=cfg.replace(executor=executor),
     )
     for batch in batches:
         campaign.add_iteration(batch)
@@ -306,11 +304,6 @@ def buck_boost_campaign(config: Optional[DftConfig] = None) -> IterativeCampaign
     """The full §VI-B campaign (Table II, lower half); ``config`` as for
     :func:`window_lifter_campaign`."""
     return _build_campaign(
-        config if config is not None else DftConfig(),
-        lambda: BuckBoostTop(),
-        buck_boost_base_suite(),
+        config, "buck_boost", buck_boost_base_suite(),
         buck_boost_iteration_batches(),
-        name="buck_boost",
-        factory_ref="repro.systems.buck_boost:BuckBoostTop",
-        suite_ref="repro.systems.campaigns:buck_boost_all_testcases",
     )

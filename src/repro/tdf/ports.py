@@ -36,14 +36,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .module import TdfModule
 
 class BindSite:
-    """Source location of a ``bind()`` call (the netlist anchor)."""
+    """Source location of a ``bind()`` call (the netlist anchor).
 
-    __slots__ = ("filename", "lineno", "function")
+    ``module`` is the ``__name__`` of the calling module: unlike
+    ``filename``, it does not depend on where the source tree lives.
+    """
 
-    def __init__(self, filename: str, lineno: int, function: str) -> None:
+    __slots__ = ("filename", "lineno", "function", "module")
+
+    def __init__(
+        self, filename: str, lineno: int, function: str, module: str
+    ) -> None:
         self.filename = filename
         self.lineno = lineno
         self.function = function
+        self.module = module
 
     def __repr__(self) -> str:
         return f"BindSite({self.filename}:{self.lineno} in {self.function})"
@@ -69,7 +76,10 @@ def _capture_bind_site() -> Optional[BindSite]:
         while frame is not None:
             filename = frame.f_code.co_filename
             if not _os.path.abspath(filename).startswith(_KERNEL_DIR):
-                return BindSite(filename, frame.f_lineno, frame.f_code.co_name)
+                return BindSite(
+                    filename, frame.f_lineno, frame.f_code.co_name,
+                    frame.f_globals.get("__name__", ""),
+                )
             frame = frame.f_back
         return None
     finally:

@@ -41,10 +41,11 @@ class Top(Cluster):
 """
 
 
-def _load_cluster_module(path, gain):
-    """(Re)write a model module with the given gain and import it fresh."""
+def _load_cluster_module(path, gain, name="cache_probe_model"):
+    """(Re)write a model module with the given gain and import it fresh
+    as module ``name``."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(textwrap.dedent(MODEL_V1).format(gain=gain))
-    name = "cache_probe_model"
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
@@ -73,6 +74,40 @@ class TestFingerprint:
         fp_gain2_again = fingerprint_cluster(_load_cluster_module(path, gain=2))
         assert fp_gain2 != fp_gain3
         assert fp_gain2 == fp_gain2_again
+
+
+    def test_independent_of_the_checkout_location(self, tmp_path):
+        """Two copies of one source tree give one fingerprint (bind
+        sites hash as module name and line, not as file path), and the
+        association universe does not move; renaming the module still
+        changes the fingerprint."""
+        from repro.core.database import universe_fingerprint
+
+        statics = [
+            analyze_cluster(_load_cluster_module(path, 2, name), cache=None)
+            for path, name in (
+                (tmp_path / "a" / "model.py", "cache_probe_model"),
+                (tmp_path / "b" / "model.py", "cache_probe_model"),
+                (tmp_path / "a" / "model.py", "cache_probe_renamed"),
+            )
+        ]
+        copy_a, copy_b, renamed = statics
+        assert copy_a.fingerprint == copy_b.fingerprint
+        assert renamed.fingerprint != copy_a.fingerprint
+        assert len({universe_fingerprint(s) for s in statics}) == 1
+
+    @pytest.mark.parametrize("system, universe", [
+        ("buck_boost", "72fe19db52320703"),
+        ("riscv_platform", "d4b0414c33ac98bf"),
+        ("sensor", "6436be59ba8e4286"),
+        ("window_lifter", "e8eb9937bed3633b"),
+    ])
+    def test_bundled_universes_are_pinned(self, system, universe):
+        from repro.core.database import universe_fingerprint
+        from repro.systems.registry import SYSTEMS
+
+        static = analyze_cluster(SYSTEMS[system].factory()(), cache=None)
+        assert universe_fingerprint(static) == universe
 
 
 class TestStaticAnalysisCache:

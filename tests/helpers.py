@@ -51,6 +51,11 @@ class Accumulator(TdfModule):
         self.op.write(self.m_total)
 
 
+def exiting_suite():
+    """A suite reference whose import-time call exits the interpreter."""
+    raise SystemExit("suite builder exited")
+
+
 @contextlib.contextmanager
 def hang_up_address():
     """A listener that accepts and immediately hangs up.

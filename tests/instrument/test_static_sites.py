@@ -10,8 +10,8 @@ each read of a token at or past the driver's output delay with it.
 import pytest
 
 from repro.analysis import analyze_cluster
-from repro.cli import SYSTEMS
 from repro.instrument import DynamicAnalyzer, ProbeRuntime
+from repro.systems.registry import SYSTEMS
 from repro.tdf import Cluster, Simulator, ms
 from repro.tdf.engine import compile_program
 from repro.tdf.library import DelayTdf, StimulusSource
@@ -108,13 +108,13 @@ class TestInstrumentedCompileStats:
     @pytest.mark.parametrize("system", sorted(EXPECTED))
     def test_block_ratio_and_fallback_reasons(self, system):
         entry = SYSTEMS[system]
-        factory = entry["factory"]
+        factory = entry.factory()
         cluster = factory()
         probe = ProbeRuntime(cluster.name)
         analyzer = DynamicAnalyzer(factory, None, engine="block")
         analyzer._instrument(cluster, probe)
         analyzer._register_static_sites(cluster, probe)
-        entry["suite"]()[0].apply(cluster)
+        entry.base_suite(system).testcases[0].apply(cluster)
         sim = Simulator(cluster, engine="block")
         sim.initialize()
         stats = compile_program(sim, sim.schedule).stats

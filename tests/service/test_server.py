@@ -127,6 +127,48 @@ class TestSubmitValidation:
             submit_job(addr, {"kind": "run", "system": "sensor", "prio": 9})
         assert err.value.status == 400
 
+    @pytest.mark.parametrize("spec, needle", [
+        ({"kind": "campaign", "system": "sensor"}, "no campaign"),
+        ({"kind": "mutate", "system": "buck_boost",
+          "options": {"max_mutant": 2}}, "max_mutant"),
+        ({"kind": "run", "system": "sensor",
+          "options": {"targets": "frontier"}}, "targets"),
+        ({"kind": "mutate", "system": "buck_boost",
+          "options": {"targets": "some"}}, "some"),
+        ({"kind": "generate", "system": "sensor",
+          "options": {"strategy": "annealing"}}, "annealing"),
+        ({"kind": "mutate", "system": "random",
+          "options": {"operators": ["aor", "bogus"]}}, "bogus"),
+        ({"kind": "generate", "system": "riscv_platform"}, "riscv_platform"),
+    ], ids=["campaign-without-campaign", "unknown-option",
+            "option-of-another-kind", "bad-targets", "unknown-strategy",
+            "unknown-operator", "generate-without-space"])
+    def test_unrunnable_spec_is_400_and_the_server_keeps_serving(
+        self, server, spec, needle
+    ):
+        """A spec the job layer cannot run is refused at POST with a
+        one-line error; nothing is queued and the server stays up."""
+        srv, addr = server
+        with pytest.raises(ServiceError) as err:
+            submit_job(addr, spec)
+        assert err.value.status == 400
+        assert needle in str(err.value)
+        assert "\n" not in str(err.value)
+        assert healthz(addr)["ok"] is True
+        assert srv.queue.jobs() == []
+
+    def test_submit_command_reports_a_400_in_one_line(self, server, capsys):
+        from repro.cli import main
+
+        _, (host, port) = server
+        assert main(
+            ["submit", "--server", f"{host}:{port}", "campaign", "sensor"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro-dft: error: job rejected: HTTP 400:")
+        assert "no campaign defined for system 'sensor'" in err
+        assert err.count("\n") == 1
+
 
 class TestJobExecution:
     def test_run_job_matches_local_run(self, server):
@@ -144,32 +186,28 @@ class TestJobExecution:
         ) == json.dumps(coverage_summary(local.coverage), sort_keys=True)
         assert envelope["fingerprint"] == local.static.fingerprint
 
-    def test_run_and_campaign_payloads_equal_their_ledger_records(
-        self, server, tmp_path
+    def test_job_raising_system_exit_fails_and_the_server_keeps_serving(
+        self, server
     ):
-        """A job's payload is the ledger record the same job appends,
-        apart from the stamp (run_id, recorded_at) and the timings."""
         _, addr = server
-        config = {"history_dir": str(tmp_path / "ledger")}
-        payloads = []
-        for kind, system in (("run", "sensor"), ("campaign", "buck_boost")):
+        job_id = submit_job(addr, {
+            "kind": "mutate", "system": "sensor",
+            "options": {"suite_ref": "helpers:exiting_suite"},
+        })
+        with pytest.raises(ServiceError, match="SystemExit: suite builder"):
+            wait_for_job(addr, job_id, timeout=60)
+        assert healthz(addr)["ok"] is True
+
+    def test_static_cache_switch_holds_for_one_job_only(self, server):
+        from repro.analysis import get_default_cache
+
+        _, addr = server
+        for config, enabled in (({"static_cache": False}, False), ({}, True)):
             job_id = submit_job(
-                addr, {"kind": kind, "system": system, "config": config}
+                addr, {"kind": "run", "system": "sensor", "config": config}
             )
-            wait_for_job(addr, job_id, timeout=600)
-            payloads.append(job_result(addr, job_id)["payload"])
-        records = RunHistory(config["history_dir"]).records()
-        assert [r["kind"] for r in records] == ["run", "campaign"]
-
-        def strip(doc):
-            return {
-                key: value for key, value in doc.items()
-                if key not in ("run_id", "recorded_at", "timings")
-            }
-
-        for payload, record in zip(payloads, records):
-            assert strip(payload) == strip(record)
-            assert set(payload["timings"]) == set(record["timings"])
+            wait_for_job(addr, job_id, timeout=300)
+            assert get_default_cache().enabled is enabled
 
     def test_result_before_done_is_409(self, server):
         srv, addr = server
@@ -187,15 +225,13 @@ class TestJobExecution:
         wait_for_job(addr, job_id, timeout=300)
 
     def test_unknown_system_fails_job(self, server):
-        _, addr = server
-        job_id = submit_job(addr, {"kind": "run", "system": "warp_core"})
-        with pytest.raises(ServiceError, match="warp_core"):
-            wait_for_job(addr, job_id, timeout=60)
-        status = job_status(addr, job_id)
-        assert status["status"] == "failed"
-        with pytest.raises(ServiceError) as err:
-            job_result(addr, job_id)
-        assert err.value.status == 500
+        """Refused at POST: the job never exists, so it cannot fail."""
+        srv, addr = server
+        with pytest.raises(ServiceError, match="warp_core") as err:
+            submit_job(addr, {"kind": "run", "system": "warp_core"})
+        assert err.value.status == 400
+        assert "available: buck_boost, riscv_platform" in str(err.value)
+        assert srv.queue.jobs() == []
 
 
 def _job_payload(addr, spec, timeout=600):
@@ -211,24 +247,91 @@ def _cli_json(capsys, argv):
     return json.loads(capsys.readouterr().out)
 
 
-class TestMutateJob:
-    @pytest.mark.parametrize("targets", ["all", "frontier"])
-    def test_payload_equals_the_cli_json(self, server, capsys, targets):
-        """The job scores its criteria on the kill matrix's own suite
-        (24 buck-boost testcases) and honours ``targets``, like the
-        ``mutate`` command."""
+def _strip(doc, *keys):
+    return {key: value for key, value in doc.items() if key not in keys}
+
+
+#: (kind, system, config, options, the same job's CLI flags)
+PARITY_CASES = {
+    "run": ("run", "sensor", {}, {}, []),
+    "campaign": ("campaign", "buck_boost", {}, {}, []),
+    "mutate-all": (
+        "mutate", "buck_boost", {"seed": 3},
+        {"max_mutants": 2, "targets": "all"},
+        ["--seed", "3", "--max-mutants", "2", "--targets", "all"],
+    ),
+    "mutate-frontier": (
+        "mutate", "buck_boost", {"seed": 3},
+        {"max_mutants": 2, "targets": "frontier"},
+        ["--seed", "3", "--max-mutants", "2", "--targets", "frontier"],
+    ),
+    "mutate-random": (
+        "mutate", "random", {"seed": 1},
+        {"cluster_seed": 4, "max_mutants": 3},
+        ["--seed", "1", "--cluster-seed", "4", "--max-mutants", "3"],
+    ),
+    "generate": (
+        "generate", "sensor", {"seed": 3, "budget_simulations": 8},
+        {"targets": "frontier"},
+        ["--seed", "3", "--budget-simulations", "8", "--targets", "frontier"],
+    ),
+}
+
+
+class TestFrontEndParity:
+    @pytest.mark.parametrize("case", sorted(PARITY_CASES))
+    def test_job_equals_cli(
+        self, server, capsys, tmp_path, case
+    ):
+        """One job layer: a job's payload is what the same CLI command
+        records (``run``, ``campaign``: its ledger record, apart from
+        the stamp and the timings) or prints (``mutate``, ``generate``:
+        its ``--json``, apart from the wall-clock throughput), and the
+        envelope carries the system's static fingerprint."""
+        from repro.analysis.cache import fingerprint_cluster
+        from repro.cli import main
+        from repro.exec.task import resolve_factory
+        from repro.jobs import job_refs
+
         _, addr = server
-        _, payload = _job_payload(addr, {
-            "kind": "mutate", "system": "buck_boost", "config": {"seed": 3},
-            "options": {"max_mutants": 2, "targets": targets},
+        kind, system, config, options, flags = PARITY_CASES[case]
+        service_ledger = str(tmp_path / "service-ledger")
+        job_id = submit_job(addr, {
+            "kind": kind, "system": system, "options": options,
+            "config": {**config, "history_dir": service_ledger},
         })
-        local = _cli_json(capsys, [
-            "mutate", "buck_boost", "--max-mutants", "2", "--seed", "3",
-            "--targets", targets, "--json", "--no-history",
-        ])
+        wait_for_job(addr, job_id, timeout=600)
+        envelope = job_result(addr, job_id)
+        payload = envelope["payload"]
+        refs = job_refs(system, options)
+        assert envelope["fingerprint"] == fingerprint_cluster(
+            resolve_factory(refs.factory_ref, refs.factory_args)()
+        )
+
+        if kind in ("run", "campaign"):
+            cli_ledger = str(tmp_path / "cli-ledger")
+            assert main([kind, system, "--history-dir", cli_ledger] + flags) == 0
+            capsys.readouterr()
+            (cli_record,) = RunHistory(cli_ledger).records()
+            stamp = ("run_id", "recorded_at", "timings")
+            assert _strip(payload, *stamp) == _strip(cli_record, *stamp)
+            # The job appends its own payload to the ledger.
+            (job_record,) = RunHistory(service_ledger).records()
+            assert _strip(payload, *stamp) == _strip(job_record, *stamp)
+            assert set(payload["timings"]) == set(job_record["timings"])
+            assert payload["fingerprint"] == envelope["fingerprint"]
+            return
+
+        assert main([kind, system, "--json", "--no-history"] + flags) == 0
+        local = json.loads(capsys.readouterr().out)
+        if kind == "generate":
+            payload.pop("throughput")
+            local.pop("throughput")
         assert payload == local
-        assert len(payload["testcases"]) == 24
-        assert payload["targets_mode"] == targets
+        if system == "buck_boost":
+            # Criteria are scored on the kill matrix's own suite.
+            assert len(payload["testcases"]) == 24
+            assert payload["targets_mode"] == options["targets"]
 
 
 class TestRestartRecovery:
@@ -252,6 +355,28 @@ class TestRestartRecovery:
             assert envelope["payload"]["kind"] == "run"
         finally:
             second.close()
+
+
+    def test_journaled_unrunnable_job_fails_and_the_server_keeps_serving(
+        self, tmp_path
+    ):
+        """A journaled job the job layer refuses (one queued before specs
+        were checked at POST) fails on restart instead of killing the
+        server, and the next job still runs."""
+        state = str(tmp_path / "state")
+        queue = JobServer(state).queue
+        bad = queue.submit(JobSpec(kind="campaign", system="sensor"))
+        good = queue.submit(JobSpec(kind="run", system="sensor"))
+
+        server = JobServer(state)
+        addr = server.start_in_thread()
+        try:
+            with pytest.raises(ServiceError, match="no campaign defined"):
+                wait_for_job(addr, bad.id, timeout=60)
+            assert wait_for_job(addr, good.id, timeout=300)["status"] == "done"
+            assert healthz(addr)["ok"] is True
+        finally:
+            server.close()
 
 
 class TestRemoteFleetJobs:

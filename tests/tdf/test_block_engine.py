@@ -11,8 +11,8 @@ hoisted block runs, specialised SISO ops and interpreted fallbacks.
 import pytest
 from hypothesis import given, settings
 
-from repro.cli import SYSTEMS
 from repro.instrument import ProbeRuntime, instrument_processing
+from repro.systems.registry import SYSTEMS
 from repro.tdf import Cluster, Simulator, TdfModule, TdfOut, Tracer, ms
 from repro.tdf.engine import BlockEngine, compile_program, resolve_engine
 from repro.tdf.library import CollectorSink
@@ -85,10 +85,9 @@ class TestEquivalenceProperties:
         """Every bundled system: per-testcase pairs and findings match."""
         from repro.analysis import analyze_cluster
         from repro.instrument import DynamicAnalyzer
-        from repro.testing import TestSuite
 
-        factory = SYSTEMS[system]["factory"]
-        suite = TestSuite(system, SYSTEMS[system]["suite"]())
+        factory = SYSTEMS[system].factory()
+        suite = SYSTEMS[system].base_suite(system)
         static = analyze_cluster(factory())
         results = {
             engine: DynamicAnalyzer(factory, static, engine=engine).run_suite(suite)

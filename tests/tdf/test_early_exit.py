@@ -10,11 +10,11 @@ a mutant whose trace only differs in length.
 
 import pytest
 
-from repro.cli import SYSTEMS
 from repro.mutation import compute_baselines, run_mutant
 from repro.mutation.executor import _oracle_names
 from repro.mutation.operators import generate_mutants
 from repro.obs import Telemetry, telemetry_session
+from repro.systems.registry import SYSTEMS
 from repro.tdf import Simulator
 from repro.tdf.engine.compiler import WINDOW_PERIODS
 
@@ -23,8 +23,8 @@ ENGINES = ("interp", "block")
 
 def _simulator(system, engine):
     entry = SYSTEMS[system]
-    tc = entry["suite"]()[0]
-    cluster = entry["factory"]()
+    tc = entry.base_suite(system).testcases[0]
+    cluster = entry.factory()()
     tc.apply(cluster)
     return Simulator(cluster, engine=engine), tc.duration
 
@@ -74,7 +74,7 @@ class TestUntilPredicate:
 
 # -- the mutation executor's early exit --------------------------------------
 
-FACTORY = SYSTEMS["buck_boost"]["factory"]
+FACTORY = SYSTEMS["buck_boost"].factory()
 
 
 def _buck_boost_fixture():

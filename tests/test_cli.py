@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import DftConfig
-from repro.cli import SYSTEMS, main
+from repro.cli import main
+from repro.systems.registry import SYSTEMS
 
 
 class TestList:
@@ -273,12 +275,9 @@ class TestTelemetryFlags:
 
 class TestImportFailures:
     def test_broken_factory_import_exits_nonzero(self, capsys, monkeypatch):
-        def broken_factory():
-            raise ImportError("No module named 'systemc_ams'")
-
-        monkeypatch.setitem(
-            SYSTEMS, "sensor", {**SYSTEMS["sensor"], "factory": broken_factory}
-        )
+        monkeypatch.setitem(SYSTEMS, "sensor", dataclasses.replace(
+            SYSTEMS["sensor"], factory_ref="systemc_ams.sensor:SenseTop"
+        ))
         assert main(["run", "sensor"]) == 1
         err = capsys.readouterr().err
         assert "repro-dft: error: cannot import target system" in err
@@ -286,12 +285,9 @@ class TestImportFailures:
         assert "Traceback" not in err
 
     def test_broken_suite_import_exits_nonzero(self, capsys, monkeypatch):
-        def broken_suite():
-            raise ModuleNotFoundError("No module named 'matplotlib'")
-
-        monkeypatch.setitem(
-            SYSTEMS, "sensor", {**SYSTEMS["sensor"], "suite": broken_suite}
-        )
+        monkeypatch.setitem(SYSTEMS, "sensor", dataclasses.replace(
+            SYSTEMS["sensor"], base_suite_ref="matplotlib.suites:sensor"
+        ))
         assert main(["static", "sensor"]) == 0  # static doesn't need the suite
         assert main(["run", "sensor"]) == 1
         assert "cannot import" in capsys.readouterr().err

@@ -38,14 +38,6 @@ class DefUse:
     #: NOT in here is guaranteed to fire whenever the fragment runs.
     cond: Set[Occurrence] = field(default_factory=set)
 
-    def def_vars(self) -> Set[VarRef]:
-        """The set of variables defined."""
-        return {ref for ref, _ in self.defs}
-
-    def use_vars(self) -> Set[VarRef]:
-        """The set of variables used."""
-        return {ref for ref, _ in self.uses}
-
     def is_conditional(self, occ: Occurrence) -> bool:
         """Whether ``occ`` may be skipped on some executions of the fragment."""
         return occ in self.cond

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Sequence
@@ -72,6 +71,7 @@ from .core import (
     format_matrix,
     format_summary,
 )
+from .core.config import require_writable
 from .generation.search import STRATEGIES
 from .generation.space import SPACES
 from .jobs import (
@@ -411,16 +411,8 @@ def _validate_output_paths(args) -> None:
     for flag, attr in (("--telemetry", "telemetry"),
                        ("--trace-events", "trace_events")):
         path = getattr(args, attr, None)
-        if not path:
-            continue
-        expanded = os.path.expanduser(path)
-        parent = os.path.dirname(expanded) or "."
-        try:
-            os.makedirs(parent, exist_ok=True)
-        except OSError as exc:
-            raise OSError(f"{flag} {path!r} is not usable: {exc}") from None
-        if os.path.isdir(expanded) or not os.access(parent, os.W_OK):
-            raise OSError(f"{flag} {path!r} is not a writable file path")
+        if path:
+            require_writable(flag, path, is_file=True)
 
 
 def _config_base(args) -> DftConfig:
@@ -450,17 +442,7 @@ def _resolve_history(args, cfg: DftConfig) -> DftConfig:
         return cfg.replace(history_dir=None)
     explicit = getattr(args, "history_dir", None)
     if explicit:
-        expanded = os.path.expanduser(explicit)
-        try:
-            os.makedirs(expanded, exist_ok=True)
-        except OSError as exc:
-            raise OSError(
-                f"--history-dir {explicit!r} is not usable: {exc}"
-            ) from None
-        if not os.access(expanded, os.W_OK):
-            raise OSError(
-                f"--history-dir {explicit!r} is not a writable directory"
-            )
+        require_writable("--history-dir", explicit)
         return cfg.replace(history_dir=explicit)
     from .obs.store import default_history_dir
 

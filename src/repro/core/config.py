@@ -29,6 +29,7 @@ and its pipeline runs without aliasing surprises.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, TYPE_CHECKING
 
@@ -218,7 +219,6 @@ class DftConfig:
         one-line message (the CLI turns that into a clean exit 1).
         """
         import json
-        import os
 
         expanded = os.path.expanduser(path)
         try:
@@ -260,8 +260,6 @@ class DftConfig:
         """
         if self.workers is not None:
             return self.workers
-        import os
-
         cpus = os.cpu_count() or 1
         if cpus <= 1:
             chosen, reason = 1, "single_cpu"
@@ -313,27 +311,16 @@ class DftConfig:
         asked for persistence explicitly — validate here and fail with
         a one-line :class:`OSError` instead.
         """
-        import os
-
         from ..analysis import get_default_cache
 
-        cache = get_default_cache()
-        # Set, not only cleared: a long-lived process (the job server)
-        # applies one config per job.
-        cache.enabled = self.static_cache
         if self.cache_dir:
-            expanded = os.path.expanduser(self.cache_dir)
-            try:
-                os.makedirs(expanded, exist_ok=True)
-            except OSError as exc:
-                raise OSError(
-                    f"--cache-dir {self.cache_dir!r} is not usable: {exc}"
-                ) from None
-            if not os.path.isdir(expanded) or not os.access(expanded, os.W_OK):
-                raise OSError(
-                    f"--cache-dir {self.cache_dir!r} is not a writable directory"
-                )
-            cache.set_disk_dir(self.cache_dir)
+            require_writable("--cache-dir", self.cache_dir)
+        cache = get_default_cache()
+        # Both set, not only switched on: a long-lived process (the job
+        # server) applies one config per job, and a job without a
+        # cache_dir must not write to an earlier job's.
+        cache.enabled = self.static_cache
+        cache.set_disk_dir(self.cache_dir)
 
     # -- recording / history ---------------------------------------------------
 
@@ -371,3 +358,25 @@ class DftConfig:
         return RunHistory(self.history_dir)
 
 
+def require_writable(flag: str, path: str, is_file: bool = False) -> None:
+    """Make the directory ``path`` names (for a file path, its parent)
+    and check that it is writable.
+
+    A requested output or cache location must fail up front with one
+    line naming the flag, not with a traceback after a long run.
+    """
+    expanded = os.path.expanduser(path)
+    directory = (os.path.dirname(expanded) or ".") if is_file else expanded
+    reason = ""
+    try:
+        os.makedirs(directory, exist_ok=True)
+        usable = (
+            os.path.isdir(directory)
+            and os.access(directory, os.W_OK)
+            and not (is_file and os.path.isdir(expanded))
+        )
+    except OSError as exc:
+        usable, reason = False, f": {exc}"
+    if not usable:
+        kind = "file path" if is_file else "directory"
+        raise OSError(f"{flag} {path!r} is not a writable {kind}{reason}")

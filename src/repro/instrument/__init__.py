@@ -1,7 +1,6 @@
 """Dynamic analysis: instrumentation, probes, event matching, runner."""
 
 from .instrumenter import (
-    PROBE_NAME,
     compile_processing_ast,
     install_processing_ast,
     instrument_processing,
@@ -17,7 +16,6 @@ __all__ = [
     "DynamicAnalyzer",
     "DynamicResult",
     "MatchResult",
-    "PROBE_NAME",
     "ParallelPrint",
     "ProbeRuntime",
     "UseWithoutDefWarning",

@@ -12,9 +12,14 @@ executes, without changing behaviour:
   targets) and records the running last def; a load becomes
   ``(x, __dft_uh__((__dft_tN__, __dft_ldg__(__dft_kN__))))[0]``, which
   adds the use and its last def to the probe's use hits;
-* port accesses are routed through the probe:
-  ``self.ip.read(i)``     -> ``__dft_probe__.pr(self, self.ip, <line>, i)``
-  ``self.op.write(v, i)`` -> ``__dft_probe__.pw(self, self.op, <line>, v, i)``.
+* every port access site ``N`` calls its own accessor, built per
+  instance by the probe (:meth:`ProbeRuntime.reader` /
+  :meth:`ProbeRuntime.writer`) with the port, the model and the site's
+  anchor bound:
+  ``self.ip.read(i)``     -> ``__dft_pN__(i)``
+  ``self.op.write(v, i)`` -> ``__dft_pN__(v, i)``.
+  An input port of an ``OPAQUE_USES`` model anchors its use at the
+  port's netlist bind site instead of the read's own line.
 
 All ``<line>`` values are *absolute* file lines, so dynamic events
 join directly against the static anchors.  The rewritten function is
@@ -45,7 +50,6 @@ from ..analysis.astutils import (
 )
 from ..tdf.module import TdfModule
 
-PROBE_NAME = "__dft_probe__"
 #: The probe's last-def dict and its ``get``.
 LAST_DEF_NAME = "__dft_ld__"
 LAST_DEF_GET_NAME = "__dft_ldg__"
@@ -55,24 +59,19 @@ USE_HIT_NAME = "__dft_uh__"
 #: ``(var, model, line)`` use sites ``__dft_t<N>__``.
 KEY_PREFIX = "__dft_k"
 SITE_PREFIX = "__dft_t"
+#: Per-site port accessors ``__dft_p<N>__``.
+PORT_PREFIX = "__dft_p"
 
 #: ``(underlying function, in ports, out ports)`` ->
-#: ``(code object, function name, site templates)``.  Site templates
-#: are ``(var, line)`` pairs in emission order; the model name is added
-#: per instance at exec time.
-_CODE_CACHE: Dict[tuple, Tuple[Any, str, tuple]] = {}
+#: ``(code object, function name, site templates, port site templates)``.
+#: Site templates are ``(var, line)`` pairs, port site templates
+#: ``(is_read, port attribute, line)``, both in emission order; the
+#: model name and the ports are bound per instance at exec time.
+_CODE_CACHE: Dict[tuple, Tuple[Any, str, tuple, tuple]] = {}
 
 
 def _load(name: str) -> ast.Name:
     return ast.Name(id=name, ctx=ast.Load())
-
-
-def _probe_call(method: str, args: list) -> ast.Call:
-    return ast.Call(
-        func=ast.Attribute(value=_load(PROBE_NAME), attr=method, ctx=ast.Load()),
-        args=args,
-        keywords=[],
-    )
 
 
 class _Rewriter(ast.NodeTransformer):
@@ -92,12 +91,12 @@ class _Rewriter(ast.NodeTransformer):
         #: ``(var, line)`` per emitted use/def site, in emission order
         #: (site N reads globals ``__dft_k<N>__``/``__dft_t<N>__``).
         self.sites: List[tuple] = []
+        #: ``(is_read, port attribute, line)`` per port access site
+        #: (site N calls global ``__dft_p<N>__``).
+        self.port_sites: List[tuple] = []
 
     def _abs(self, node: ast.AST) -> int:
         return getattr(node, "lineno", 1) + self.line_offset
-
-    def _line_const(self, node: ast.AST) -> ast.Constant:
-        return ast.Constant(value=self._abs(node))
 
     def _new_site(self, var: str, line: int) -> int:
         self.sites.append((var, line))
@@ -174,32 +173,22 @@ class _Rewriter(ast.NodeTransformer):
         node.value = self.visit(node.value)
         return node
 
+    def _port_call(self, is_read: bool, port: str, node: ast.Call) -> ast.Call:
+        """``__dft_pN__(<args>)``: the access through site N's accessor."""
+        self.port_sites.append((is_read, port, self._abs(node)))
+        name = f"{PORT_PREFIX}{len(self.port_sites) - 1}__"
+        args = [self.visit(a) for a in node.args]
+        return ast.copy_location(
+            ast.Call(func=_load(name), args=args, keywords=[]), node
+        )
+
     def visit_Call(self, node: ast.Call) -> ast.AST:
         write_target = port_write_target(node)
         if write_target is not None and write_target in self.out_ports:
-            args = [self.visit(a) for a in node.args]
-            port_expr = node.func.value  # type: ignore[attr-defined]
-            return ast.copy_location(
-                _probe_call(
-                    "pw",
-                    [_load("self"), port_expr, self._line_const(node)] + args,
-                ),
-                node,
-            )
+            return self._port_call(False, write_target, node)
         read_target = port_read_target(node)
         if read_target is not None and read_target in self.in_ports:
-            args = [self.visit(a) for a in node.args]
-            if isinstance(node.func, ast.Attribute) and node.func.attr == "read":
-                port_expr = node.func.value
-            else:
-                port_expr = node.func
-            return ast.copy_location(
-                _probe_call(
-                    "pr",
-                    [_load("self"), port_expr, self._line_const(node)] + args,
-                ),
-                node,
-            )
+            return self._port_call(True, read_target, node)
         # Ordinary call: transform callee and arguments, but do not wrap
         # a ``self.helper`` method lookup as a member use.
         if isinstance(node.func, ast.Attribute) and self_attribute(node.func) is not None:
@@ -378,9 +367,11 @@ def instrument_processing(module: TdfModule, probe: Any) -> Callable[[], None]:
     The expensive part — source recovery, AST rewrite, ``compile()`` —
     is memoized on the *underlying function* (shared by every instance
     of a class and every testcase), keyed with the port-name sets that
-    shape the rewrite.  Per call only a fresh ``exec`` binds the probe,
-    its pairing state and the per-site constants carrying this
-    instance's model name.
+    shape the rewrite.  Per call only a fresh ``exec`` binds the
+    probe's pairing state, the per-site constants carrying this
+    instance's model name and the per-site port accessors.  The
+    accessors bind the netlist (signal, driver, static site), so the
+    ports must be bound and the probe's static sites registered first.
     """
     original_registration = module._processing_fn
     fn = module.resolved_processing()
@@ -400,12 +391,13 @@ def instrument_processing(module: TdfModule, probe: Any) -> Callable[[], None]:
         # functions opaque, so the top-level def must not go through it.
         func.body = _flatten([rewriter.visit(stmt) for stmt in func.body])
         code = compile_processing_ast(func, info)
-        cached = (code, func.name, tuple(rewriter.sites))
+        cached = (
+            code, func.name, tuple(rewriter.sites), tuple(rewriter.port_sites)
+        )
         _CODE_CACHE[cache_key] = cached
 
-    code, func_name, sites = cached
+    code, func_name, sites, port_sites = cached
     extra: Dict[str, Any] = {
-        PROBE_NAME: probe,
         LAST_DEF_NAME: probe.last_def,
         LAST_DEF_GET_NAME: probe.last_def.get,
         USE_HIT_NAME: probe.use_hits.add,
@@ -414,6 +406,17 @@ def instrument_processing(module: TdfModule, probe: Any) -> Callable[[], None]:
     for idx, (var, line) in enumerate(sites):
         extra[f"{KEY_PREFIX}{idx}__"] = (model, var)
         extra[f"{SITE_PREFIX}{idx}__"] = (var, model, line)
+    for idx, (is_read, attr, line) in enumerate(port_sites):
+        port = getattr(module, attr)
+        if not is_read:
+            accessor = probe.writer(port, (port.name, model, line))
+        elif module.OPAQUE_USES and port.bind_site is not None:
+            accessor = probe.reader(
+                port, model, (probe.cluster_name, port.bind_site.lineno)
+            )
+        else:
+            accessor = probe.reader(port, model, (model, line))
+        extra[f"{PORT_PREFIX}{idx}__"] = accessor
     install_processing_ast(module, code, func_name, extra)
     return original_registration
 

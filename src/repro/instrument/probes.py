@@ -10,14 +10,15 @@ that while the simulation runs; no event is stored:
   ``((var, model, line), last def line)`` to
   :attr:`ProbeRuntime.use_hits` (the instrumenter emits both as C-level
   dict/set operations on per-site constants);
-* **ports** — the ``pw`` probe folds every token an instrumented model
-  writes into the signal's :class:`_SignalWrites` index.  A signal
-  driven by an uninstrumented module (a testbench source or a
-  redefining library element) has one *static* def site instead, the
-  reader's placeholder def or the netlist bind site (paper §V), in
-  :attr:`ProbeRuntime.static_sites`.  ``pr`` pairs each read with that
-  site or with the floor of the writes recorded so far, adding the
-  resolved pair to :attr:`ProbeRuntime.read_hits`;
+* **ports** — each instrumented port access site calls its own
+  accessor (:meth:`ProbeRuntime.reader` / :meth:`ProbeRuntime.writer`).
+  A write folds its token into the signal's :class:`_SignalWrites`
+  index.  A signal driven by an uninstrumented module (a testbench
+  source or a redefining library element) has one *static* def site
+  instead, the reader's placeholder def or the netlist bind site
+  (paper §V), in :attr:`ProbeRuntime.static_sites`.  A read pairs with
+  that site or with the floor of the writes recorded so far, adding
+  the pair to :attr:`ProbeRuntime.read_hits`;
 * reads of **undriven** signals are noted once per port, in
   first-seen order (:attr:`ProbeRuntime.undriven`).
 
@@ -29,7 +30,7 @@ runs), not O(events).
 from __future__ import annotations
 
 import bisect
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 
 class UseWithoutDefWarning(UserWarning):
@@ -90,7 +91,7 @@ class _SignalWrites:
         """Site of the last write at the greatest index <= ``token``."""
         starts = self.run_starts
         if not self.exceptions:
-            if token >= starts[-1]:  # the common case: the newest run
+            if starts and token >= starts[-1]:  # the common case: the newest run
                 return self.run_sites[-1]
             pos = bisect.bisect_right(starts, token) - 1
             return self.run_sites[pos] if pos >= 0 else None
@@ -117,8 +118,8 @@ class ProbeRuntime:
       its ``processing()`` called ``write()``; a read of token ``j``
       pairs with that site unless ``j`` is below the driver port's
       delay (output-delay priming: initial values, not definitions);
-    * an instrumented model's ``pw`` calls are recorded, and a read
-      pairs with the floor of the writes recorded so far.  That is the
+    * an instrumented model's writes are recorded, and a read pairs
+      with the floor of the writes recorded so far.  That is the
       floor of all writes of the run because every TDF schedule
       records *every write of token j on a signal before any read of a
       token >= j on it* (a reader fires after the writers of the tokens
@@ -151,85 +152,76 @@ class ProbeRuntime:
         self.signal_writes: Dict[str, _SignalWrites] = {}
         self.read_hits: Set[tuple] = set()
         self.undriven: Dict[Tuple[str, str], str] = {}
-        self._install()
 
-    def _install(self) -> None:
-        """Install the ``pr``/``pw`` closures and the ``record_write`` /
-        ``record_read`` entry points they pair through.
+    def reader(self, port, reader: str, anchor: tuple) -> Callable[..., Any]:
+        """The accessor of one instrumented read site of ``port``.
 
-        The instrumented code calls ``__dft_probe__.pr(self, ...)`` — an
-        instance-dict lookup resolving to these plain functions, which
-        skips the bound-method creation.  ``pr``/``pw`` access the port
-        through :meth:`~repro.tdf.ports.TdfIn.read` /
-        :meth:`~repro.tdf.ports.TdfOut.write` and add only the pairing.
+        ``reader`` is the reading model, ``anchor`` the ``(model, line)``
+        the use is attributed to.  The accessor reads through
+        :meth:`~repro.tdf.ports.TdfIn.read`, so every port-access check
+        stays, and pairs token ``port._cursor + offset``.  It binds only
+        what the netlist fixes (signal, driver, static site; register
+        static sites first) and reads the driver's delay per call.
         """
-        cluster_name = self.cluster_name
-        signal_writes = self.signal_writes
-        writes_get = signal_writes.get
-        static_get = self.static_sites.get
-        add_read_hit = self.read_hits.add
-        undriven = self.undriven
-        testbench_site = TESTBENCH_SITE
-        # id(port) -> (anchor_model, anchor_line) for opaque uses, or
-        # None when the anchor is the instrumented source line.
-        anchor_cache: dict = {}
+        read = port.read
+        sig = port.signal
+        if sig is None:
+            return read  # raises the unbound-port PortAccessError
+        add_hit = self.read_hits.add
+        if sig.driver is None:
+            undriven, key = self.undriven, (reader, port.name)
 
-        def record_write(sig_name, token, var, model, line):
-            writes = writes_get(sig_name)
-            if writes is None:
-                writes = signal_writes[sig_name] = _SignalWrites()
-            writes.add(token, (var, model, line))
+            def read_undriven(offset=0):
+                value = read(offset)
+                undriven[key] = sig.name
+                return value
 
-        def record_read(sig_name, token, port_name, reader, anchor_model,
-                        anchor_line, is_undriven):
-            if is_undriven:
-                undriven[(reader, port_name)] = sig_name
-                return
-            if token < 0:  # reader-side delay token: not a definition
-                return
-            static = static_get(sig_name)
-            if static is not None:
-                driver, site = static
-                if token < driver.delay:  # output-delay priming
-                    return
-            else:
-                writes = writes_get(sig_name)
-                if writes is None:
-                    return
-                site = writes.floor(token)
-                if site is None:
-                    return
-            if site is testbench_site:
-                add_read_hit((port_name, reader, None, anchor_model, anchor_line))
-            else:
-                add_read_hit((site[0], site[1], site[2], anchor_model, anchor_line))
+            return read_undriven
+        static = self.static_sites.get(sig.name)
+        if static is not None:
+            driver, site = static
+            if site is TESTBENCH_SITE:
+                site = (port.name, reader, None)
+            hit = site + anchor
 
-        def pr(module, port, line, offset=0):
-            value = port.read(offset)
-            sig = port.signal
-            key = id(port)
-            anchor = anchor_cache.get(key, 0)
-            if anchor == 0:
-                if module.OPAQUE_USES and port.bind_site is not None:
-                    anchor = (cluster_name, port.bind_site.lineno)
-                else:
-                    anchor = None
-                anchor_cache[key] = anchor
-            index = sig._cursors[key] + offset
-            if anchor is None:
-                record_read(sig.name, index, port.name, module.name,
-                            module.name, line, sig.driver is None)
-            else:
-                record_read(sig.name, index, port.name, module.name,
-                            anchor[0], anchor[1], sig.driver is None)
+            def read_static(offset=0):
+                value = read(offset)
+                # Below the driver's output delay: priming values (and,
+                # negative, reader-side delay values), not definitions.
+                if port._cursor + offset >= driver.delay:
+                    add_hit(hit)
+                return value
+
+            return read_static
+        floor = self.signal_writes.setdefault(sig.name, _SignalWrites()).floor
+        hits: Dict[tuple, tuple] = {}
+
+        def read_written(offset=0):
+            value = read(offset)
+            token = port._cursor + offset
+            site = floor(token) if token >= 0 else None
+            if site is not None:
+                hit = hits.get(site)
+                if hit is None:
+                    hit = hits[site] = site + anchor
+                add_hit(hit)
             return value
 
-        def pw(module, port, line, value, offset=0):
-            index = port.write(value, offset)
-            record_write(port.signal.name, index, port.name, module.name, line)
+        return read_written
+
+    def writer(self, port, site: tuple) -> Callable[..., int]:
+        """The accessor of one instrumented write site of ``port``:
+        writes through :meth:`~repro.tdf.ports.TdfOut.write` and records
+        token -> ``site`` (``(var, model, line)``) in the signal's
+        :class:`_SignalWrites`."""
+        write = port.write
+        if port.signal is None:
+            return write  # raises the unbound-port PortAccessError
+        add = self.signal_writes.setdefault(port.signal.name, _SignalWrites()).add
+
+        def write_site(value, offset=0):
+            index = write(value, offset)
+            add(index, site)
             return index
 
-        self.record_write = record_write
-        self.record_read = record_read
-        self.pr = pr
-        self.pw = pw
+        return write_site

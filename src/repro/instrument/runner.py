@@ -1,11 +1,12 @@
 """The dynamic-analysis runner (paper Fig. 3, right side).
 
 For every testcase the runner builds a fresh cluster (testcases must
-not contaminate each other's member state), instruments every analysed
-model's ``processing()``, registers the static def site of every
-signal an uninstrumented module drives (testbench sources, redefining
-library elements), applies the testcase's stimuli, simulates, and
-collects the def-use pairs the probe paired along the way.
+not contaminate each other's member state), registers the static def
+site of every signal an uninstrumented module drives (testbench
+sources, redefining library elements), instruments every analysed
+model's ``processing()`` (its port accessors bind those sites),
+applies the testcase's stimuli, simulates, and collects the def-use
+pairs the probe paired along the way.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ class DynamicAnalyzer:
         ) as tc_span:
             cluster = self.cluster_factory()
             probe = ProbeRuntime(cluster.name)
-            self._instrument(cluster, probe)
             self._register_static_sites(cluster, probe)
+            self._instrument(cluster, probe)
             testcase.apply(cluster)
             simulator = Simulator(cluster, engine=self.engine)
             with tel.span("dynamic.simulate", testcase=testcase.name):

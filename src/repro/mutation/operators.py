@@ -399,10 +399,8 @@ class DsrOperator(_AstOperator):
 def _rebind(port: TdfIn, new_sig: Signal) -> None:
     """Move an already-bound input port onto a different signal."""
     old = port.signal
-    if old is not None:
-        if port in old.readers:
-            old.readers.remove(port)
-        old._cursors.pop(id(port), None)
+    if old is not None and port in old.readers:
+        old.readers.remove(port)
     port.signal = new_sig
     new_sig.attach_reader(port)
 

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..exec.task import TaskExecutor
 from ..obs import Telemetry
-from .protocol import ROLE, ProtocolError, request
+from .protocol import ProtocolError, request
 
 #: Default per-shard socket timeout (seconds).  Generous: a shard is a
 #: batch of whole simulations, not a single request.
@@ -88,29 +88,6 @@ class RemoteExecutor(TaskExecutor):
         self.timeout = timeout
         self.retries = retries
         self.seed = seed
-
-    # -- fleet management ----------------------------------------------------
-
-    def ping_all(self, timeout: float = 5.0) -> List[Dict[str, Any]]:
-        """Ping every worker; raises if one is absent or not a worker."""
-        replies = []
-        for addr in self.worker_addrs:
-            reply = request(addr, {"op": "ping"}, timeout=timeout)
-            if reply.get("role") != ROLE:
-                raise ProtocolError(
-                    f"{addr[0]}:{addr[1]} is not a repro-dft worker "
-                    f"(role={reply.get('role')!r})"
-                )
-            replies.append(reply)
-        return replies
-
-    def shutdown_all(self, timeout: float = 5.0) -> None:
-        """Ask every worker process to exit (best-effort)."""
-        for addr in self.worker_addrs:
-            try:
-                request(addr, {"op": "shutdown"}, timeout=timeout)
-            except (OSError, ProtocolError):
-                pass
 
     # -- dispatch ------------------------------------------------------------
 

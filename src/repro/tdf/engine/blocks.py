@@ -51,8 +51,7 @@ def consume_block(port: "TdfIn", n: int) -> List[Any]:
     cursor would be unrecoverable.  GC timing is internal either way.
     """
     sig = port.signal
-    key = id(port)
-    cursor = sig._cursors[key]
+    cursor = port._cursor
     if sig.driver is None:
         # Undriven signal: mirror TdfIn.read()'s initial-value semantics.
         init = port.initial_values
@@ -78,7 +77,7 @@ def consume_block(port: "TdfIn", n: int) -> List[Any]:
         # Delay region or (engine bug) read-past-end: the slow path
         # raises the same SimulationError messages as the interpreter.
         values = [sig._value_at(k, port) for k in range(cursor, cursor + n)]
-    sig._cursors[key] = cursor + n
+    port._cursor = cursor + n
     return values
 
 
@@ -158,10 +157,6 @@ class FiringBlock:
             base, ts = self._base_fs, self._ts_fs
             self._times = [(base + k * ts) / _FS_PER_S for k in range(self.n)]
         return self._times
-
-    def timestep_seconds(self) -> float:
-        """The module timestep in seconds (constant within a block)."""
-        return self._ts_fs / _FS_PER_S
 
 
 def _vectorizable(values: List[Any]) -> bool:

@@ -16,11 +16,18 @@ and baked into closures.  A compiled program has four parts:
 * **core ops** — everything in between, in PASS order: per-firing
   specialised SISO ops (gain/delay/buffer), per-period coalesced block
   ops and generic interpreted firings (instrumented or user-defined
-  modules — per-sample fallback).
+  modules — per-sample fallback).  A generic firing costs little more
+  than its ``processing()``: the port framing is prebound and rate-1
+  outputs flush inline.
 * **post ops** — block-capable sinks (no output ports): fired once per
   window for the completed periods.
-* **metadata** — window size, dynamic-TDF watch list and a validation
+* **metadata** — window size, dynamic-TDF watch list, the
+  ``change_attributes`` overriders (*changers*) and a validation
   signature.
+
+A changer is never hoisted or deferred: the executor calls its
+``change_attributes()`` after every period, and it must then see the
+state that period left, as on the interpreter.
 
 Fallback classification is per module and reported through the
 ``tdf.engine_fallbacks`` telemetry counter, with
@@ -123,7 +130,7 @@ class _BlockFireOp:
             q = self.q
             note_in = rollback.ins.append
             for port in self.ins:
-                note_in((port.signal, id(port), q))
+                note_in((port, q))
             rollback.mods.append((module, q, self.ts_fs))
         module.processing_block(block)
         if rollback is not None:
@@ -141,7 +148,7 @@ class _WindowRollback:
     __slots__ = ("ins", "outs", "mods")
 
     def __init__(self) -> None:
-        self.ins: List[tuple] = []   # (signal, cursor_key, per_period_tokens)
+        self.ins: List[tuple] = []   # (reader port, per_period_tokens)
         self.outs: List[tuple] = []  # (port, per_period, values, prev_last)
         self.mods: List[tuple] = []  # (module, per_period_activations, ts_fs)
 
@@ -151,8 +158,8 @@ class _WindowRollback:
             return
         from .blocks import rollback_block
 
-        for sig, key, q in self.ins:
-            sig._cursors[key] -= dropped * q
+        for port, q in self.ins:
+            port._cursor -= dropped * q
         for port, q, values, prev_last in self.outs:
             keep = completed * q
             last = values[keep - 1] if keep > 0 else prev_last
@@ -173,18 +180,14 @@ def _make_siso_op(module, kind, offset_fs):
     out_port = module.out_ports()[0]
     in_sig = in_port.signal
     out_sig = out_port.signal
-    in_key = id(in_port)
-    cursors = in_sig._cursors
     out_tokens = out_sig._tokens
     is_gain = kind == "gain"
-    setattr_ = object.__setattr__
 
-    def op(base_fs, module=module, offset_fs=offset_fs, in_port=in_port,
-           out_port=out_port, in_sig=in_sig, out_sig=out_sig, in_key=in_key,
-           cursors=cursors, out_tokens=out_tokens, is_gain=is_gain,
-           setattr_=setattr_):
-        setattr_(module, "_time_fs", base_fs + offset_fs)
-        cursor = cursors[in_key]
+    def op(base_fs, module=module, state=module.__dict__, offset_fs=offset_fs,
+           in_port=in_port, out_port=out_port, in_sig=in_sig, out_sig=out_sig,
+           out_tokens=out_tokens, is_gain=is_gain):
+        state["_time_fs"] = base_fs + offset_fs
+        cursor = in_port._cursor
         if cursor >= 0:
             try:
                 value = in_sig._tokens[cursor - in_sig._base_index]
@@ -197,14 +200,14 @@ def _make_siso_op(module, kind, offset_fs):
             value = in_sig._value_at(cursor, in_port)
         # No per-firing GC: the executor sweeps every cluster signal
         # once per committed window.
-        cursors[in_key] = cursor + 1
+        in_port._cursor = cursor + 1
         if is_gain:
             value = value * module.m_gain
         out_tokens.append(value)
         out_sig._write_count += 1
         out_port._flushed += 1
         out_port._last_value = value
-        setattr_(module, "activation_count", module.activation_count + 1)
+        state["activation_count"] += 1
 
     return op
 
@@ -212,33 +215,34 @@ def _make_siso_op(module, kind, offset_fs):
 def _make_generic_op(module, offset_fs):
     """One interpreted firing with the framing decisions precomputed:
     prebound port lists, inline flush of rate-1 outputs, a single
-    resolved processing callable."""
-    ins = tuple(
-        (port, port.signal, id(port), port.rate) for port in module.in_ports()
-    )
+    resolved processing callable.
+
+    Module time and activation count go straight into the instance
+    dict (what ``object.__setattr__`` would do, minus the call).  A
+    rate-1 output needs no begin-of-firing ``_pending.clear()``: every
+    flush, this op's and ``TdfOut._end_activation``'s, leaves it empty.
+    """
+    ins = tuple((port, port.rate) for port in module.in_ports())
     outs = module.out_ports()
     fast_outs = tuple((port, port.signal) for port in outs if port.rate == 1)
     slow_outs = tuple(port for port in outs if port.rate != 1)
     processing = module.resolved_processing()
-    setattr_ = object.__setattr__
 
-    def op(base_fs, module=module, offset_fs=offset_fs, ins=ins,
-           fast_outs=fast_outs, slow_outs=slow_outs, processing=processing,
-           setattr_=setattr_):
-        setattr_(module, "_time_fs", base_fs + offset_fs)
-        for port, _sig, _key, _rate in ins:
+    def op(base_fs, state=module.__dict__, offset_fs=offset_fs, ins=ins,
+           fast_outs=fast_outs, slow_outs=slow_outs, processing=processing):
+        state["_time_fs"] = base_fs + offset_fs
+        for port, _rate in ins:
             port._in_activation = True
         for port, _sig in fast_outs:
             port._in_activation = True
-            port._pending.clear()
         for port in slow_outs:
             port._begin_activation()
         try:
             processing()
         finally:
-            for port, sig, key, rate in ins:
+            for port, rate in ins:
                 port._in_activation = False
-                sig._cursors[key] += rate
+                port._cursor += rate
             for port, sig in fast_outs:
                 port._in_activation = False
                 pending = port._pending
@@ -250,7 +254,7 @@ def _make_generic_op(module, offset_fs):
                 port._flushed += 1
             for port in slow_outs:
                 port._end_activation()
-        setattr_(module, "activation_count", module.activation_count + 1)
+        state["activation_count"] += 1
 
     return op
 
@@ -265,8 +269,8 @@ class CompiledProgram:
         "core_ops",
         "post_ops",
         "dynamic_watch",
+        "changers",
         "window",
-        "full_dynamic",
         "signature",
         "stats",
     )
@@ -276,8 +280,10 @@ class CompiledProgram:
         self.core_ops: List = []
         self.post_ops: List[_BlockFireOp] = []
         self.dynamic_watch: List[TdfModule] = []
+        #: Bound ``change_attributes`` of the modules that override it,
+        #: in cluster order; the executor calls them after every period.
+        self.changers: List = []
         self.window = WINDOW_PERIODS
-        self.full_dynamic = False
         self.stats: Dict[str, Any] = {}
 
 
@@ -297,6 +303,14 @@ def compile_program(simulator, schedule) -> CompiledProgram:
         name: ts.femtoseconds for name, ts in schedule.module_timesteps.items()
     }
     info_map = {module: _classify(module) for module in modules}
+    # Modules overriding change_attributes() run it after every period,
+    # so they stay in the per-period core: hoisted or deferred, their
+    # state would not be the period's when the hook reads it.
+    changers = [
+        module
+        for module in modules
+        if type(module).change_attributes is not TdfModule.change_attributes
+    ]
 
     # Pre set: windowable modules whose every driven input is fed by
     # another pre module (fixpoint).  Their samples are produced for the
@@ -312,7 +326,7 @@ def compile_program(simulator, schedule) -> CompiledProgram:
         changed = False
         for module in modules:
             info = info_map[module]
-            if module in pre or not info.windowable:
+            if module in pre or not info.windowable or module in changers:
                 continue
             if all(
                 port.signal.driver is None or port.signal.driver.module in pre
@@ -328,6 +342,7 @@ def compile_program(simulator, schedule) -> CompiledProgram:
         module
         for module in modules
         if module not in pre
+        and module not in changers
         and info_map[module].capable
         and not module.out_ports()
     }
@@ -335,10 +350,7 @@ def compile_program(simulator, schedule) -> CompiledProgram:
     program = CompiledProgram()
     program.schedule = schedule
     program.period_fs = schedule.period_fs
-    program.full_dynamic = any(
-        type(module).change_attributes is not TdfModule.change_attributes
-        for module in modules
-    )
+    program.changers = [module.change_attributes for module in changers]
 
     for module in pre_order:
         program.pre_ops.append(

@@ -7,14 +7,14 @@ one ``processing_block`` call, the flattened core ops replay the
 remaining PASS per period, and deferred (post) sinks drain the completed
 periods in one call at window end.
 
-Dynamic TDF stays fully supported: after every period the executor
+Dynamic TDF stays fully supported, in one window loop: after every
+period the executor calls ``change_attributes()`` on the modules that
+override it (the compiler keeps those in the per-period core), then
 scans the modules whose ``processing()`` actually ran (only those can
-file attribute requests on the fast path) and, on a request, truncates
-the window — excess pre-produced samples are rolled back token-for-token
-before the schedule swap, so the data in flight is exactly what the
-interpreter would have left behind.  Clusters that override
-``change_attributes()`` run with a window of one period and the
-interpreter's full end-of-period protocol.
+file attribute requests) and, on a request, truncates the window —
+excess pre-produced samples are rolled back token-for-token before the
+schedule swap, so the data in flight is exactly what the interpreter
+would have left behind.
 
 Engine selection is a three-valued knob resolved by
 :func:`resolve_engine`: ``"interp"`` (the historical loop),
@@ -120,15 +120,12 @@ class BlockEngine:
                         by_time if remaining is None else min(remaining, by_time)
                     )
                 t0 = time.perf_counter() if period_hist is not None else 0.0
-                if program.full_dynamic:
-                    completed = self._run_one(program, now_fs)
-                else:
-                    n = (
-                        program.window
-                        if remaining is None
-                        else min(program.window, remaining)
-                    )
-                    completed = self._run_window(program, now_fs, n)
+                n = (
+                    program.window
+                    if remaining is None
+                    else min(program.window, remaining)
+                )
+                completed = self._run_window(program, now_fs, n)
                 if period_hist is not None and completed:
                     # Per-period wall time is not individually observable
                     # under windowing; attribute the window evenly.
@@ -156,21 +153,6 @@ class BlockEngine:
                     "tdf.engine_periods", cluster=cluster.name
                 ).inc(executed)
 
-    def _run_one(self, program: CompiledProgram, base_fs: int) -> int:
-        """One period with the interpreter's full end-of-period protocol
-        (``change_attributes`` on every module)."""
-        sim = self.sim
-        for op in program.pre_ops:
-            op.fire(1, base_fs, None)
-        for op in program.core_ops:
-            op(base_fs)
-        for op in program.post_ops:
-            op.fire(1, base_fs, None)
-        sim.now = ScaTime.from_femtoseconds(base_fs + program.period_fs)
-        sim.periods_run += 1
-        sim._handle_dynamic_tdf()
-        return 1
-
     def _run_window(self, program: CompiledProgram, base_fs: int, n: int) -> int:
         """Up to ``n`` periods in one window; returns periods completed."""
         sim = self.sim
@@ -179,6 +161,7 @@ class BlockEngine:
             op.fire(n, base_fs, rollback)
         period_fs = program.period_fs
         core_ops = program.core_ops
+        changers = program.changers
         watch = program.dynamic_watch
         completed = 0
         p_base = base_fs
@@ -188,8 +171,10 @@ class BlockEngine:
                 op(p_base)
             completed += 1
             p_base += period_fs
+            for change in changers:
+                change()
             for module in watch:
-                if module.has_pending_attribute_requests:
+                if module._pending_timestep is not None or module._pending_rates:
                     pending = True
                     break
             if pending:
@@ -201,9 +186,7 @@ class BlockEngine:
         sim.now = ScaTime.from_femtoseconds(base_fs + completed * period_fs)
         sim.periods_run += completed
         if pending:
-            # Same swap protocol as the interpreter's dynamic-TDF path
-            # (change_attributes is not overridden on this fast path, so
-            # only requests filed during processing() can exist).
+            # Same swap protocol as the interpreter's dynamic-TDF path.
             for module in sim.cluster.modules:
                 if module.has_pending_attribute_requests:
                     module.consume_attribute_requests()

@@ -182,13 +182,16 @@ class Port:
 class TdfIn(Port):
     """TDF input port (``sca_tdf::sca_in`` analogue)."""
 
-    __slots__ = ("_in_activation",)
+    __slots__ = ("_in_activation", "_cursor")
 
     direction = "in"
 
     def __init__(self, name: str = "") -> None:
         super().__init__(name)
         self._in_activation = False
+        #: Global index of the next token this reader consumes; negative
+        #: cursors address initial (delay) values.  Set by the signal.
+        self._cursor = 0
 
     def _attach(self, signal: Signal) -> None:
         signal.attach_reader(self)
@@ -202,13 +205,12 @@ class TdfIn(Port):
         """Advance past this activation's samples."""
         self._in_activation = False
         assert self.signal is not None
-        self.signal._cursors[id(self)] += self.rate
+        self._cursor += self.rate
         self.signal._collect_garbage()
 
     def global_index(self, offset: int = 0) -> int:
         """Global token index of sample ``offset`` of the current activation."""
-        assert self.signal is not None
-        return self.signal._cursors[id(self)] + offset
+        return self._cursor + offset
 
     # -- user interface -------------------------------------------------------
 
@@ -236,7 +238,7 @@ class TdfIn(Port):
             # the simulation proceeds; the dynamic analysis reports the
             # read as a use-without-def.
             return sig.initial_value
-        index = sig._cursors[id(self)] + offset
+        index = self._cursor + offset
         # The in-buffer fast path; the delay region and the bounds
         # diagnostics take _value_at.
         i = index - sig._base_index

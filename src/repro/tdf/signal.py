@@ -3,8 +3,8 @@
 A :class:`Signal` connects exactly one output port (the *driver*) to any
 number of input ports (the *readers*).  Tokens written to the signal are
 identified by a monotonically increasing global index — index ``i`` is
-the ``i``-th sample ever produced on the signal.  Every reader owns a
-cursor into that stream; a reader whose input port declares a delay of
+the ``i``-th sample ever produced on the signal.  Every reader port
+owns a cursor into that stream (``TdfIn._cursor``); a reader whose input port declares a delay of
 ``d`` starts its cursor at ``-d`` and consumes ``d`` initial values
 before it sees the first real token.
 
@@ -18,7 +18,7 @@ exact because the kernel is deterministic (see
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Deque, List, Optional, Tuple, TYPE_CHECKING
 
 from .errors import BindingError, SimulationError
 
@@ -38,7 +38,6 @@ class Signal:
         "_tokens",
         "_base_index",
         "_write_count",
-        "_cursors",
         "_traces",
         "_anchor",
     )
@@ -54,9 +53,6 @@ class Signal:
         self._tokens: Deque[Any] = deque()
         self._base_index = 0
         self._write_count = 0
-        # Per-reader cursor: global index of the next token the reader
-        # will consume.  Negative cursors address initial (delay) values.
-        self._cursors: Dict[int, int] = {}
         # Trace sinks (:class:`~repro.tdf.trace.SignalTrace`): tokens are
         # handed to them before garbage collection drops them.
         self._traces: Tuple["SignalTrace", ...] = ()
@@ -79,13 +75,7 @@ class Signal:
         """Register ``port`` as one of the signal's readers."""
         if port not in self.readers:
             self.readers.append(port)
-            self._cursors[id(port)] = 0
-
-    def detach_all(self) -> None:
-        """Remove every binding (used when rebuilding clusters in tests)."""
-        self.driver = None
-        self.readers.clear()
-        self._cursors.clear()
+            port._cursor = 0
 
     # -- elaboration-time state -------------------------------------------
 
@@ -98,7 +88,7 @@ class Signal:
         self._write_count = 0
         self._anchor = None
         for port in self.readers:
-            self._cursors[id(port)] = -port.delay
+            port._cursor = -port.delay
 
     def prime_output_delay(self, count: int, values: Optional[List[Any]] = None) -> None:
         """Insert ``count`` initial tokens produced by an output-port delay.
@@ -138,13 +128,11 @@ class Signal:
         its ``d`` initial tokens contributes ``d``).  Telemetry samples
         this before and after a run to derive per-signal read traffic.
         """
-        return sum(
-            self._cursors[id(port)] + port.delay for port in self.readers
-        )
+        return sum(port._cursor + port.delay for port in self.readers)
 
     def available(self, port: "TdfIn") -> int:
         """Number of tokens ``port`` could consume right now."""
-        cursor = self._cursors[id(port)]
+        cursor = port._cursor
         return self._write_count - max(cursor, 0) + max(-cursor, 0)
 
     def write(self, value: Any) -> int:
@@ -157,15 +145,14 @@ class Signal:
     def peek(self, port: "TdfIn", offset: int = 0) -> Any:
         """Return the token ``offset`` positions ahead of ``port``'s cursor
         without consuming it."""
-        index = self._cursors[id(port)] + offset
-        return self._value_at(index, port)
+        return self._value_at(port._cursor + offset, port)
 
     def consume(self, port: "TdfIn", count: int) -> List[Any]:
         """Consume ``count`` tokens for ``port`` and return them in order
         (delay/initial tokens first)."""
-        cursor = self._cursors[id(port)]
+        cursor = port._cursor
         values = [self._value_at(cursor + i, port) for i in range(count)]
-        self._cursors[id(port)] = cursor + count
+        port._cursor = cursor + count
         self._collect_garbage()
         return values
 
@@ -206,7 +193,7 @@ class Signal:
             return
         if len(self._tokens) < 64:
             return
-        min_cursor = min(self._cursors[id(p)] for p in self.readers)
+        min_cursor = min(p._cursor for p in self.readers)
         limit = min(min_cursor, self._write_count)
         drop = limit - self._base_index
         if drop <= 0:

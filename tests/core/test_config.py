@@ -218,3 +218,28 @@ class TestConfigFile:
             path.write_text(f'{{"{field}": 4}}')
             with pytest.raises(ValueError, match=f"bad.json.*{field}"):
                 DftConfig.from_file(str(path))
+
+
+class TestApplyStaticCache:
+    @pytest.fixture
+    def cache(self):
+        from repro.analysis import get_default_cache
+
+        cache = get_default_cache()
+        yield cache
+        cache.enabled = True
+        cache.set_disk_dir(None)
+
+    def test_cache_dir_does_not_outlive_its_config(self, cache, tmp_path):
+        DftConfig(cache_dir=str(tmp_path)).apply_static_cache()
+        assert cache.disk_dir == str(tmp_path)
+        # A later config (the job server's next job) without cache_dir
+        # turns the disk level off instead of inheriting the directory.
+        DftConfig().apply_static_cache()
+        assert cache.disk_dir is None
+
+    def test_unusable_cache_dir_is_one_line(self, cache, tmp_path):
+        occupied = tmp_path / "occupied"
+        occupied.write_text("a file")
+        with pytest.raises(OSError, match="--cache-dir .* is not a writable directory"):
+            DftConfig(cache_dir=str(occupied)).apply_static_cache()

@@ -36,16 +36,35 @@ from repro.instrument.probes import TESTBENCH_SITE, ProbeRuntime
 USE, DEF, SITE, PW, PR = range(5)
 
 
+class _StandInPort:
+    """What an accessor touches of a port: its name, signal and cursor,
+    and a ``read``/``write`` that returns the replayed token."""
+
+    def __init__(self, name: str, signal: str, driven: bool) -> None:
+        self.name = name
+        self.signal = SimpleNamespace(name=signal, driver=self if driven else None)
+        self._cursor = 0
+
+    def read(self, offset: int = 0) -> None:
+        return None
+
+    def write(self, value, offset: int = 0) -> int:
+        return self._cursor + offset
+
+
 def replay(events: Iterable[tuple], cluster_name: str = "top") -> ProbeRuntime:
-    """Feed ``events`` through the pairer's record entry points.
+    """Feed ``events`` through the pairer's production accessors.
 
     Defs and uses do what the instrumented code does (a last-def store,
     a use-hit add); a static site is registered as the runner does, with
-    a stand-in for the driver port; port events go through
-    ``record_write`` / ``record_read``.
+    a stand-in for the driver port; port events call the accessor of
+    their site (:meth:`ProbeRuntime.reader` / :meth:`ProbeRuntime.writer`,
+    built on first use over a stand-in port) with the stand-in's cursor
+    on the event's token.
     """
     probe = ProbeRuntime(cluster_name)
     last_def = probe.last_def
+    accessors: Dict[tuple, tuple] = {}
     for ev in events:
         tag = ev[0]
         if tag == USE:
@@ -58,9 +77,26 @@ def replay(events: Iterable[tuple], cluster_name: str = "top") -> ProbeRuntime:
             _, sig, delay, site = ev
             probe.static_sites[sig] = (SimpleNamespace(delay=delay), site)
         elif tag == PW:
-            probe.record_write(*ev[1:])
+            _, sig, token, var, model, line = ev
+            key = (PW, sig, var, model, line)
+            if key not in accessors:
+                port = _StandInPort(var, sig, driven=True)
+                accessors[key] = (port, probe.writer(port, (var, model, line)))
+            port, write = accessors[key]
+            port._cursor = token
+            write(None)
         else:
-            probe.record_read(*ev[1:])
+            _, sig, token, name, reader, anchor_model, anchor_line, undriven = ev
+            key = (PR, sig, name, reader, anchor_model, anchor_line, undriven)
+            if key not in accessors:
+                port = _StandInPort(name, sig, driven=not undriven)
+                accessors[key] = (
+                    port,
+                    probe.reader(port, reader, (anchor_model, anchor_line)),
+                )
+            port, read = accessors[key]
+            port._cursor = token
+            read()
     return probe
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.instrument.instrumenter import instrument_processing, restore_processing
 from repro.instrument.probes import ProbeRuntime
 from repro.tdf import Cluster, Simulator, TdfIn, TdfModule, TdfOut, ms
+from repro.tdf.errors import PortAccessError
 from repro.tdf.library import CollectorSink, ConstantSource
 
 
@@ -47,7 +48,7 @@ class _UseLog(set):
         super().add(hit)
 
 
-def _run(module_cls=Sample, periods=3, src_value=2.0):
+def _run(module_cls=Sample, periods=3, src_value=2.0, engine="interp"):
     class Top(Cluster):
         def architecture(self):
             self.src = self.add(ConstantSource("src", src_value, timestep=ms(1)))
@@ -65,15 +66,20 @@ def _run(module_cls=Sample, periods=3, src_value=2.0):
     probe.use_hits = _UseLog(probe.events)
     # Log the token index of every port read the instrumented code makes.
     probe.reads = []
-    pr = probe.pr
+    reader = probe.reader
 
-    def logged_pr(module, port, line, offset=0):
-        probe.reads.append(port.global_index(offset))
-        return pr(module, port, line, offset)
+    def logged_reader(port, model, anchor):
+        read = reader(port, model, anchor)
 
-    probe.pr = logged_pr
+        def logged(offset=0):
+            probe.reads.append(port.global_index(offset))
+            return read(offset)
+
+        return logged
+
+    probe.reader = logged_reader
     instrument_processing(top.dut, probe)
-    Simulator(top).run_periods(periods)
+    Simulator(top, engine=engine).run_periods(periods)
     return top, probe
 
 
@@ -142,6 +148,43 @@ class TestEventCompleteness:
         assert var_events
         for event in var_events:
             assert event[2] > src_line
+
+
+class TestPortAccessChecks:
+    """An instrumented access goes through the port's own checks."""
+
+    def test_read_outside_processing_raises(self):
+        top, _ = _run(periods=1)
+        with pytest.raises(PortAccessError, match="read outside of processing"):
+            top.dut._processing_fn()
+
+    def test_write_outside_processing_raises(self):
+        class WriteOnly(TdfModule):
+            def __init__(self, name="wo"):
+                super().__init__(name)
+                self.ip = TdfIn()
+                self.op = TdfOut()
+
+            def processing(self):
+                self.op.write(1.0)
+
+        top, _ = _run(WriteOnly, periods=1)
+        with pytest.raises(PortAccessError, match="written outside of processing"):
+            top.dut._processing_fn()
+
+    @pytest.mark.parametrize("engine", ["interp", "block"])
+    def test_out_of_range_offset_raises(self, engine):
+        class Far(TdfModule):
+            def __init__(self, name="far"):
+                super().__init__(name)
+                self.ip = TdfIn()
+                self.op = TdfOut()
+
+            def processing(self):
+                self.op.write(self.ip.read(1))
+
+        with pytest.raises(PortAccessError, match="offset 1 out of range"):
+            _run(Far, periods=1, engine=engine)
 
 
 class TestConstructCoverage:

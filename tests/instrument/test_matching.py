@@ -1,7 +1,7 @@
 """Unit tests for dynamic def-use pairing (paper §V rules).
 
 Every test replays its hand-built tuple stream through the online
-pairer's record entry points (:func:`oracle.replay`) and through the
+pairer's port accessors (:func:`oracle.replay`) and through the
 post-hoc reference join (:func:`oracle.oracle_match`), and pins the
 same expected result on both.  A Hypothesis property checks that the
 two agree on random causal streams.

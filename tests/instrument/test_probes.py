@@ -3,7 +3,7 @@
 import inspect
 
 from repro.instrument import instrument_processing
-from repro.instrument.probes import ProbeRuntime
+from repro.instrument.probes import ProbeRuntime, _SignalWrites
 from repro.tdf import Cluster, Simulator, TdfModule, ms
 from repro.tdf.library import CollectorSink, ConstantSource
 
@@ -56,31 +56,35 @@ class TestVarApi:
 
 
 class TestPortApi:
-    def _top(self):
+    def _top(self, dut_cls=None):
         from helpers import Passthrough
+
+        dut_cls = dut_cls or Passthrough
 
         class Top(Cluster):
             def architecture(self):
                 self.src = self.add(ConstantSource("src", 2.0, timestep=ms(1)))
-                self.dut = self.add(Passthrough("dut"))
+                self.dut = self.add(dut_cls("dut"))
                 self.sink = self.add(CollectorSink("sink"))
                 self.connect(self.src.op, self.dut.ip)
                 self.connect(self.dut.op, self.sink.ip)
 
         return Top("top")
 
-    def test_pr_and_pw_perform_the_access(self):
+    def test_accessors_perform_the_access(self):
         top = self._top()
         probe = ProbeRuntime("top")
-
-        def processing():
-            value = probe.pr(top.dut, top.dut.ip, 101)
-            probe.pw(top.dut, top.dut.op, 102, value * 3)
-
-        top.dut.register_processing(processing)
         # A model write of token 0 on the read signal (the floor of
         # both reads).
-        probe.record_write(top.dut.ip.signal.name, 0, "op", "src", 7)
+        model_writes = probe.signal_writes[top.dut.ip.signal.name] = _SignalWrites()
+        model_writes.add(0, ("op", "src", 7))
+        read = probe.reader(top.dut.ip, "dut", ("dut", 101))
+        write = probe.writer(top.dut.op, ("op", "dut", 102))
+
+        def processing():
+            write(read() * 3)
+
+        top.dut.register_processing(processing)
         Simulator(top).run(ms(2))
         assert top.sink.values() == [6.0, 6.0]
         assert probe.read_hits == {("op", "src", 7, "dut", 101)}  # anchor line
@@ -89,18 +93,16 @@ class TestPortApi:
         assert writes.run_sites == [("op", "dut", 102)]
 
     def test_opaque_module_reads_anchor_at_bind_site(self):
-        top = self._top()
-        probe = ProbeRuntime("top")
-        type(top.dut).OPAQUE_USES = True
-        try:
-            def processing():
-                probe.pw(top.dut, top.dut.op, 102, probe.pr(top.dut, top.dut.ip, 101))
+        from helpers import Passthrough
 
-            top.dut.register_processing(processing)
-            probe.record_write(top.dut.ip.signal.name, 0, "op", "src", 7)
-            Simulator(top).run(ms(1))
-            assert probe.read_hits == {
-                ("op", "src", 7, "top", top.dut.ip.bind_site.lineno)
-            }
-        finally:
-            type(top.dut).OPAQUE_USES = False
+        class Opaque(Passthrough):
+            OPAQUE_USES = True
+
+        top = self._top(Opaque)
+        probe = ProbeRuntime("top")
+        probe.static_sites[top.dut.ip.signal.name] = (top.src.op, ("op", "src", 7))
+        instrument_processing(top.dut, probe)
+        Simulator(top).run(ms(1))
+        assert probe.read_hits == {
+            ("op", "src", 7, "top", top.dut.ip.bind_site.lineno)
+        }

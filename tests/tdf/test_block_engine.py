@@ -13,9 +13,9 @@ from hypothesis import given, settings
 
 from repro.instrument import ProbeRuntime, instrument_processing
 from repro.systems.registry import SYSTEMS
-from repro.tdf import Cluster, Simulator, TdfModule, TdfOut, Tracer, ms
+from repro.tdf import Cluster, Simulator, TdfIn, TdfModule, TdfOut, Tracer, ms
 from repro.tdf.engine import BlockEngine, compile_program, resolve_engine
-from repro.tdf.library import CollectorSink
+from repro.tdf.library import CollectorSink, RampSource
 
 # The random multirate cluster shapes live in repro.testing.generate so
 # the mutation fuzzer can reuse them; these tests draw their Hypothesis
@@ -153,6 +153,75 @@ class TestDynamicTdfUnderBlock:
             results[engine] = (sim.reelaborations, top.sink.values())
         assert results["block"] == results["interp"]
         assert results["block"][0] == 1
+
+
+class TestChangerInOneWindowLoop:
+    """A module overriding ``change_attributes`` stays in the per-period
+    core next to a hoisted source and a deferred sink; its requests,
+    filed mid-window, truncate the window like processing()-time ones."""
+
+    def _top(self):
+        class Scaler(TdfModule):
+            # Windowable and block-capable: only the changer rule keeps
+            # it out of the hoisted pre set.
+            BLOCK_WINDOWABLE = True
+
+            def __init__(self, name="chg"):
+                super().__init__(name)
+                self.ip = TdfIn()
+                self.op = TdfOut()
+
+            def set_attributes(self):
+                self.set_timestep(ms(1))
+
+            def processing(self):
+                self.op.write(self.ip.read() * 2.0)
+
+            def processing_block(self, block):
+                block.write(self.op, [v * 2.0 for v in block.read(self.ip)])
+
+            def change_attributes(self):
+                if self.activation_count == 5:
+                    self.request_timestep(ms(2))
+                elif self.activation_count == 12:
+                    self.request_timestep(ms(1))
+
+        class Top(Cluster):
+            def architecture(self):
+                self.src = self.add(RampSource("src", 0.0, 1.0, 0.05))
+                self.chg = self.add(Scaler())
+                self.sink = self.add(CollectorSink("sink"))
+                self.connect(self.src.op, self.chg.ip)
+                self.connect(self.chg.op, self.sink.ip)
+
+        return Top("top")
+
+    def test_partition_keeps_the_changer_per_period(self):
+        sim = Simulator(self._top(), engine="block")
+        sim.initialize()
+        program = compile_program(sim, sim.schedule)
+        assert program.stats["pre_modules"] == ["src"]
+        assert program.stats["post_modules"] == ["sink"]
+        assert [c.__self__.name for c in program.changers] == ["chg"]
+
+    def test_block_matches_interp(self):
+        results = {}
+        for engine in ("interp", "block"):
+            top = self._top()
+            tracer = Tracer()
+            tracer.trace(top.chg.op.signal, "chg_out")
+            sim = Simulator(top, engine=engine)
+            sim.run(ms(70))
+            results[engine] = (
+                tracer.samples("chg_out"),
+                top.sink.m_samples,
+                sim.reelaborations,
+                sim.now,
+                sim.periods_run,
+                {m.name: (m.time, m.activation_count) for m in top.modules},
+            )
+        assert results["block"] == results["interp"]
+        assert results["block"][2] == 2
 
 
 class TestCompilerClassification:

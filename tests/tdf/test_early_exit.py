@@ -34,7 +34,7 @@ def _state(sim):
     signals = {
         s.name: (
             s._base_index, list(s._tokens), s._write_count,
-            sorted(s._cursors.values()),
+            sorted(port._cursor for port in s.readers),
         )
         for s in sim.cluster.signals
     }

@@ -167,7 +167,7 @@ class TestReset:
         sig.consume(r, 1)
         sig.reset()
         assert sig.write_count == 0
-        assert sig._cursors[id(r)] == -1
+        assert r._cursor == -1
 
 
 class TestProperties:

@@ -32,8 +32,9 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from ..tdf.cluster import Cluster
 
-if TYPE_CHECKING:  # pragma: no cover - typing-only import avoids a cycle
+if TYPE_CHECKING:  # pragma: no cover - typing-only imports avoid a cycle
     from .cluster_analysis import StaticAnalysisResult
+    from .subsume import SubsumptionResult
 
 #: Bump when the analysis output format changes so stale disk entries
 #: are never deserialised into the new code.
@@ -126,6 +127,9 @@ class StaticAnalysisCache:
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0
+        #: :func:`~repro.analysis.subsume.analyze_subsumption` results
+        #: (immutable, so shared) by fingerprint; memory only.
+        self.subsumptions: Dict[str, "SubsumptionResult"] = {}
 
     # -- configuration ----------------------------------------------------
 
@@ -143,6 +147,7 @@ class StaticAnalysisCache:
         Disk entries are left alone; delete the directory to purge them.
         """
         self._memory.clear()
+        self.subsumptions.clear()
         self.hits = 0
         self.misses = 0
         self.disk_hits = 0

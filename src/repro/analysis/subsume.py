@@ -46,6 +46,7 @@ criterion class) group so each per-class frontier is self-contained.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.associations import AssocClass, Association, PairKey, VarScope
@@ -158,9 +159,10 @@ def _covers_implies(prog: _ModelProgram, a: _Tracked, b: _Tracked) -> bool:
     return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubsumptionResult:
-    """The subsumption partial order and its frontier."""
+    """The subsumption partial order and its frontier (immutable, so
+    one result is shared by every caller with the same fingerprint)."""
 
     #: Every association of the analysed cluster, in static-result order.
     associations: Tuple[Association, ...]
@@ -218,8 +220,24 @@ def analyze_subsumption(static: StaticAnalysisResult) -> SubsumptionResult:
     """Compute the subsumption partial order for a cluster's associations.
 
     Works purely over the static result (the stored per-model CFGs); no
-    simulation is involved.
+    simulation is involved.  The relation is a pure function of the
+    static result, so the default static-analysis cache keeps one per
+    fingerprint; a result without a fingerprint, or a disabled cache,
+    computes it afresh.
     """
+    from .cache import get_default_cache
+
+    cache = get_default_cache()
+    if static.fingerprint is None or not cache.enabled:
+        return _compute_subsumption(static)
+    result = cache.subsumptions.get(static.fingerprint)
+    if result is None:
+        result = _compute_subsumption(static)
+        cache.subsumptions[static.fingerprint] = result
+    return result
+
+
+def _compute_subsumption(static: StaticAnalysisResult) -> SubsumptionResult:
     associations = tuple(static.associations)
     pre: Dict[PairKey, Set[PairKey]] = {}
 
@@ -259,9 +277,9 @@ def analyze_subsumption(static: StaticAnalysisResult) -> SubsumptionResult:
 
     return SubsumptionResult(
         associations=associations,
-        subsumed_of=subsumed_of,
+        subsumed_of=MappingProxyType(subsumed_of),
         frontier_keys=frontier_keys,
-        representative=representative,
+        representative=MappingProxyType(representative),
     )
 
 

@@ -10,6 +10,9 @@ consolidates all of it into one frozen dataclass:
 * one object carries the execution engine, the worker fan-out, the
   cache switches, telemetry, warning behaviour, the oracle tolerance
   and the search/execution budgets;
+* :meth:`DftConfig.make_executor` alone turns ``executor``/``workers``
+  into the backend of every fan-out (runs, campaigns, generation,
+  mutation), so ``workers=None`` means one auto rule everywhere;
 * :meth:`DftConfig.from_args` derives it from an ``argparse`` namespace
   in a single place — every CLI subcommand shares the same flag
   plumbing;
@@ -31,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, TYPE_CHECKING
+from typing import Any, Dict, Mapping, Optional, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports avoid cycles
     from ..exec.base import DynamicExecutor
@@ -52,10 +55,11 @@ class DftConfig:
 
     execution
         ``engine`` — TDF execution engine (``"auto"``/``"interp"``/
-        ``"block"``; engines are bit-identical).  ``workers`` — dynamic
-        stage fan-out (``None`` = automatic heuristic, ``1`` = serial).
-        ``executor`` — an explicit :class:`~repro.exec.DynamicExecutor`
-        instance; when set it wins over ``workers``.
+        ``"block"``; engines are bit-identical).  ``workers`` — fan-out
+        of testcases, generation candidates and mutants (``None`` =
+        automatic heuristic, ``1`` = serial).  ``executor`` — an
+        explicit :class:`~repro.exec.DynamicExecutor` instance; when
+        set it wins over ``workers`` (see :meth:`make_executor`).
     caches
         ``result_cache`` — an explicit per-testcase
         :class:`~repro.exec.DynamicResultCache` for ``run_dft`` (a
@@ -278,26 +282,35 @@ class DftConfig:
         self,
         factory_ref: Optional[str],
         suite_ref: Optional[str],
-        suite_len: int,
-        suite_args: tuple = (),
+        items: int,
+        suite_args: Sequence = (),
+        factory_args: Sequence = (),
     ) -> Optional["DynamicExecutor"]:
-        """The dynamic-stage backend this config implies.
+        """The backend ``items`` testcases, candidates or mutants fan
+        out on, or ``None`` to run them in-process.
 
-        An explicit ``executor`` wins.  Otherwise ``workers`` (resolved
-        through the auto heuristic) selects a
-        :class:`~repro.exec.ProcessExecutor` built from the importable
-        references — or ``None`` (the serial default) when the count is
-        1 or no references are available.
+        An explicit executor that runs no tasks is returned as given; a
+        single item never fans out; an explicit
+        :class:`~repro.exec.TaskExecutor` is rebound to the caller's
+        suite.  Otherwise ``workers`` (through the auto rule) picks a
+        :class:`~repro.exec.ProcessExecutor`, or ``None`` when it
+        resolves to 1 or a reference is missing.
         """
-        if self.executor is not None:
-            return self.executor
-        workers = self.resolved_workers(suite_len)
+        from ..exec import ProcessExecutor, TaskExecutor
+
+        executor = self.executor
+        if executor is not None and not isinstance(executor, TaskExecutor):
+            return executor
+        if items < 2:
+            return None
+        if executor is not None:
+            return executor.for_suite(suite_ref, suite_args) if suite_ref else executor
+        workers = self.resolved_workers(items)
         if workers <= 1 or not factory_ref or not suite_ref:
             return None
-        from ..exec import ProcessExecutor
-
         return ProcessExecutor(
-            factory_ref, suite_ref, workers, suite_args=suite_args
+            factory_ref, suite_ref, workers,
+            suite_args=suite_args, factory_args=factory_args,
         )
 
     # -- cache application ----------------------------------------------------

@@ -16,11 +16,16 @@ sources and the netlist) with the testcase name; a cache must only be
 shared across runs that use the *same testcase objects* per name, which
 is exactly the campaign situation.  The caller owns the cache lifetime
 — there is deliberately no process-wide default instance.
+
+:meth:`DynamicResultCache.resolve` is the one lookup/store path: the
+pipeline's dynamic stage, the generation evaluator and a worker's
+suite task all hand it their names and a callable that simulates the
+misses.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import avoids a cycle
     from ..instrument.matching import MatchResult
@@ -43,22 +48,31 @@ class DynamicResultCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def get(self, fingerprint: Optional[str], testcase: str) -> Optional["MatchResult"]:
-        """The cached result, or ``None``; counts the hit/miss."""
-        if fingerprint is None:
-            self.misses += 1
-            return None
-        cached = self._store.get((fingerprint, testcase))
-        if cached is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return cached
+    def resolve(
+        self,
+        fingerprint: Optional[str],
+        names: Sequence[str],
+        simulate: Callable[[List[str]], Mapping[str, "MatchResult"]],
+    ) -> Tuple[Dict[str, "MatchResult"], int]:
+        """Every distinct name's result, in first-seen order, and how
+        many of them the memo served.
 
-    def put(self, fingerprint: Optional[str], testcase: str, result: "MatchResult") -> None:
-        """Store one testcase's result (no-op without a fingerprint)."""
+        The misses go to one ``simulate(missing)`` call and its answers
+        are stored.  ``simulate`` may answer only some of them (a
+        simulation budget); unanswered names are left out.  Without a
+        fingerprint every name misses and nothing is stored.
+        """
+        order = dict.fromkeys(names)
+        store = self._store if fingerprint is not None else {}
+        found = {n: store[fingerprint, n] for n in order if (fingerprint, n) in store}
+        missing = [n for n in order if n not in found]
+        self.hits += len(found)
+        self.misses += len(missing)
+        fresh = simulate(missing) if missing else {}
         if fingerprint is not None:
-            self._store[(fingerprint, testcase)] = result
+            store.update(((fingerprint, n), fresh[n]) for n in missing if n in fresh)
+        merged = {**found, **fresh}
+        return {n: merged[n] for n in order if n in merged}, len(found)
 
     def clear(self) -> None:
         self._store.clear()

@@ -127,6 +127,7 @@ def _run_suite_task(
     cache: Optional["DynamicResultCache"],
 ) -> Tuple[List[list], int]:
     from ..instrument.runner import DynamicAnalyzer
+    from .cache import DynamicResultCache
 
     by_name = {tc.name: tc for tc in testcases}
     names: List[str] = list(task["names"])
@@ -136,26 +137,16 @@ def _run_suite_task(
             f"suite reference {task['suite_ref']!r} does not provide "
             f"testcase(s) {missing}"
         )
-    fingerprint = task.get("fingerprint")
-    results: Dict[str, "MatchResult"] = {}
-    if cache is not None:
-        for name in names:
-            hit = cache.get(fingerprint, name)
-            if hit is not None:
-                results[name] = hit
-    hits = len(results)
-    pending = [name for name in names if name not in results]
-    if pending:
-        # The matcher reads only ``model_start_lines`` of the static result.
-        static = SimpleNamespace(model_start_lines=dict(task["model_start_lines"]))
-        analyzer = DynamicAnalyzer(
-            factory, static, warn=bool(task.get("warn")), telemetry=tel,
-            engine=engine,
-        )
-        for name in pending:
-            results[name] = analyzer.run_testcase(by_name[name])
-            if cache is not None:
-                cache.put(fingerprint, name, results[name])
+    # The matcher reads only ``model_start_lines`` of the static result.
+    static = SimpleNamespace(model_start_lines=dict(task["model_start_lines"]))
+    analyzer = DynamicAnalyzer(
+        factory, static, warn=bool(task.get("warn")), telemetry=tel, engine=engine,
+    )
+    memo = cache if cache is not None else DynamicResultCache()
+    results, hits = memo.resolve(
+        task.get("fingerprint"), names,
+        lambda pending: {name: analyzer.run_testcase(by_name[name]) for name in pending},
+    )
     return [[name, encode_match(results[name])] for name in names], hits
 
 
@@ -212,7 +203,10 @@ class TaskExecutor(DynamicExecutor):
         """Run every task through :func:`run_task`; replies in task order."""
 
     def for_suite(self, suite_ref: str, suite_args: Sequence = ()) -> "TaskExecutor":
-        """This backend, building its suite tasks from another suite."""
+        """This backend, building its suite tasks from ``suite_ref``
+        (itself when that is already its suite)."""
+        if (suite_ref, tuple(suite_args)) == (self.suite_ref, self.suite_args):
+            return self
         rebound = copy.copy(self)
         rebound.suite_ref = suite_ref
         rebound.suite_args = tuple(suite_args)

@@ -24,6 +24,10 @@ pure function of the exercised-pair set — identical across execution
 backends, engines and worker counts.  ``generate_suite(seed=N)`` with
 ``workers=1`` and ``workers=4`` synthesizes byte-identical suites.
 
+Fan-out: the baseline and every batch of cache misses (memoized by
+``DynamicResultCache.resolve``, as in the pipeline) take their backend
+from ``DftConfig.make_executor``; a one-candidate batch runs in-process.
+
 Budgets: ``config.budget_simulations`` counts *executed* candidate
 simulations (memo hits are free; the baseline run is not counted).
 ``config.budget_seconds`` is a wall-clock lid checked between rounds —
@@ -42,7 +46,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 from ..core.associations import AssocClass
 from ..core.config import DftConfig
 from ..core.pipeline import PipelineResult, run_dft
-from ..exec import ProcessExecutor, SerialExecutor, TaskExecutor
+from ..exec import SerialExecutor
 from ..exec.cache import DynamicResultCache
 from ..obs import Telemetry, get_telemetry
 from ..testing.testcase import TestSuite
@@ -199,33 +203,6 @@ class _Evaluator:
         self.memo_hits = 0
         self.candidates = 0
 
-    def _executor_for(self, encoded: Sequence[EncodedParams]):
-        """The backend for one batch of cache misses.
-
-        Synthesized testcases close over their parameters, so they
-        cannot travel to workers as objects; instead each batch ships
-        its *encodings* as the tasks' ``suite_args`` and the workers
-        rebuild identical testcases through :data:`DECODE_REF`.  A task
-        carries its own suite reference, so an explicit
-        ``config.executor`` that runs tasks (a remote fleet, say) is
-        rebound to the batch; any other explicit executor runs the
-        batch as given.  Without one, ``config.workers`` picks a process
-        pool, or serial when it resolves to 1 or no factory reference
-        is available.
-        """
-        suite_args = (self.space.system, tuple(encoded))
-        executor = self.cfg.executor
-        if isinstance(executor, TaskExecutor):
-            return executor.for_suite(DECODE_REF, suite_args)
-        if executor is not None:
-            return executor
-        workers = self.cfg.resolved_workers(len(encoded))
-        if workers <= 1 or not self.factory_ref:
-            return SerialExecutor()
-        return ProcessExecutor(
-            self.factory_ref, DECODE_REF, workers, suite_args=suite_args
-        )
-
     def run(
         self, batch: Sequence[Dict[str, float]], budget: _Budget
     ) -> List[Tuple[str, EncodedParams, "MatchResult"]]:
@@ -236,44 +213,42 @@ class _Evaluator:
         budget.  Duplicate proposals within one batch collapse onto a
         single simulation.
         """
-        fingerprint = self.static.fingerprint
-        ordered: List[Tuple[str, EncodedParams]] = []
-        results: Dict[str, "MatchResult"] = {}
-        pending: List[Tuple[str, EncodedParams]] = []
-        for params in batch:
-            name = self.space.candidate_name(params)
-            encoded = self.space.encode(params)
-            ordered.append((name, encoded))
-            if name in results or any(n == name for n, _ in pending):
-                continue
-            hit = self.cache.get(fingerprint, name)
-            if hit is not None:
-                self.memo_hits += 1
-                results[name] = hit
-            else:
-                pending.append((name, encoded))
-        remaining = budget.remaining_simulations()
-        if remaining is not None and len(pending) > remaining:
-            pending = pending[:remaining]
-            served = {n for n, _ in pending} | set(results)
-            ordered = [item for item in ordered if item[0] in served]
-        if pending:
+        ordered = [
+            (self.space.candidate_name(params), self.space.encode(params))
+            for params in batch
+        ]
+        encodings = dict(ordered)
+
+        def simulate(missing: List[str]) -> Dict[str, "MatchResult"]:
+            remaining = budget.remaining_simulations()
+            if remaining is not None:
+                missing = missing[:remaining]
+            if not missing:
+                return {}
+            # Synthesized testcases close over their parameters: a
+            # fan-out ships encodings the workers decode via DECODE_REF.
+            suite_args = (self.space.system, tuple(encodings[n] for n in missing))
+            executor = self.cfg.make_executor(
+                self.factory_ref, DECODE_REF, len(missing), suite_args=suite_args
+            ) or SerialExecutor()
             suite = TestSuite(
                 f"gen_{self.space.system}_batch",
-                [self.space.build(dict(enc)) for _, enc in pending],
+                [self.space.build(dict(encodings[n])) for n in missing],
             )
-            executor = self._executor_for([enc for _, enc in pending])
             dynamic = executor.run_suite(
                 self.cluster_factory, self.static, suite,
                 warn=self.cfg.warn, telemetry=self.tel, engine=self.cfg.engine,
             )
-            for name, _ in pending:
-                match = dynamic.per_testcase[name]
-                self.cache.put(fingerprint, name, match)
-                results[name] = match
-            budget.simulations += len(pending)
+            budget.simulations += len(missing)
             if self.tel.enabled:
-                self.tel.metrics.counter("generation.simulations").inc(len(pending))
+                self.tel.metrics.counter("generation.simulations").inc(len(missing))
+            return dynamic.per_testcase
+
+        results, hits = self.cache.resolve(
+            self.static.fingerprint, [name for name, _ in ordered], simulate
+        )
+        self.memo_hits += hits
+        ordered = [item for item in ordered if item[0] in results]
         self.candidates += len(ordered)
         if self.tel.enabled:
             self.tel.metrics.counter("generation.candidates").inc(len(ordered))
@@ -302,9 +277,10 @@ def generate_suite(
 
     ``system`` selects the bundled stimulus space (or pass ``space``);
     ``factory_ref``/``suite_ref`` are the importable references worker
-    processes rebuild the cluster and base suite from — required only
-    for ``config.workers > 1``.  ``config`` carries the seed, budgets,
-    engine and fan-out (see :class:`repro.core.DftConfig`).
+    processes rebuild the cluster and base suite from — without them
+    ``config.workers`` cannot fan out and the run is serial.  ``config``
+    carries the seed, budgets, engine and fan-out (see
+    :class:`repro.core.DftConfig`).
 
     The returned :class:`GenerationResult` holds the grown suite, the
     per-target outcomes, and the before/after coverage from a final

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..core.associations import ExercisedPair
 from .probes import ProbeRuntime, UseWithoutDefWarning
@@ -62,15 +62,13 @@ def match_events(
     testcase: str,
     model_start_lines: Dict[str, int],
     warn: bool = True,
-    telemetry: Any = None,
 ) -> MatchResult:
     """The exercised pairs the probe paired during the run.
 
     ``model_start_lines`` maps model name to the placeholder definition
     line (the ``def processing`` line) that testbench tokens pair with.
     Issues one :class:`UseWithoutDefWarning` per undriven port read
-    when ``warn`` is set.  ``telemetry`` is accepted for call-site
-    symmetry with the other stages and records nothing.
+    when ``warn`` is set.
     """
     result = MatchResult(testcase=testcase)
     pairs = result.pairs

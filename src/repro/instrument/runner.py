@@ -115,7 +115,6 @@ class DynamicAnalyzer:
                     testcase.name,
                     self.static.model_start_lines,
                     warn=self.warn,
-                    telemetry=tel,
                 )
             if tel.enabled:
                 tc_span.set_attribute("exercised_pairs", len(match.pairs))

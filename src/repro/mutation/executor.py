@@ -25,8 +25,9 @@ bit-identical by construction).  The per-mutant ``budget_seconds``
 therefore only *flags* slow mutants (``timed_out`` + the
 ``mutation.timeout`` counter); it never truncates their verdicts.
 
-With ``workers > 1`` or an explicit ``config.executor``, mutation runs
-through the same shard tasks as the dynamic stage
+When :meth:`repro.core.DftConfig.make_executor` picks a task-running
+backend for the pending mutants, mutation runs through the same shard
+tasks as the dynamic stage
 (:mod:`repro.exec.task`): the mutant indices are striped
 (:func:`repro.exec.base.round_robin_shards`) into ``"mutants"`` tasks
 that the backend — a process pool or a remote worker fleet — maps
@@ -528,10 +529,12 @@ def run_mutation(
     to obtain the actual factory/suite (the seeded random cluster uses
     this).  Both the in-process path and the shard tasks build
     everything from the references, so the kill matrix cannot depend on
-    the backend.  An explicit ``config.executor`` that runs tasks (a
-    process pool or a remote fleet), or ``workers > 1`` (a process
-    pool), receives the pending mutants as ``"mutants"`` tasks; any
-    other case runs them in-process.
+    the backend.  :meth:`DftConfig.make_executor
+    <repro.core.DftConfig.make_executor>` picks the backend for the
+    pending mutants, with the same auto ``workers`` rule as the
+    pipeline and generation: a task-running backend (a process pool or
+    a remote fleet) receives them as ``"mutants"`` tasks, and anything
+    else, or a single pending mutant, runs in-process.
 
     ``config`` carries seed / tolerance / workers / engine /
     budget_seconds / telemetry (see :class:`repro.core.DftConfig`); a
@@ -556,13 +559,10 @@ def run_mutation(
     tel = cfg.telemetry if cfg.telemetry is not None else get_telemetry()
     factory = resolve_factory(factory_ref, factory_args)
     testcases = list(resolve_ref(suite_ref)(*suite_args))
-    workers = (
-        cfg.executor.workers if cfg.executor is not None else cfg.workers or 1
-    )
     op_names = list(operators) if operators else None
     with tel.span(
-        "mutation", factory=factory_ref, workers=workers, testcases=len(testcases)
-    ):
+        "mutation", factory=factory_ref, testcases=len(testcases)
+    ) as span:
         all_specs = generate_mutants(factory(), op_names)
         specs = _sample_specs(all_specs, max_mutants, seed)
         cluster = factory()
@@ -604,27 +604,14 @@ def run_mutation(
                 tel.metrics.counter("mutation.warm_reused").inc(len(reused))
         pending = [i for i in range(len(specs)) if i not in reused]
         by_index: Dict[int, MutantOutcome] = dict(reused)
-        backend = cfg.executor
-        if backend is None and workers > 1 and len(pending) > 1:
-            from ..exec.process import ProcessExecutor
-
-            backend = ProcessExecutor(
-                factory_ref, suite_ref, workers,
-                suite_args=suite_args, factory_args=factory_args,
-            )
-        if not pending:
-            pass
-        elif not isinstance(backend, TaskExecutor):
-            with tel.span("mutation.baseline", testcases=len(testcases)):
-                baselines = compute_baselines(factory, testcases, oracle, engine)
-            for index in pending:
-                spec = specs[index]
-                with tel.span("mutation.mutant", mutant=spec.mutant_id):
-                    by_index[index] = run_mutant(
-                        spec, factory, testcases, baselines, oracle,
-                        engine, tolerance, budget_seconds,
-                    )
-        else:
+        backend = cfg.make_executor(
+            factory_ref, suite_ref, len(pending),
+            suite_args=suite_args, factory_args=factory_args,
+        )
+        fan_out = isinstance(backend, TaskExecutor)
+        workers = backend.workers if fan_out else 1
+        span.set_attribute("workers", workers)
+        if fan_out:
             tasks = [
                 {
                     "kind": "mutants",
@@ -642,7 +629,7 @@ def run_mutation(
                     "tolerance": tolerance,
                     "budget_seconds": budget_seconds,
                 }
-                for shard in round_robin_shards(pending, backend.workers)
+                for shard in round_robin_shards(pending, workers)
             ]
             with tel.span("mutation.parallel", workers=len(tasks), mutants=len(pending)):
                 replies = backend.map_tasks(tasks, tel)
@@ -650,6 +637,16 @@ def run_mutation(
             for reply in replies:
                 for index, entry in reply["results"]:
                     by_index[index] = MutantOutcome.from_dict(specs[index], entry)
+        elif pending:
+            with tel.span("mutation.baseline", testcases=len(testcases)):
+                baselines = compute_baselines(factory, testcases, oracle, engine)
+            for index in pending:
+                spec = specs[index]
+                with tel.span("mutation.mutant", mutant=spec.mutant_id):
+                    by_index[index] = run_mutant(
+                        spec, factory, testcases, baselines, oracle,
+                        engine, tolerance, budget_seconds,
+                    )
         outcomes = [by_index[i] for i in range(len(specs))]
 
         if tel.enabled:

@@ -155,12 +155,34 @@ class TestFrontierCovering:
 
 class TestSeededCluster:
     def test_analysis_is_deterministic(self):
+        import dataclasses
+
         values, up, down = random_cluster_params(7)
-        _, first = _subsumption_for(values, up, down)
-        _, second = _subsumption_for(values, up, down)
+        static, first = _subsumption_for(values, up, down)
+        # Without a fingerprint the relation is computed afresh.
+        second = analyze_subsumption(dataclasses.replace(static, fingerprint=None))
+        assert second is not first
         assert first.frontier_keys == second.frontier_keys
         assert first.subsumed_of == second.subsumed_of
         assert first.representative == second.representative
+
+    def test_memoized_per_fingerprint_and_immutable(self, monkeypatch):
+        import dataclasses
+
+        import pytest
+
+        from repro.analysis import get_default_cache
+
+        values, up, down = random_cluster_params(7)
+        static, first = _subsumption_for(values, up, down)
+        _, second = _subsumption_for(values, up, down)
+        assert second is first
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.frontier_keys = frozenset()
+        with pytest.raises(TypeError):
+            first.subsumed_of[("x",)] = frozenset()
+        monkeypatch.setattr(get_default_cache(), "enabled", False)
+        assert analyze_subsumption(static) is not first
 
     def test_port_associations_stay_frontier(self):
         values, up, down = random_cluster_params(3)

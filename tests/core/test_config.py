@@ -52,6 +52,8 @@ class TestFromArgs:
 
 class TestResolvedWorkers:
     def test_explicit_workers_win(self):
+        assert DftConfig(workers=3).resolved_workers(suite_len=100) == 3
+        assert DftConfig(workers=1).resolved_workers(suite_len=100) == 1
         assert DftConfig(workers=4).resolved_workers(suite_len=2) == 4
 
     def test_auto_single_cpu_is_serial(self, monkeypatch):
@@ -59,6 +61,7 @@ class TestResolvedWorkers:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert DftConfig(workers=None).resolved_workers(suite_len=10) == 1
+        assert DftConfig(workers=None).resolved_workers(suite_len=100) == 1
 
     def test_auto_small_suite_is_serial(self, monkeypatch):
         import os
@@ -71,6 +74,20 @@ class TestResolvedWorkers:
 
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert DftConfig(workers=None).resolved_workers(suite_len=3) == 3
+        assert DftConfig(workers=None).resolved_workers(suite_len=100) == 8
+
+    def test_auto_decision_recorded_on_telemetry(self, monkeypatch):
+        import os
+
+        from repro.obs import telemetry_session
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        with telemetry_session() as tel:
+            DftConfig(workers=None).resolved_workers(suite_len=10)
+        records = tel.to_run()["metrics"]
+        gauges = [r for r in records if r["name"] == "cli.auto_workers"]
+        assert gauges and gauges[0]["value"] == 4
+        assert gauges[0]["labels"]["reason"] == "one_per_cpu"
 
 
 class TestMakeExecutor:
@@ -80,19 +97,38 @@ class TestMakeExecutor:
     def test_explicit_executor_wins(self):
         executor = SerialExecutor()
         cfg = DftConfig(executor=executor, workers=8)
-        assert cfg.make_executor(*self.REFS, suite_len=10) is executor
+        assert cfg.make_executor(*self.REFS, items=10) is executor
 
     def test_serial_returns_none(self):
-        assert DftConfig(workers=1).make_executor(*self.REFS, suite_len=10) is None
+        assert DftConfig(workers=1).make_executor(*self.REFS, items=10) is None
 
     def test_missing_refs_force_serial(self):
         cfg = DftConfig(workers=4)
-        assert cfg.make_executor(None, None, suite_len=10) is None
+        assert cfg.make_executor(None, None, items=10) is None
 
     def test_parallel_builds_process_executor(self):
         cfg = DftConfig(workers=2)
-        executor = cfg.make_executor(*self.REFS, suite_len=10)
+        executor = cfg.make_executor(*self.REFS, items=10)
         assert isinstance(executor, ProcessExecutor)
+        assert executor.workers == 2
+
+    def test_single_item_never_fans_out(self):
+        assert DftConfig(workers=2).make_executor(*self.REFS, items=1) is None
+        pool = ProcessExecutor(*self.REFS, 2)
+        assert DftConfig(executor=pool).make_executor(*self.REFS, items=1) is None
+
+    def test_explicit_task_executor_rebound_to_the_callers_suite(self):
+        pool = ProcessExecutor(*self.REFS, 2)
+        cfg = DftConfig(executor=pool)
+        assert cfg.make_executor(*self.REFS, items=10) is pool
+        rebound = cfg.make_executor(
+            self.REFS[0], "repro.systems.sensor:SenseTop", 10, suite_args=(1,)
+        )
+        assert rebound is not pool and rebound.workers == 2
+        assert (rebound.suite_ref, rebound.suite_args) == (
+            "repro.systems.sensor:SenseTop", (1,)
+        )
+        assert cfg.make_executor(None, None, items=10) is pool
 
 
 class TestFromArgsBase:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis import analyze_cluster
 from repro.core import DftConfig, format_summary, run_dft
-from repro.exec import ProcessExecutor, SerialExecutor
+from repro.exec import ProcessExecutor, SerialExecutor, TaskExecutor, run_task
 from repro.exec.refs import resolve_ref
 from repro.service import RemoteExecutor
 from repro.testing import TestSuite
@@ -149,3 +149,59 @@ class TestExecutorMechanics:
             factory, static, TestSuite("empty")
         )
         assert result.per_testcase == {}
+
+
+class _RecordingExecutor(TaskExecutor):
+    """Runs its tasks in-process through ``run_task`` and records them."""
+
+    workers = 2
+
+    def __init__(self, *refs):
+        super().__init__(*refs)
+        self.tasks = []  # shared with every for_suite() copy
+
+    def map_tasks(self, tasks, tel):
+        self.tasks.extend(tasks)
+        return [run_task(task) for task in tasks]
+
+
+class TestMakeExecutorRouting:
+    """Every fan-out takes its backend from ``DftConfig.make_executor``."""
+
+    def _generate(self, recorder, candidates_per_round):
+        from repro.generation import generate_suite
+
+        base = TestSuite("base", resolve_ref(SENSOR[1])()[:2])
+        return generate_suite(
+            resolve_ref(SENSOR[0]), base, "sensor",
+            DftConfig(seed=0, budget_simulations=6, executor=recorder),
+            factory_ref=SENSOR[0], suite_ref=SENSOR[1],
+            candidates_per_round=candidates_per_round,
+        )
+
+    def test_suite_batch_and_mutant_tasks_reach_an_explicit_executor(self):
+        from repro.generation.generate import DECODE_REF
+        from repro.mutation import run_mutation
+
+        recorder = _RecordingExecutor(*SENSOR)
+        result = self._generate(recorder, candidates_per_round=3)
+        run_mutation(*SENSOR, DftConfig(seed=0, executor=recorder), max_mutants=3)
+        kinds = {(task["kind"], task["suite_ref"]) for task in recorder.tasks}
+        assert kinds == {
+            ("suite", SENSOR[1]), ("suite", DECODE_REF), ("mutants", SENSOR[1])
+        }
+        batches = [t for t in recorder.tasks if t["suite_ref"] == DECODE_REF]
+        assert sum(len(t["names"]) for t in batches) == result.simulations
+        assert all(t["suite_args"][0] == "sensor" for t in batches)
+
+    def test_one_item_batches_run_in_process(self):
+        from repro.generation.generate import DECODE_REF
+        from repro.mutation import run_mutation
+
+        recorder = _RecordingExecutor(*SENSOR)
+        result = self._generate(recorder, candidates_per_round=1)
+        run_mutation(*SENSOR, DftConfig(seed=0, executor=recorder), max_mutants=1)
+        assert result.simulations > 0
+        assert [t["suite_ref"] for t in recorder.tasks] == [SENSOR[1]] * 2
+        assert all(t["kind"] == "suite" for t in recorder.tasks)
+        assert DECODE_REF not in {t["suite_ref"] for t in recorder.tasks}

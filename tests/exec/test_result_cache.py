@@ -13,33 +13,65 @@ def _factory():
     return SenseTop()
 
 
+def _simulator(calls):
+    """A ``simulate`` callable recording each call's missing names."""
+
+    def simulate(missing):
+        calls.append(list(missing))
+        return {name: MatchResult(name) for name in missing}
+
+    return simulate
+
+
 class TestDynamicResultCache:
-    def test_get_miss_then_hit(self):
+    def test_resolve_miss_then_hit(self):
         cache = DynamicResultCache()
-        match = MatchResult("tc")
-        assert cache.get("fp", "tc") is None
-        cache.put("fp", "tc", match)
-        assert cache.get("fp", "tc") is match
+        calls = []
+        first, hits = cache.resolve("fp", ["tc"], _simulator(calls))
+        assert hits == 0 and calls == [["tc"]]
+        second, hits = cache.resolve("fp", ["tc"], _simulator(calls))
+        assert hits == 1 and calls == [["tc"]]
+        assert second["tc"] is first["tc"]
         assert cache.hits == 1 and cache.misses == 1
         assert cache.hit_rate == 0.5
         assert len(cache) == 1
 
+    def test_duplicates_collapse_and_order_follows_names(self):
+        cache = DynamicResultCache()
+        cache.resolve("fp", ["b"], _simulator([]))
+        calls = []
+        results, hits = cache.resolve("fp", ["a", "b", "a", "c"], _simulator(calls))
+        assert list(results) == ["a", "b", "c"]
+        assert hits == 1 and calls == [["a", "c"]]
+
+    def test_unanswered_misses_are_left_out(self):
+        cache = DynamicResultCache()
+        results, hits = cache.resolve(
+            "fp", ["a", "b"], lambda missing: {"a": MatchResult("a")}
+        )
+        assert list(results) == ["a"] and hits == 0
+        assert len(cache) == 1
+
     def test_fingerprint_scopes_entries(self):
         cache = DynamicResultCache()
-        cache.put("fp1", "tc", MatchResult("tc"))
-        assert cache.get("fp2", "tc") is None
+        cache.resolve("fp1", ["tc"], _simulator([]))
+        calls = []
+        _, hits = cache.resolve("fp2", ["tc"], _simulator(calls))
+        assert hits == 0 and calls == [["tc"]]
 
     def test_none_fingerprint_disables_caching(self):
         cache = DynamicResultCache()
-        cache.put(None, "tc", MatchResult("tc"))
+        calls = []
+        cache.resolve(None, ["tc"], _simulator(calls))
+        cache.resolve(None, ["tc"], _simulator(calls))
         assert len(cache) == 0
-        assert cache.get(None, "tc") is None
-        assert cache.misses == 1
+        assert calls == [["tc"], ["tc"]]
+        assert cache.misses == 2
 
     def test_clear(self):
         cache = DynamicResultCache()
-        cache.put("fp", "tc", MatchResult("tc"))
-        cache.get("fp", "tc")
+        cache.resolve("fp", ["tc"], _simulator([]))
+        cache.resolve("fp", ["tc"], _simulator([]))
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
 

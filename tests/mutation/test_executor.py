@@ -212,6 +212,29 @@ class TestBackendDeterminism:
         for fanned in (run(workers=2), run(executor=fleet)):
             _assert_same_verdicts(serial, fanned)
 
+    def test_auto_workers_follow_the_shared_rule(self, monkeypatch):
+        import os
+
+        from repro.obs import Telemetry
+
+        serial = _mutate_random(max_mutants=4, config=DftConfig(seed=0, workers=1))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        tel = Telemetry()
+        auto = _mutate_random(
+            max_mutants=4, config=DftConfig(seed=0, workers=None, telemetry=tel)
+        )
+        assert (serial.workers, auto.workers) == (1, 2)
+        _assert_same_verdicts(serial, auto)
+        gauges = [
+            r for r in tel.to_run()["metrics"] if r["name"] == "cli.auto_workers"
+        ]
+        assert gauges and gauges[0]["value"] == 2
+        assert gauges[0]["labels"]["reason"] == "one_per_cpu"
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        single = _mutate_random(max_mutants=4, config=DftConfig(seed=0, workers=None))
+        assert single.workers == 1
+        _assert_same_verdicts(serial, single)
+
     def test_kill_matrix_identical_across_engines(self):
         interp = _mutate_random(config=DftConfig(seed=0, engine="interp"))
         block = _mutate_random(config=DftConfig(seed=0, engine="block"))

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro import DftConfig
 from repro.cli import main
 from repro.systems.registry import SYSTEMS
 
@@ -176,44 +175,6 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["mutate", "random", "--engine", "jit"])
         assert exc.value.code == 2
-
-
-class TestAutoWorkers:
-    def test_explicit_request_wins(self):
-        assert DftConfig(workers=3).resolved_workers(suite_len=100) == 3
-        assert DftConfig(workers=1).resolved_workers(suite_len=100) == 1
-
-    def test_single_cpu_stays_serial(self, monkeypatch):
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        assert DftConfig(workers=None).resolved_workers(suite_len=100) == 1
-
-    def test_small_suite_stays_serial(self, monkeypatch):
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert DftConfig(workers=None).resolved_workers(suite_len=1) == 1
-
-    def test_one_worker_per_cpu_capped_at_suite(self, monkeypatch):
-        import os
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert DftConfig(workers=None).resolved_workers(suite_len=3) == 3
-        assert DftConfig(workers=None).resolved_workers(suite_len=100) == 8
-
-    def test_decision_recorded_on_telemetry(self, monkeypatch):
-        import os
-
-        from repro.obs import telemetry_session
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        with telemetry_session() as tel:
-            DftConfig(workers=None).resolved_workers(suite_len=10)
-        records = tel.to_run()["metrics"]
-        gauges = [r for r in records if r["name"] == "cli.auto_workers"]
-        assert gauges and gauges[0]["value"] == 4
-        assert gauges[0]["labels"]["reason"] == "one_per_cpu"
 
 
 class TestTelemetryFlags:

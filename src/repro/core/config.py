@@ -1,11 +1,6 @@
 """Unified run configuration for the DFT pipeline (:class:`DftConfig`).
 
-PRs 1–4 grew the run-configuration surface one keyword at a time:
-``run_dft`` took ``warn``/``telemetry``/``executor``/``result_cache``/
-``engine``, :class:`~repro.core.workflow.IterativeCampaign` mirrored a
-subset, the mutation executor added ``tolerance``/``budget_seconds``,
-and ``cli.py`` re-plumbed the same flags per subcommand.  This module
-consolidates all of it into one frozen dataclass:
+Every run-configuration knob lives in one frozen dataclass:
 
 * one object carries the execution engine, the worker fan-out, the
   cache switches, telemetry, warning behaviour, the oracle tolerance
@@ -20,9 +15,8 @@ consolidates all of it into one frozen dataclass:
   the primitive fields, so a CLI ``--config`` file and a job spec
   submitted to the service share one serialization.
 
-Since API v1 the config is the *only* configuration path: the
-per-function legacy keyword arguments (deprecated through PR 5–9 with
-a one-release window) are gone, and passing them raises ``TypeError``.
+The config is the *only* configuration path: ``run_dft``, campaigns,
+mutation and generation take no per-call keyword knobs.
 
 The dataclass is *frozen*: deriving a variant goes through
 :meth:`DftConfig.replace`, so a config can be shared between a campaign
@@ -35,6 +29,8 @@ import dataclasses
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, TYPE_CHECKING
+
+from ..tdf.engine.executor import ENGINES
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports avoid cycles
     from ..exec.base import DynamicExecutor
@@ -111,6 +107,7 @@ class DftConfig:
             return isinstance(v, kinds) and not isinstance(v, bool) and v >= low
 
         for name, expected, ok in (
+            ("engine", f"one of {', '.join(ENGINES)}", self.engine in ENGINES),
             ("workers", "None or an int >= 1",
              self.workers is None or at_least(self.workers, 1, int)),
             ("tolerance", "a number >= 0", at_least(self.tolerance, 0)),
@@ -120,6 +117,9 @@ class DftConfig:
             ("budget_simulations", "None or an int >= 0",
              self.budget_simulations is None
              or at_least(self.budget_simulations, 0, int)),
+            ("static_cache", "a bool", isinstance(self.static_cache, bool)),
+            ("warn", "a bool", isinstance(self.warn, bool)),
+            ("warm_start", "a bool", isinstance(self.warm_start, bool)),
         ):
             if not ok:
                 raise ValueError(

@@ -6,7 +6,7 @@ classified coverage result plus a telemetry span per stage.
 
 Every run records stage spans (``pipeline`` > ``static`` / ``dynamic``
 / ``coverage``) into the active :mod:`repro.obs` telemetry — or into a
-private session when telemetry is disabled, so the backward-compatible
+private session when telemetry is disabled, so the
 :attr:`PipelineResult.timings` view always has data without activating
 the kernel-level hooks.
 """
@@ -45,8 +45,7 @@ class PipelineResult:
     def timings(self) -> Dict[str, float]:
         """Wall-clock seconds per stage, derived from the stage spans.
 
-        Kept as the historical ``PipelineResult.timings`` dict interface
-        (``{'static': ..., 'dynamic': ..., 'coverage': ...}``).
+        A plain dict: ``{'static': ..., 'dynamic': ..., 'coverage': ...}``.
         """
         return {name: span.wall for name, span in self.spans.items()}
 
@@ -87,9 +86,8 @@ def run_dft(
       coverage reports and cached dynamic results do not depend on the
       choice.
 
-    The config is the only configuration path (API v1): the historical
-    per-call keyword arguments were removed after their deprecation
-    window and now raise ``TypeError``.
+    The config is the only configuration path: there are no per-call
+    keyword knobs.
     """
     from ..analysis.cluster_analysis import analyze_cluster
     # Unused, but importing the instrument package before the static

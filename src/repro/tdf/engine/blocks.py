@@ -7,13 +7,9 @@ helpers in this module are the only code that touches signal internals
 on behalf of the compiled engine; they reproduce the exact observable
 effects of the interpreted path (cursor positions, ``_write_count``,
 ``_flushed``, sample-and-hold state) so that interleaving block and
-interpreted firings stays bit-identical.
-
-Numeric helpers (``scale_block`` & friends) vectorize through numpy
-when it is importable *and* every operand is a plain Python float —
-IEEE-754 float64 elementwise arithmetic matches Python's scalar float
-arithmetic bit-for-bit, but mixed int/bool payloads would change result
-types, so those fall back to the per-sample list comprehension.
+interpreted firings stays bit-identical.  Library elements compute
+their output blocks with plain per-sample list comprehensions, the same
+arithmetic in the same order as their ``processing()``.
 """
 
 from __future__ import annotations
@@ -29,14 +25,6 @@ _FS_PER_S = _UNIT_FS["s"]
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..ports import TdfIn, TdfOut
-
-try:  # pragma: no cover - exercised implicitly everywhere numpy exists
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy-less fallback
-    _np = None
-
-#: Below this block length the numpy round trip costs more than it saves.
-_NUMPY_MIN = 16
 
 
 def consume_block(port: "TdfIn", n: int) -> List[Any]:
@@ -158,45 +146,3 @@ class FiringBlock:
             self._times = [(base + k * ts) / _FS_PER_S for k in range(self.n)]
         return self._times
 
-
-def _vectorizable(values: List[Any]) -> bool:
-    return (
-        _np is not None
-        and len(values) >= _NUMPY_MIN
-        and all(type(v) is float for v in values)
-    )
-
-
-def scale_block(values: List[Any], factor: Any) -> List[Any]:
-    """``[v * factor for v in values]``, vectorized when bit-safe."""
-    if type(factor) is float and _vectorizable(values):
-        return (_np.asarray(values) * factor).tolist()
-    return [v * factor for v in values]
-
-
-def offset_block(values: List[Any], offset: Any) -> List[Any]:
-    """``[v + offset for v in values]``, vectorized when bit-safe."""
-    if type(offset) is float and _vectorizable(values):
-        return (_np.asarray(values) + offset).tolist()
-    return [v + offset for v in values]
-
-
-def add_blocks(a: List[Any], b: List[Any]) -> List[Any]:
-    """Elementwise ``a + b``, vectorized when bit-safe."""
-    if _vectorizable(a) and _vectorizable(b):
-        return (_np.asarray(a) + _np.asarray(b)).tolist()
-    return [x + y for x, y in zip(a, b)]
-
-
-def sub_blocks(a: List[Any], b: List[Any]) -> List[Any]:
-    """Elementwise ``a - b``, vectorized when bit-safe."""
-    if _vectorizable(a) and _vectorizable(b):
-        return (_np.asarray(a) - _np.asarray(b)).tolist()
-    return [x - y for x, y in zip(a, b)]
-
-
-def mul_blocks(a: List[Any], b: List[Any]) -> List[Any]:
-    """Elementwise ``a * b``, vectorized when bit-safe."""
-    if _vectorizable(a) and _vectorizable(b):
-        return (_np.asarray(a) * _np.asarray(b)).tolist()
-    return [x * y for x, y in zip(a, b)]

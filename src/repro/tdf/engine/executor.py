@@ -17,7 +17,7 @@ schedule swap, so the data in flight is exactly what the interpreter
 would have left behind.
 
 Engine selection is a three-valued knob resolved by
-:func:`resolve_engine`: ``"interp"`` (the historical loop),
+:func:`resolve_engine`: ``"interp"`` (the per-firing interpreter),
 ``"block"`` (this executor) and ``"auto"`` (currently ``block`` — the
 compiler itself falls back per module, so auto never loses
 correctness, only the constant factor).

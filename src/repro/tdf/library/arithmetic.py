@@ -9,7 +9,6 @@ gain/delay/buffer (see :mod:`repro.tdf.library.siso`).
 
 from __future__ import annotations
 
-from ..engine.blocks import add_blocks, mul_blocks, offset_block, sub_blocks
 from ..module import TdfModule
 from ..ports import TdfIn, TdfOut
 
@@ -31,7 +30,8 @@ class AdderTdf(TdfModule):
         self.op.write(total)
 
     def processing_block(self, block) -> None:
-        block.write(self.op, add_blocks(block.read(self.ip_a), block.read(self.ip_b)))
+        a, b = block.read(self.ip_a), block.read(self.ip_b)
+        block.write(self.op, [x + y for x, y in zip(a, b)])
 
 
 class SubtractorTdf(TdfModule):
@@ -51,7 +51,8 @@ class SubtractorTdf(TdfModule):
         self.op.write(diff)
 
     def processing_block(self, block) -> None:
-        block.write(self.op, sub_blocks(block.read(self.ip_a), block.read(self.ip_b)))
+        a, b = block.read(self.ip_a), block.read(self.ip_b)
+        block.write(self.op, [x - y for x, y in zip(a, b)])
 
 
 class MultiplierTdf(TdfModule):
@@ -71,7 +72,8 @@ class MultiplierTdf(TdfModule):
         self.op.write(product)
 
     def processing_block(self, block) -> None:
-        block.write(self.op, mul_blocks(block.read(self.ip_a), block.read(self.ip_b)))
+        a, b = block.read(self.ip_a), block.read(self.ip_b)
+        block.write(self.op, [x * y for x, y in zip(a, b)])
 
 
 class OffsetTdf(TdfModule):
@@ -91,7 +93,8 @@ class OffsetTdf(TdfModule):
         self.op.write(shifted)
 
     def processing_block(self, block) -> None:
-        block.write(self.op, offset_block(block.read(self.ip), self.m_offset))
+        offset = self.m_offset
+        block.write(self.op, [v + offset for v in block.read(self.ip)])
 
 
 class SaturatorTdf(TdfModule):

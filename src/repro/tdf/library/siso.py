@@ -15,7 +15,6 @@ anchors are the netlist bind sites of their ports (paper §V).
 
 from __future__ import annotations
 
-from ..engine.blocks import scale_block
 from ..module import TdfModule
 from ..ports import TdfIn, TdfOut
 
@@ -37,7 +36,8 @@ class GainTdf(TdfModule):
         self.op.write(self.ip.read() * self.m_gain)
 
     def processing_block(self, block) -> None:
-        block.write(self.op, scale_block(block.read(self.ip), self.m_gain))
+        gain = self.m_gain
+        block.write(self.op, [v * gain for v in block.read(self.ip)])
 
 
 class DelayTdf(TdfModule):

@@ -40,10 +40,10 @@ class Simulator:
     """Executes a TDF cluster.
 
     ``engine`` selects the execution strategy: ``"interp"`` (default)
-    is the historical per-firing interpreter; ``"block"`` compiles the
-    schedule into a flattened program executed in multi-period windows
-    (see :mod:`repro.tdf.engine`); ``"auto"`` resolves to the block
-    engine.  Both engines produce bit-identical results — the block
+    is the per-firing interpreter, the reference semantics of TDF;
+    ``"block"`` compiles the schedule into a flattened program executed
+    in multi-period windows (see :mod:`repro.tdf.engine`); ``"auto"``
+    resolves to the block engine.  Both engines produce bit-identical results — the block
     engine falls back to interpreted firings per module where it must.
     """
 
@@ -241,8 +241,7 @@ class Simulator:
         """Run exactly ``count`` cluster periods.
 
         Shares :meth:`run`'s guarded loop: the zero-length-period check
-        and the telemetry accounting apply to period-counted runs too
-        (historically this path bypassed both).
+        and the telemetry accounting apply to period-counted runs too.
         """
         if not isinstance(count, int) or count < 0:
             raise SimulationError(f"period count must be >= 0, got {count!r}")

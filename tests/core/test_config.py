@@ -192,6 +192,9 @@ class TestFieldValidation:
         {"tolerance": float("nan")}, {"seed": "x"}, {"seed": 1.0},
         {"budget_seconds": -1.0}, {"budget_seconds": "1"},
         {"budget_simulations": -1}, {"budget_simulations": 2.5},
+        {"engine": "jit"}, {"engine": None}, {"engine": "Block"},
+        {"warn": "no"}, {"warn": 0}, {"static_cache": "false"},
+        {"static_cache": None}, {"warm_start": 1}, {"warm_start": "yes"},
     ])
     def test_bad_value_is_a_one_line_error_naming_the_field(self, changes):
         (field, value), = changes.items()
@@ -207,7 +210,8 @@ class TestFieldValidation:
         {"workers": None}, {"workers": 1}, {"workers": 8}, {"tolerance": 0},
         {"tolerance": 0.5}, {"seed": -3}, {"budget_seconds": 0.0},
         {"budget_seconds": float("inf")}, {"budget_simulations": 0},
-        {"budget_simulations": 40},
+        {"budget_simulations": 40}, {"engine": "interp"}, {"engine": "block"},
+        {"warn": True}, {"static_cache": False}, {"warm_start": True},
     ])
     def test_good_value_accepted(self, changes):
         cfg = DftConfig(**changes)

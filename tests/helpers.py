@@ -51,6 +51,41 @@ class Accumulator(TdfModule):
         self.op.write(self.m_total)
 
 
+#: Sample payloads for block-vs-interp checks of the library elements:
+#: plain floats, ints, bools and the IEEE specials (NaN, ±inf, -0.0).
+PAYLOADS = {
+    "floats": [0.1, -2.5, 3.75, 1e300, 7e-310, 1.0 / 3.0],
+    "ints": [3, -7, 0, 12, 2**61],
+    "bools": [True, False, True],
+    "specials": [float("nan"), float("inf"), float("-inf"), -0.0, 1.5],
+}
+
+
+def payload_wave(samples):
+    """A waveform emitting ``samples`` in turn, one per 1 ms period."""
+    return lambda t: samples[round(t * 1000) % len(samples)]
+
+
+def typed_samples(values):
+    """``values`` as ``(type, repr)`` pairs: equal iff every sample has
+    the same type and bits (``repr`` of a float round-trips; NaN
+    compares equal to NaN here, unlike ``==``)."""
+    return [(type(v), repr(v)) for v in values]
+
+
+def record_block_sizes(monkeypatch, cls):
+    """Record ``block.n`` of every ``cls.processing_block`` call."""
+    sizes = []
+    original = cls.processing_block
+
+    def spy(self, block):
+        sizes.append(block.n)
+        original(self, block)
+
+    monkeypatch.setattr(cls, "processing_block", spy)
+    return sizes
+
+
 def exiting_suite():
     """A suite reference whose import-time call exits the interpreter."""
     raise SystemExit("suite builder exited")

@@ -111,7 +111,8 @@ class TestSubmitValidation:
         _, addr = server
         for field, value in (
             ("workers", "two"), ("workers", 0), ("tolerance", "tiny"),
-            ("seed", "x"), ("budget_seconds", -1),
+            ("seed", "x"), ("budget_seconds", -1), ("engine", "jit"),
+            ("warn", "no"), ("static_cache", 0), ("warm_start", "yes"),
         ):
             with pytest.raises(ServiceError) as err:
                 submit_job(

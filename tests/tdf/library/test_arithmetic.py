@@ -2,7 +2,9 @@
 
 import pytest
 
+from helpers import PAYLOADS, payload_wave, record_block_sizes, typed_samples
 from repro.tdf import Cluster, Simulator, ms
+from repro.tdf.engine import WINDOW_PERIODS
 from repro.tdf.library import (
     AdderTdf,
     CollectorSink,
@@ -16,7 +18,7 @@ from repro.tdf.library import (
 )
 
 
-def _run_two_input(element, wave_a, wave_b, periods=4):
+def _run_two_input(element, wave_a, wave_b, periods=4, engine="interp"):
     class Top(Cluster):
         def architecture(self):
             self.a = self.add(StimulusSource("a", wave_a, ms(1)))
@@ -28,11 +30,11 @@ def _run_two_input(element, wave_a, wave_b, periods=4):
             self.connect(self.e.op, self.sink.ip)
 
     top = Top("top")
-    Simulator(top).run(ms(periods))
+    Simulator(top, engine=engine).run(ms(periods))
     return top.sink.values()
 
 
-def _run_siso(element, wave, periods=4):
+def _run_siso(element, wave, periods=4, engine="interp"):
     class Top(Cluster):
         def architecture(self):
             self.src = self.add(StimulusSource("src", wave, ms(1)))
@@ -42,7 +44,7 @@ def _run_siso(element, wave, periods=4):
             self.connect(self.e.op, self.sink.ip)
 
     top = Top("top")
-    Simulator(top).run(ms(periods))
+    Simulator(top, engine=engine).run(ms(periods))
     return top.sink.values()
 
 
@@ -55,6 +57,38 @@ class TestTwoInput:
 
     def test_multiplier(self):
         assert _run_two_input(MultiplierTdf("e"), lambda t: 2.0, lambda t: 3.0) == [6.0] * 4
+
+
+#: Two whole block-engine windows plus a partial one.
+BLOCK_PERIODS = WINDOW_PERIODS * 2 + 5
+
+
+class TestBlockMatchesInterp:
+    """``processing_block`` on whole windows computes what ``processing``
+    computes sample by sample: same values, same types, same bits."""
+
+    @pytest.mark.parametrize("cls", [AdderTdf, SubtractorTdf, MultiplierTdf])
+    @pytest.mark.parametrize("kind_a", sorted(PAYLOADS))
+    @pytest.mark.parametrize("kind_b", sorted(PAYLOADS))
+    def test_two_input(self, monkeypatch, cls, kind_a, kind_b):
+        wave_a, wave_b = payload_wave(PAYLOADS[kind_a]), payload_wave(PAYLOADS[kind_b])
+        interp = _run_two_input(cls("e"), wave_a, wave_b, BLOCK_PERIODS, "interp")
+        sizes = record_block_sizes(monkeypatch, cls)
+        block = _run_two_input(cls("e"), wave_a, wave_b, BLOCK_PERIODS, "block")
+        assert sizes.count(WINDOW_PERIODS) >= 2
+        assert len(interp) == BLOCK_PERIODS
+        assert typed_samples(block) == typed_samples(interp)
+
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    @pytest.mark.parametrize("offset", [10.0, -0.0, float("inf"), float("nan")])
+    def test_offset(self, monkeypatch, kind, offset):
+        wave = payload_wave(PAYLOADS[kind])
+        interp = _run_siso(OffsetTdf("e", offset), wave, BLOCK_PERIODS, "interp")
+        sizes = record_block_sizes(monkeypatch, OffsetTdf)
+        block = _run_siso(OffsetTdf("e", offset), wave, BLOCK_PERIODS, "block")
+        assert sizes.count(WINDOW_PERIODS) >= 2
+        assert len(interp) == BLOCK_PERIODS
+        assert typed_samples(block) == typed_samples(interp)
 
 
 class TestSiso:

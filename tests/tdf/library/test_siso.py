@@ -1,6 +1,10 @@
 """Unit tests for the redefining SISO elements (gain / delay / buffer)."""
 
+import pytest
+
+from helpers import PAYLOADS, payload_wave, record_block_sizes, typed_samples
 from repro.tdf import Cluster, Simulator, ms
+from repro.tdf.engine import WINDOW_PERIODS
 from repro.tdf.library import (
     BufferTdf,
     CollectorSink,
@@ -23,11 +27,29 @@ def _chain(element, waveform=lambda t: t * 1000.0):
     return Top("top")
 
 
+def _run(element, waveform, periods, engine):
+    top = _chain(element, waveform)
+    Simulator(top, engine=engine).run(ms(periods))
+    return top.sink.values()
+
+
 class TestGain:
     def test_amplifies(self):
         top = _chain(GainTdf("g", 2.5), lambda t: 4.0)
         Simulator(top).run(ms(3))
         assert top.sink.values() == [10.0, 10.0, 10.0]
+
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    @pytest.mark.parametrize("gain", [2.5, -0.0, float("inf"), float("nan")])
+    def test_block_matches_interp_on_whole_windows(self, monkeypatch, kind, gain):
+        periods = WINDOW_PERIODS * 2 + 5  # two whole windows and a partial one
+        wave = payload_wave(PAYLOADS[kind])
+        interp = _run(GainTdf("g", gain), wave, periods, "interp")
+        sizes = record_block_sizes(monkeypatch, GainTdf)
+        block = _run(GainTdf("g", gain), wave, periods, "block")
+        assert sizes.count(WINDOW_PERIODS) >= 2
+        assert len(interp) == periods
+        assert typed_samples(block) == typed_samples(interp)
 
     def test_is_redefining_and_opaque(self):
         g = GainTdf("g", 1.0)

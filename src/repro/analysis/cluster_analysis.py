@@ -19,7 +19,6 @@ Combines the per-model analyses with the netlist binding information:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -108,9 +107,8 @@ def analyze_cluster(
 
     Module ``set_attributes()`` must not be required: the analysis is
     purely structural (bindings + source), so it can run before any
-    simulation.  Per-model CFG/def-use extraction time and the final
-    association counts by class are recorded into ``telemetry`` (the
-    globally active session when not given).
+    simulation.  Cache hits and misses are counted into ``telemetry``
+    (the globally active session when not given).
 
     Results are memoized on a fingerprint of the processing sources and
     the netlist (see :mod:`repro.analysis.cache`): by default the
@@ -136,17 +134,7 @@ def analyze_cluster(
     models: Dict[str, ModelAnalysis] = {}
     for module in cluster.modules:
         if _is_analyzable(module):
-            if tel.enabled:
-                t0 = time.perf_counter()
-                analysis = analyze_model(module)
-                tel.metrics.histogram(
-                    "analysis.model_seconds", cluster=cluster.name
-                ).observe(time.perf_counter() - t0)
-                tel.metrics.counter(
-                    "analysis.models_analyzed", cluster=cluster.name
-                ).inc()
-            else:
-                analysis = analyze_model(module)
+            analysis = analyze_model(module)
             models[module.name] = analysis
             result.model_start_lines[module.name] = analysis.source.def_line
     result.models = models
@@ -202,14 +190,6 @@ def analyze_cluster(
     for port in cluster.undriven_inputs():
         result.undriven_input_ports.append(port.full_name())
 
-    if tel.enabled:
-        for klass, count in result.counts().items():
-            tel.metrics.counter(
-                "analysis.associations", cluster=cluster.name, klass=klass.value
-            ).inc(count)
-        tel.metrics.counter(
-            "analysis.definitions", cluster=cluster.name
-        ).inc(len(result.definitions))
     if cache is not None:
         cache.put(fingerprint, result)
     return result

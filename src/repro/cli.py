@@ -499,6 +499,8 @@ def _cmd_job(args) -> int:
     """``run`` / ``campaign`` / ``mutate`` / ``generate``: one
     :func:`repro.jobs.run_job` call, then the rendering the flags ask
     for."""
+    if getattr(args, "max_missed", 0) < 0:
+        raise ValueError(f"--max-missed must be >= 0, got {args.max_missed}")
     cfg = _resolve_history(args, DftConfig.from_args(args, base=_config_base(args)))
     options = {
         key: getattr(args, key)

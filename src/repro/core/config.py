@@ -258,25 +258,14 @@ class DftConfig:
         An explicit ``workers`` value wins; ``None`` is *auto*: serial
         when the host has a single CPU (a process pool only adds
         pickling overhead) or the suite has fewer than two testcases,
-        else one worker per CPU capped at the suite size.  The auto
-        decision is recorded on the ``cli.auto_workers`` telemetry
-        gauge with its reason.
+        else one worker per CPU capped at the suite size.
         """
         if self.workers is not None:
             return self.workers
         cpus = os.cpu_count() or 1
-        if cpus <= 1:
-            chosen, reason = 1, "single_cpu"
-        elif suite_len < 2:
-            chosen, reason = 1, "small_suite"
-        else:
-            chosen, reason = min(cpus, suite_len), "one_per_cpu"
-        from ..obs import get_telemetry
-
-        tel = self.telemetry if self.telemetry is not None else get_telemetry()
-        if tel.enabled:
-            tel.metrics.gauge("cli.auto_workers", reason=reason).set(chosen)
-        return chosen
+        if cpus <= 1 or suite_len < 2:
+            return 1
+        return min(cpus, suite_len)
 
     def make_executor(
         self,

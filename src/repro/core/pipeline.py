@@ -13,7 +13,6 @@ the kernel-level hooks.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
@@ -61,9 +60,8 @@ def run_dft(
     dynamic analysis executes every testcase on its own instance so that
     member state cannot leak between testcases (see
     :data:`repro.instrument.runner.ClusterFactory`); the pipeline itself
-    calls it once more for the static stage, and telemetry accounts for
-    every build (``pipeline.cluster_builds`` /
-    ``pipeline.cluster_build_seconds``).
+    calls it once more for the static stage, and telemetry counts
+    every build (``pipeline.cluster_builds``).
 
     ``config`` carries every knob (see :class:`repro.core.DftConfig`):
 
@@ -103,13 +101,8 @@ def run_dft(
         tel = Telemetry()
 
     def counted_factory():
-        t0 = time.perf_counter()
-        cluster = cluster_factory()
         tel.metrics.counter("pipeline.cluster_builds").inc()
-        tel.metrics.histogram("pipeline.cluster_build_seconds").observe(
-            time.perf_counter() - t0
-        )
-        return cluster
+        return cluster_factory()
 
     with tel.span("pipeline", system=suite.name, testcases=len(suite)):
         with tel.span("static") as span_static:

@@ -15,7 +15,7 @@ args are applied to the resolved object to get the factory),
 ``indices``, ``operators``, ``seed``, ``max_mutants``, ``oracle``,
 ``tolerance`` and ``budget_seconds``.
 
-The reply is ``{"results", "telemetry", "wall", "cache_hits"}``, with
+The reply is ``{"results", "telemetry", "cache_hits"}``, with
 ``results`` pairing each testcase name (mutant index) with its
 canonical encoding — :func:`encode_match`
 (:meth:`~repro.mutation.MutantOutcome.to_dict`) — so two workers that
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import abc
 import copy
-import time
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
@@ -88,7 +87,6 @@ def run_task(
     testcase name); a remote worker passes its process-wide memo so a
     repeated or re-dispatched task answers without simulating.
     """
-    t0 = time.perf_counter()
     factory = resolve_factory(task["factory_ref"], task.get("factory_args") or ())
     testcases = list(resolve_ref(task["suite_ref"])(*(task.get("suite_args") or ())))
     record = bool(task.get("record_telemetry"))
@@ -109,11 +107,10 @@ def run_task(
             results, hits = run_mutants_task(task, factory, testcases, engine), 0
         else:
             raise ValueError(f"unknown task kind {kind!r}")
-        payload = tel.metrics.raw_records() if record else []
+        payload = tel.metrics.records() if record else []
     return {
         "results": results,
         "telemetry": payload,
-        "wall": time.perf_counter() - t0,
         "cache_hits": hits,
     }
 
@@ -153,13 +150,12 @@ def _run_suite_task(
 def fold_replies(
     tel: Telemetry, replies: Sequence[Dict[str, Any]], prefix: str, unit: str
 ) -> None:
-    """Merge each reply's raw telemetry into ``tel``, plus one
-    ``{prefix}.worker_seconds`` and ``{prefix}.worker_{unit}`` per task."""
+    """Merge each reply's counters into ``tel``, plus one
+    ``{prefix}.worker_{unit}`` per task."""
     if not tel.enabled:
         return
     for index, reply in enumerate(replies):
         tel.metrics.merge_raw(reply["telemetry"])
-        tel.metrics.histogram(f"{prefix}.worker_seconds").observe(reply["wall"])
         tel.metrics.counter(f"{prefix}.worker_{unit}", worker=index).inc(
             len(reply["results"])
         )

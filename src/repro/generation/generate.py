@@ -252,8 +252,6 @@ class _Evaluator:
         self.candidates += len(ordered)
         if self.tel.enabled:
             self.tel.metrics.counter("generation.candidates").inc(len(ordered))
-            if self.memo_hits:
-                self.tel.metrics.gauge("generation.memo_hits").set(self.memo_hits)
         return [(name, enc, results[name]) for name, enc in ordered]
 
 
@@ -330,12 +328,6 @@ def generate_suite(
         # graded approach/kill distance (pure pair-set lookups, so the
         # search stays deterministic across backends and workers).
         guides = build_guides(baseline.static, targets)
-        if tel.enabled:
-            tel.metrics.gauge("generation.targets").set(len(targets))
-            if subsumed_missed:
-                tel.metrics.gauge("generation.subsumed_targets").set(
-                    len(subsumed_missed)
-                )
 
         evaluator = _Evaluator(
             cluster_factory, baseline.static, space, cfg, cache, tel, factory_ref

@@ -118,9 +118,6 @@ class DynamicAnalyzer:
                 )
             if tel.enabled:
                 tc_span.set_attribute("exercised_pairs", len(match.pairs))
-                tel.metrics.counter(
-                    "instrument.testcases", cluster=cluster.name
-                ).inc()
             return match
 
     def run_suite(self, suite: TestSuite) -> DynamicResult:

@@ -1,9 +1,9 @@
 """Observability for the DFT pipeline and TDF kernel.
 
 ``repro.obs`` is the measurement substrate behind every performance
-claim in this repo: nestable spans, a labelled metrics registry
-(counters / gauges / histograms), and exporters for JSON-lines logs,
-human-readable summaries and Chrome/Perfetto trace files.
+claim in this repo: nestable spans, labelled counters, and exporters
+for JSON-lines logs, human-readable summaries and Chrome/Perfetto trace
+files.
 
 Disabled by default and zero-cost while disabled; see
 :mod:`repro.obs.telemetry` for the enablement model and
@@ -13,8 +13,6 @@ Disabled by default and zero-cost while disabled; see
 from .telemetry import (
     NULL_TELEMETRY,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     NullTelemetry,
     Span,
@@ -36,8 +34,6 @@ from .export import (
 __all__ = [
     "NULL_TELEMETRY",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullTelemetry",
     "Span",

@@ -8,7 +8,7 @@ Three consumers of a recorded :class:`~repro.obs.telemetry.Telemetry`:
   :meth:`Telemetry.to_run` produces, so the reporting helpers below
   work on live sessions and saved files alike.
 * :func:`format_tree` — a human-readable span tree with wall/CPU time
-  plus a metrics table (the ``repro telemetry-report`` output).
+  plus a counter table (the ``repro telemetry-report`` output).
 * :func:`write_chrome_trace` — Chrome trace-event JSON loadable in
   ``chrome://tracing`` and https://ui.perfetto.dev (open the file via
   *Open trace file*): spans become complete (``"ph": "X"``) events,
@@ -137,32 +137,23 @@ def format_tree(run: Any, metrics: bool = True) -> str:
     else:
         lines.append("spans: (none recorded)")
 
-    if metrics and run["metrics"]:
+    # Counters are the only metric kind; gauge and histogram lines in
+    # files written by older versions are skipped.
+    records = [r for r in run["metrics"] if r["kind"] == "counter"]
+    if metrics and records:
         lines.append("metrics:")
         for record in sorted(
-            run["metrics"], key=lambda r: (r["kind"], r["name"], sorted(r["labels"].items()))
+            records, key=lambda r: (r["name"], sorted(r["labels"].items()))
         ):
             label = f"{record['name']}{_format_labels(record['labels'])}"
-            if record["kind"] == "histogram":
-                s = record["summary"]
-                if s["count"]:
-                    detail = (
-                        f"count={s['count']} sum={s['sum']:.6f} mean={s['mean']:.6f} "
-                        f"p50={s['p50']:.6f} p99={s['p99']:.6f} max={s['max']:.6f}"
-                    )
-                else:
-                    detail = "count=0"
-                lines.append(f"  histogram {label:<58s} {detail}")
-            else:
-                lines.append(f"  {record['kind']:<9s} {label:<58s} {record['value']}")
+            lines.append(f"  counter   {label:<58s} {record['value']}")
         # Derived rates: every ``<base>_hits`` / ``<base>_misses``
         # counter pair with identical labels yields a hit-rate line, so
         # cache effectiveness is readable without a calculator (e.g.
         # ``tdf.schedule_cache_hit_rate``).
         counters: Dict[tuple, float] = {
             (r["name"], tuple(sorted(r["labels"].items()))): r["value"]
-            for r in run["metrics"]
-            if r["kind"] == "counter"
+            for r in records
         }
         derived: List[str] = []
         for (name, labels), hits in sorted(counters.items()):

@@ -202,7 +202,10 @@ class RunHistory:
         kind: Optional[str] = None,
         limit: Optional[int] = None,
     ) -> List[Dict[str, Any]]:
-        """All matching records, oldest first (malformed lines skipped)."""
+        """All matching records, oldest first (malformed lines skipped);
+        ``limit`` keeps only the most recent ``limit`` of them."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"history limit must be >= 0, got {limit}")
         if not os.path.isfile(self.path):
             return []
         out: List[Dict[str, Any]] = []
@@ -223,7 +226,7 @@ class RunHistory:
                     continue
                 out.append(record)
         if limit is not None:
-            out = out[-limit:]
+            out = out[max(len(out) - limit, 0):]
         return out
 
     def get(self, run_id: str) -> Optional[Dict[str, Any]]:

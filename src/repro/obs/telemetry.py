@@ -1,20 +1,19 @@
-"""Structured telemetry: spans and metrics for the DFT pipeline.
+"""Structured telemetry: spans and counters for the DFT pipeline.
 
-The observability substrate the ROADMAP's performance work hangs off:
+Two kinds of record, and only two:
 
 * **Spans** — nestable timed regions (name, wall/CPU time, attributes,
   parent) opened with :meth:`Telemetry.span` as context managers.  Span
   trees mirror the paper's Fig. 3 stages (``pipeline`` > ``static`` /
   ``dynamic`` / ``coverage`` > per-testcase / per-simulation work).
-* **Metrics** — a registry of labelled counters, gauges and histograms
-  (:class:`MetricsRegistry`), fed by the TDF kernel (per-module
-  activation counts, per-cluster elaboration timing, signal traffic),
-  the instrumentation runner (probe-event counts) and the static
-  analysis (per-model timing, association counts by class).
+  Every duration is a span.
+* **Counters** — labelled monotone counts (:class:`MetricsRegistry`):
+  periods simulated, engine firings and fallbacks, cache hits and
+  misses, and the job-progress counts the service reports.
 
 Telemetry is **disabled by default** and zero-cost when disabled: the
 per-thread active instance is a :class:`NullTelemetry` singleton whose
-``span()`` / metric accessors return shared no-op objects, so the hot
+``span()`` / ``counter()`` return shared no-op objects, so the hot
 layers pay one attribute check and no allocation.  Enable it for a
 region of code with :func:`telemetry_session`::
 
@@ -66,72 +65,11 @@ class Counter:
         self.value += amount
 
 
-class Gauge:
-    """A point-in-time value (schedule length, queue depth)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: Dict[str, str]) -> None:
-        self.name = name
-        self.labels = labels
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-
-class Histogram:
-    """A distribution of observations with summary statistics."""
-
-    __slots__ = ("name", "labels", "values")
-
-    def __init__(self, name: str, labels: Dict[str, str]) -> None:
-        self.name = name
-        self.labels = labels
-        self.values: List[float] = []
-
-    def observe(self, value: float) -> None:
-        self.values.append(value)
-
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def sum(self) -> float:
-        return sum(self.values)
-
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile, ``q`` in [0, 100]."""
-        if not self.values:
-            raise ValueError(f"histogram {self.name!r} has no observations")
-        ordered = sorted(self.values)
-        rank = max(0, min(len(ordered) - 1, round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
-
-    def summary(self) -> Dict[str, float]:
-        """count/sum/min/max/mean/p50/p90/p99 in one dict."""
-        if not self.values:
-            return {"count": 0, "sum": 0.0}
-        return {
-            "count": self.count,
-            "sum": self.sum,
-            "min": min(self.values),
-            "max": max(self.values),
-            "mean": self.sum / self.count,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p99": self.percentile(99),
-        }
-
-
 class MetricsRegistry:
-    """Holds every metric of one telemetry session, keyed by name+labels."""
+    """Holds every counter of one telemetry session, keyed by name+labels."""
 
     def __init__(self) -> None:
         self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
-        self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
-        self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
 
     def counter(self, name: str, **labels: Any) -> Counter:
         key = (name, _label_key(labels))
@@ -140,88 +78,28 @@ class MetricsRegistry:
             metric = self._counters[key] = Counter(name, dict(key[1]))
         return metric
 
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        key = (name, _label_key(labels))
-        metric = self._gauges.get(key)
-        if metric is None:
-            metric = self._gauges[key] = Gauge(name, dict(key[1]))
-        return metric
-
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        key = (name, _label_key(labels))
-        metric = self._histograms.get(key)
-        if metric is None:
-            metric = self._histograms[key] = Histogram(name, dict(key[1]))
-        return metric
-
     def counters(self) -> List[Counter]:
         return list(self._counters.values())
 
-    def gauges(self) -> List[Gauge]:
-        return list(self._gauges.values())
-
-    def histograms(self) -> List[Histogram]:
-        return list(self._histograms.values())
-
     def records(self) -> List[Dict[str, Any]]:
-        """All metrics as plain-dict records (JSONL / report input)."""
-        out: List[Dict[str, Any]] = []
-        for c in self._counters.values():
-            out.append({
-                "type": "metric", "kind": "counter",
-                "name": c.name, "labels": c.labels, "value": c.value,
-            })
-        for g in self._gauges.values():
-            out.append({
-                "type": "metric", "kind": "gauge",
-                "name": g.name, "labels": g.labels, "value": g.value,
-            })
-        for h in self._histograms.values():
-            out.append({
-                "type": "metric", "kind": "histogram",
-                "name": h.name, "labels": h.labels, "summary": h.summary(),
-            })
-        return out
+        """Every counter as a plain-dict record.
 
-    def raw_records(self) -> List[Dict[str, Any]]:
-        """Lossless plain-dict form of every metric.
-
-        Unlike :meth:`records` (which summarises histograms), this keeps
-        the raw observation lists so a registry can be reconstructed or
-        merged elsewhere — the hand-off format parallel workers use to
-        fold their telemetry back into the parent session.
+        The one serialised form: JSONL export and reports read it, and
+        parallel workers ship it back for :meth:`merge_raw`.
         """
-        out: List[Dict[str, Any]] = []
-        for c in self._counters.values():
-            out.append({"kind": "counter", "name": c.name,
-                        "labels": c.labels, "value": c.value})
-        for g in self._gauges.values():
-            out.append({"kind": "gauge", "name": g.name,
-                        "labels": g.labels, "value": g.value})
-        for h in self._histograms.values():
-            out.append({"kind": "histogram", "name": h.name,
-                        "labels": h.labels, "values": list(h.values)})
-        return out
+        return [
+            {"type": "metric", "kind": "counter",
+             "name": c.name, "labels": c.labels, "value": c.value}
+            for c in self._counters.values()
+        ]
 
     def merge_raw(self, records: List[Dict[str, Any]]) -> None:
-        """Fold :meth:`raw_records` output from another registry into this one.
-
-        Counters add, histograms concatenate observations, gauges keep
-        the last merged value (gauges are point-in-time samples; for the
-        kernel gauges involved — schedule lengths per cluster — every
-        worker observes the same value anyway).
-        """
+        """Fold :meth:`records` output from another registry into this one."""
         for rec in records:
             kind = rec["kind"]
-            labels = rec.get("labels", {})
-            if kind == "counter":
-                self.counter(rec["name"], **labels).inc(rec["value"])
-            elif kind == "gauge":
-                self.gauge(rec["name"], **labels).set(rec["value"])
-            elif kind == "histogram":
-                self.histogram(rec["name"], **labels).values.extend(rec["values"])
-            else:
+            if kind != "counter":
                 raise ValueError(f"unknown metric record kind {kind!r}")
+            self.counter(rec["name"], **rec.get("labels", {})).inc(rec["value"])
 
 
 # ---------------------------------------------------------------------------
@@ -419,31 +297,8 @@ class _NullCounter:
         return None
 
 
-class _NullGauge:
-    __slots__ = ()
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        return None
-
-
-class _NullHistogram:
-    __slots__ = ()
-    values: List[float] = []
-    count = 0
-    sum = 0.0
-
-    def observe(self, value: float) -> None:
-        return None
-
-    def summary(self) -> Dict[str, float]:
-        return {"count": 0, "sum": 0.0}
-
-
 _NULL_SPAN = _NullSpan()
 _NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
 
 
 class _NullMetricsRegistry:
@@ -452,25 +307,10 @@ class _NullMetricsRegistry:
     def counter(self, name: str, **labels: Any) -> _NullCounter:
         return _NULL_COUNTER
 
-    def gauge(self, name: str, **labels: Any) -> _NullGauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str, **labels: Any) -> _NullHistogram:
-        return _NULL_HISTOGRAM
-
     def counters(self) -> list:
         return []
 
-    def gauges(self) -> list:
-        return []
-
-    def histograms(self) -> list:
-        return []
-
     def records(self) -> list:
-        return []
-
-    def raw_records(self) -> list:
         return []
 
     def merge_raw(self, records: list) -> None:

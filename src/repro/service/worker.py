@@ -36,7 +36,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..exec.cache import DynamicResultCache
 from ..exec.task import run_task
-from ..obs import get_telemetry
 from .protocol import ROLE, ProtocolError, read_message, write_message
 
 
@@ -187,9 +186,6 @@ def serve_worker(host: str = "127.0.0.1", port: int = 0) -> int:
     async def _main() -> None:
         bound_host, bound_port = await worker.start()
         print(f"worker listening on {bound_host}:{bound_port}", flush=True)
-        tel = get_telemetry()
-        if tel.enabled:
-            tel.metrics.gauge("service.worker_port").set(bound_port)
         await worker.wait_closed()
 
     try:

@@ -31,9 +31,8 @@ state that period left, as on the interpreter.
 
 Fallback classification is per module and reported through the
 ``tdf.engine_fallbacks`` telemetry counter, with
-``tdf.engine_compiled_firings`` / ``tdf.engine_block_firings`` /
-``tdf.engine_block_ratio`` summarising how much of the schedule left
-the interpreted path.
+``tdf.engine_compiled_firings`` / ``tdf.engine_block_firings``
+counting how much of the schedule left the interpreted path.
 """
 
 from __future__ import annotations
@@ -424,12 +423,8 @@ def compile_program(simulator, schedule) -> CompiledProgram:
     if tel.enabled:
         name = cluster.name
         metrics = tel.metrics
-        metrics.counter("tdf.engine_compiled_programs", cluster=name).inc()
         metrics.counter("tdf.engine_compiled_firings", cluster=name).inc(total)
         metrics.counter("tdf.engine_block_firings", cluster=name).inc(block_firings)
-        metrics.gauge("tdf.engine_block_ratio", cluster=name).set(
-            program.stats["block_ratio"]
-        )
         for module in modules:
             for reason in info_map[module].reasons:
                 metrics.counter(

@@ -25,10 +25,8 @@ correctness, only the constant factor).
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Optional
 
-from ...obs import get_telemetry
 from ..errors import SimulationError
 from ..time import ScaTime
 from .compiler import (
@@ -57,7 +55,6 @@ class BlockEngine:
 
     def __init__(self, simulator) -> None:
         self.sim = simulator
-        self.windows_run = 0
 
     # -- program cache -----------------------------------------------------
 
@@ -79,7 +76,7 @@ class BlockEngine:
     # -- execution ---------------------------------------------------------
 
     def run(self, stop: Optional[ScaTime], max_periods: Optional[int],
-            period_hist=None, until=None) -> None:
+            until=None) -> None:
         """The block-engine counterpart of ``Simulator._loop``.
 
         ``until`` is polled once per committed window, after the GC
@@ -89,69 +86,47 @@ class BlockEngine:
         cluster = sim.cluster
         stop_fs = stop.femtoseconds if stop is not None else None
         executed = 0
-        windows = 0
         # Signature validation once per schedule per run: processing
         # registrations cannot change while the kernel itself is running.
         validated: Dict[int, CompiledProgram] = {}
-        try:
-            while True:
-                if max_periods is not None and executed >= max_periods:
-                    break
-                now_fs = sim.now.femtoseconds
-                if stop_fs is not None and now_fs >= stop_fs:
-                    break
-                schedule = sim.schedule
-                period_fs = schedule.period_fs
-                if period_fs <= 0:
-                    raise SimulationError(
-                        f"cluster {cluster.name!r} has a zero-length period; "
-                        f"check timestep assignments"
-                    )
-                program = validated.get(id(schedule))
-                if program is None:
-                    program = self.program_for(schedule)
-                    validated[id(schedule)] = program
+        while True:
+            if max_periods is not None and executed >= max_periods:
+                break
+            now_fs = sim.now.femtoseconds
+            if stop_fs is not None and now_fs >= stop_fs:
+                break
+            schedule = sim.schedule
+            period_fs = schedule.period_fs
+            if period_fs <= 0:
+                raise SimulationError(
+                    f"cluster {cluster.name!r} has a zero-length period; "
+                    f"check timestep assignments"
+                )
+            program = validated.get(id(schedule))
+            if program is None:
+                program = self.program_for(schedule)
+                validated[id(schedule)] = program
+            remaining = (
+                None if max_periods is None else max_periods - executed
+            )
+            if stop_fs is not None:
+                by_time = -(-(stop_fs - now_fs) // period_fs)
                 remaining = (
-                    None if max_periods is None else max_periods - executed
+                    by_time if remaining is None else min(remaining, by_time)
                 )
-                if stop_fs is not None:
-                    by_time = -(-(stop_fs - now_fs) // period_fs)
-                    remaining = (
-                        by_time if remaining is None else min(remaining, by_time)
-                    )
-                t0 = time.perf_counter() if period_hist is not None else 0.0
-                n = (
-                    program.window
-                    if remaining is None
-                    else min(program.window, remaining)
-                )
-                completed = self._run_window(program, now_fs, n)
-                if period_hist is not None and completed:
-                    # Per-period wall time is not individually observable
-                    # under windowing; attribute the window evenly.
-                    dt = (time.perf_counter() - t0) / completed
-                    for _ in range(completed):
-                        period_hist.observe(dt)
-                executed += completed
-                windows += 1
-                # Deferred GC: block reads skip per-call collection so a
-                # rollback can restore cursors; sweep once the window is
-                # committed and every cursor is final.
-                for signal in cluster.signals:
-                    signal._collect_garbage()
-                if until is not None and until():
-                    break
-        finally:
-            self.windows_run += windows
-            tel = get_telemetry()
-            if tel.enabled and windows:
-                metrics = tel.metrics
-                metrics.counter(
-                    "tdf.engine_windows", cluster=cluster.name
-                ).inc(windows)
-                metrics.counter(
-                    "tdf.engine_periods", cluster=cluster.name
-                ).inc(executed)
+            n = (
+                program.window
+                if remaining is None
+                else min(program.window, remaining)
+            )
+            executed += self._run_window(program, now_fs, n)
+            # Deferred GC: block reads skip per-call collection so a
+            # rollback can restore cursors; sweep once the window is
+            # committed and every cursor is final.
+            for signal in cluster.signals:
+                signal._collect_garbage()
+            if until is not None and until():
+                break
 
     def _run_window(self, program: CompiledProgram, base_fs: int, n: int) -> int:
         """Up to ``n`` periods in one window; returns periods completed."""

@@ -27,12 +27,10 @@ covering one cluster period, with exact activation times.
 from __future__ import annotations
 
 import math
-import time
 from collections import defaultdict
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from ..obs import get_telemetry
 from .cluster import Cluster
 from .errors import (
     RateConsistencyError,
@@ -306,29 +304,7 @@ def elaborate(cluster: Cluster, initial: bool = True) -> Schedule:
     skip it — ``set_attributes`` describes the static configuration and
     would overwrite the timestep/rate a module just requested through
     ``change_attributes`` (SystemC-AMS calls it exactly once, too).
-
-    With telemetry enabled, every schedule build is counted and timed
-    per cluster (``tdf.elaborations`` / ``tdf.elaborate_seconds``) and
-    the resulting schedule length is published as a gauge.
     """
-    tel = get_telemetry()
-    if not tel.enabled:
-        return _elaborate(cluster, initial)
-    t0 = time.perf_counter()
-    schedule = _elaborate(cluster, initial)
-    tel.metrics.histogram("tdf.elaborate_seconds", cluster=cluster.name).observe(
-        time.perf_counter() - t0
-    )
-    tel.metrics.counter(
-        "tdf.elaborations", cluster=cluster.name, initial=initial
-    ).inc()
-    tel.metrics.gauge("tdf.schedule_length", cluster=cluster.name).set(
-        len(schedule)
-    )
-    return schedule
-
-
-def _elaborate(cluster: Cluster, initial: bool) -> Schedule:
     if initial:
         for module in cluster.modules:
             module.set_attributes()

@@ -121,15 +121,6 @@ class Signal:
         """Total number of tokens ever written (including delay priming)."""
         return self._write_count
 
-    def tokens_consumed(self) -> int:
-        """Tokens consumed so far, summed over all readers.
-
-        Includes the delay/initial-value region (a reader that consumed
-        its ``d`` initial tokens contributes ``d``).  Telemetry samples
-        this before and after a run to derive per-signal read traffic.
-        """
-        return sum(port._cursor + port.delay for port in self.readers)
-
     def available(self, port: "TdfIn") -> int:
         """Number of tokens ``port`` could consume right now."""
         cursor = port._cursor

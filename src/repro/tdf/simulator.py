@@ -24,7 +24,6 @@ counters).
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict, Optional, Tuple
 
 from ..obs import get_telemetry
@@ -191,18 +190,6 @@ class Simulator:
         self.reelaborations += 1
         self._anchor_signals()
 
-    @property
-    def schedule_cache_stats(self) -> Dict[str, float]:
-        """Hit/miss counts and the derived hit rate of the schedule cache."""
-        hits = self.schedule_cache_hits
-        misses = self.schedule_cache_misses
-        lookups = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / lookups if lookups else 0.0,
-        }
-
     def run(
         self,
         duration: ScaTime,
@@ -220,9 +207,8 @@ class Simulator:
         uses it to stop a testcase at its first divergence.
 
         With telemetry enabled (:mod:`repro.obs`), the run is wrapped in
-        a ``tdf.simulate`` span and per-period wall time, per-module
-        activation counts and per-signal read/write traffic are
-        recorded; when disabled the hot loop is untouched.
+        a ``tdf.simulate`` span and the periods it ran are counted
+        (``tdf.periods``); the loop itself is the same either way.
         """
         if not isinstance(duration, ScaTime) or duration.femtoseconds < 0:
             raise SimulationError(
@@ -258,34 +244,38 @@ class Simulator:
         span_attrs: Dict[str, int],
         until: Optional[Callable[[], bool]] = None,
     ) -> None:
-        """Shared driver for :meth:`run` and :meth:`run_periods`."""
-        tel = get_telemetry()
-        if tel.enabled:
-            with tel.span(
-                "tdf.simulate", cluster=self.cluster.name, **span_attrs
-            ):
-                self._run_instrumented(stop, max_periods, tel, until)
-            return
-        self._loop(stop, max_periods, None, until)
+        """Shared driver for :meth:`run` and :meth:`run_periods`.
 
-    def _loop(self, stop, max_periods, period_hist, until) -> None:
+        ``tdf.periods`` is counted as a before/after delta, so repeated
+        runs on one simulator accumulate, and is flushed even when a
+        period raises.
+        """
+        tel = get_telemetry()
+        if not tel.enabled:
+            self._loop(stop, max_periods, until)
+            return
+        periods_before = self.periods_run
+        with tel.span("tdf.simulate", cluster=self.cluster.name, **span_attrs):
+            try:
+                self._loop(stop, max_periods, until)
+            finally:
+                tel.metrics.counter("tdf.periods", cluster=self.cluster.name).inc(
+                    self.periods_run - periods_before
+                )
+
+    def _loop(self, stop, max_periods, until) -> None:
         """The guarded period loop common to both execution modes."""
         if self.engine == "block":
             if self._block_engine is None:
                 self._block_engine = BlockEngine(self)
-            self._block_engine.run(stop, max_periods, period_hist, until)
+            self._block_engine.run(stop, max_periods, until)
             return
         executed = 0
         while (stop is None or self.now < stop) and (
             max_periods is None or executed < max_periods
         ):
             before = self.now
-            if period_hist is None:
-                self.run_period()
-            else:
-                t0 = time.perf_counter()
-                self.run_period()
-                period_hist.observe(time.perf_counter() - t0)
+            self.run_period()
             executed += 1
             if self.now == before:
                 raise SimulationError(
@@ -294,50 +284,6 @@ class Simulator:
                 )
             if until is not None and until():
                 break
-
-    def _run_instrumented(self, stop, max_periods, tel, until) -> None:
-        """The guarded loop with telemetry accounting around it.
-
-        Counters are recorded as before/after deltas so repeated ``run``
-        calls on one simulator accumulate correctly, and are flushed even
-        when a period raises.
-        """
-        name = self.cluster.name
-        metrics = tel.metrics
-        base_activations = {m: m.activation_count for m in self.cluster.modules}
-        base_writes = {s: s.write_count for s in self.cluster.signals}
-        base_reads = {s: s.tokens_consumed() for s in self.cluster.signals}
-        periods_before = self.periods_run
-        reelaborations_before = self.reelaborations
-        period_hist = metrics.histogram("tdf.period_seconds", cluster=name)
-        try:
-            self._loop(stop, max_periods, period_hist, until)
-        finally:
-            for module in self.cluster.modules:
-                delta = module.activation_count - base_activations[module]
-                if delta:
-                    metrics.counter(
-                        "tdf.activations", cluster=name, module=module.name
-                    ).inc(delta)
-            for signal in self.cluster.signals:
-                writes = signal.write_count - base_writes[signal]
-                reads = signal.tokens_consumed() - base_reads[signal]
-                if writes:
-                    metrics.counter(
-                        "tdf.signal_writes", cluster=name, signal=signal.name
-                    ).inc(writes)
-                if reads:
-                    metrics.counter(
-                        "tdf.signal_reads", cluster=name, signal=signal.name
-                    ).inc(reads)
-            metrics.counter("tdf.periods", cluster=name).inc(
-                self.periods_run - periods_before
-            )
-            reelaborated = self.reelaborations - reelaborations_before
-            if reelaborated:
-                metrics.counter("tdf.reelaborations", cluster=name).inc(
-                    reelaborated
-                )
 
     def finish(self) -> None:
         """Signal end of simulation to every module."""

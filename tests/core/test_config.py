@@ -76,19 +76,6 @@ class TestResolvedWorkers:
         assert DftConfig(workers=None).resolved_workers(suite_len=3) == 3
         assert DftConfig(workers=None).resolved_workers(suite_len=100) == 8
 
-    def test_auto_decision_recorded_on_telemetry(self, monkeypatch):
-        import os
-
-        from repro.obs import telemetry_session
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        with telemetry_session() as tel:
-            DftConfig(workers=None).resolved_workers(suite_len=10)
-        records = tel.to_run()["metrics"]
-        gauges = [r for r in records if r["name"] == "cli.auto_workers"]
-        assert gauges and gauges[0]["value"] == 4
-        assert gauges[0]["labels"]["reason"] == "one_per_cpu"
-
 
 class TestMakeExecutor:
     REFS = ("repro.systems.sensor:SenseTop",

@@ -165,8 +165,7 @@ class TestTelemetry:
         _mutate_random(max_mutants=4, config=DftConfig(seed=0, workers=2, telemetry=tel))
         counters = {c.name for c in tel.metrics.counters()}
         assert "mutation.worker_mutants" in counters
-        histograms = {h.name for h in tel.metrics.histograms()}
-        assert "mutation.worker_seconds" in histograms
+        assert "tdf.periods" in counters
 
 
 def _fleet(addrs, factory_ref=RANDOM_FACTORY, suite_ref=RANDOM_SUITE, **kwargs):
@@ -225,11 +224,8 @@ class TestBackendDeterminism:
         )
         assert (serial.workers, auto.workers) == (1, 2)
         _assert_same_verdicts(serial, auto)
-        gauges = [
-            r for r in tel.to_run()["metrics"] if r["name"] == "cli.auto_workers"
-        ]
-        assert gauges and gauges[0]["value"] == 2
-        assert gauges[0]["labels"]["reason"] == "one_per_cpu"
+        assert tel.find_spans("mutation")[0].attributes["workers"] == 2
+        assert tel.find_spans("mutation.parallel")[0].attributes["workers"] == 2
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         single = _mutate_random(max_mutants=4, config=DftConfig(seed=0, workers=None))
         assert single.workers == 1

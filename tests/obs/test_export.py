@@ -23,9 +23,7 @@ def _session() -> Telemetry:
         with tel.span("dynamic"):
             with tel.span("dynamic.testcase[tc1]", testcase="tc1"):
                 pass
-    tel.metrics.counter("tdf.activations", module="gain").inc(40)
-    tel.metrics.gauge("tdf.schedule_length", cluster="top").set(4)
-    tel.metrics.histogram("tdf.period_seconds", cluster="top").observe(0.001)
+    tel.metrics.counter("tdf.periods", cluster="top").inc(40)
     return tel
 
 
@@ -46,14 +44,14 @@ class TestJsonl:
         assert [s["name"] for s in run["spans"]] == [
             "pipeline", "static", "dynamic", "dynamic.testcase[tc1]",
         ]
-        assert len(run["metrics"]) == 3
+        assert len(run["metrics"]) == 1
 
     def test_every_line_is_json(self, tmp_path):
         path = str(tmp_path / "run.jsonl")
         write_jsonl(_session(), path)
         with open(path) as fh:
             lines = [line for line in fh if line.strip()]
-        assert len(lines) == 1 + 4 + 3  # meta + spans + metrics
+        assert len(lines) == 1 + 4 + 1  # meta + spans + metrics
         for line in lines:
             json.loads(line)
 
@@ -83,7 +81,7 @@ class TestFormatTree:
         static_indent = next(len(l) - len(l.lstrip()) for l in lines if "static" in l)
         assert static_indent > pipeline_indent
         assert "metrics:" in text
-        assert "tdf.activations{module=gain}" in text
+        assert "tdf.periods{cluster=top}" in text
         assert "40" in text
 
     def test_tree_identical_for_live_and_loaded_session(self):
@@ -95,6 +93,21 @@ class TestFormatTree:
 
     def test_empty_session(self):
         assert "(none recorded)" in format_tree(Telemetry())
+
+    def test_older_gauge_and_histogram_lines_are_skipped(self):
+        tel = _session()
+        buf = io.StringIO()
+        write_jsonl(tel, buf)
+        buf.write(json.dumps({
+            "type": "metric", "kind": "gauge", "name": "tdf.schedule_length",
+            "labels": {"cluster": "top"}, "value": 4,
+        }) + "\n")
+        buf.write(json.dumps({
+            "type": "metric", "kind": "histogram", "name": "tdf.period_seconds",
+            "labels": {"cluster": "top"}, "summary": {"count": 0, "sum": 0.0},
+        }) + "\n")
+        text = format_tree(read_jsonl(io.StringIO(buf.getvalue())))
+        assert text == format_tree(tel)
 
     def test_hit_rate_derived_from_counter_pairs(self):
         tel = Telemetry()
@@ -141,5 +154,5 @@ class TestChromeTrace:
         events = chrome_trace_events(_session())
         counters = [e for e in events if e["ph"] == "C"]
         assert len(counters) == 1
-        assert counters[0]["name"] == "tdf.activations{module=gain}"
+        assert counters[0]["name"] == "tdf.periods{cluster=top}"
         assert counters[0]["args"] == {"value": 40}

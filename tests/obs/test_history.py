@@ -68,6 +68,15 @@ def test_records_filters_and_limit(tmp_path):
     assert len(history.records(kind="mutation")) == 1
     assert len(history.records(limit=2)) == 2
     assert history.records(limit=2)[-1]["kind"] == "mutation"
+    assert history.records(limit=0) == []
+    assert len(history.records(limit=5)) == 3
+
+
+def test_negative_limit_raises(tmp_path):
+    history = RunHistory(str(tmp_path))
+    history.append(_tiny_record())
+    with pytest.raises(ValueError, match="limit must be >= 0"):
+        history.records(limit=-1)
 
 
 def test_records_skips_malformed_lines(tmp_path):

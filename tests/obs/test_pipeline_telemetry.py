@@ -68,25 +68,15 @@ class TestPipelineTelemetry:
             (c.name, tuple(sorted(c.labels.items()))): c.value
             for c in tel.metrics.counters()
         }
-        # Per-module activations: 3 periods (tc1) + 2 periods (tc2).
-        for module in ("src", "doubler", "sink"):
-            key = ("tdf.activations", (("cluster", "top"), ("module", module)))
-            assert counters[key] == 5
-        # Signal traffic: every written token is consumed downstream.
-        writes = [v for (n, _), v in counters.items() if n == "tdf.signal_writes"]
-        reads = [v for (n, _), v in counters.items() if n == "tdf.signal_reads"]
-        assert sum(writes) == sum(reads) == 10  # 2 signals x 5 periods
+        # Periods simulated: 3 (tc1) + 2 (tc2).
+        assert counters[("tdf.periods", (("cluster", "top"),))] == 5
+        # One compiled program per testcase simulation, 3 firings each.
+        assert counters[("tdf.engine_compiled_firings", (("cluster", "top"),))] == 6
         # One cluster build for static + one per testcase.
         assert counters[("pipeline.cluster_builds", ())] == 3
-        assert tel.metrics.histogram("pipeline.cluster_build_seconds").count == 3
-        # Elaborations and per-period timing from the kernel.
-        elaborations = [v for (n, _), v in counters.items() if n == "tdf.elaborations"]
-        assert sum(elaborations) == 2  # one per testcase simulation
-        assert tel.metrics.histogram("tdf.period_seconds", cluster="top").count == 5
-        # Static-analysis accounting.
-        assert counters[("analysis.models_analyzed", (("cluster", "top"),))] == 1
-        # Each paired testcase is counted and reports its pair count.
-        assert counters[("instrument.testcases", (("cluster", "top"),))] == 2
+        # The static stage missed the (cleared) analysis cache once.
+        assert counters[("analysis.cache_misses", (("cluster", "top"),))] == 1
+        # Each paired testcase reports its pair count.
         testcase_spans = [
             span for span in tel.spans if span.name.startswith("dynamic.testcase[")
         ]

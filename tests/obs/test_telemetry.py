@@ -104,37 +104,28 @@ class TestMetrics:
         assert tel.metrics.counter("hits", module="b").value == 2
         assert len(tel.metrics.counters()) == 2
 
-    def test_gauge_keeps_last_value(self):
-        gauge = Telemetry().metrics.gauge("depth")
-        gauge.set(3)
-        gauge.set(7)
-        assert gauge.value == 7
-
-    def test_histogram_summary(self):
-        hist = Telemetry().metrics.histogram("latency")
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            hist.observe(v)
-        s = hist.summary()
-        assert s["count"] == 4
-        assert s["sum"] == pytest.approx(10.0)
-        assert s["min"] == 1.0
-        assert s["max"] == 4.0
-        assert s["mean"] == pytest.approx(2.5)
-        assert s["min"] <= s["p50"] <= s["p90"] <= s["p99"] <= s["max"]
-
-    def test_empty_histogram_summary(self):
-        hist = Telemetry().metrics.histogram("latency")
-        assert hist.summary() == {"count": 0, "sum": 0.0}
-        with pytest.raises(ValueError, match="no observations"):
-            hist.percentile(50)
-
-    def test_records_cover_all_kinds(self):
+    def test_records_are_counter_records(self):
         tel = Telemetry()
         tel.metrics.counter("c", k="v").inc(5)
-        tel.metrics.gauge("g").set(1.5)
-        tel.metrics.histogram("h").observe(0.25)
-        kinds = {r["kind"] for r in tel.metrics.records()}
-        assert kinds == {"counter", "gauge", "histogram"}
+        assert tel.metrics.records() == [{
+            "type": "metric", "kind": "counter",
+            "name": "c", "labels": {"k": "v"}, "value": 5,
+        }]
+
+    def test_merge_adds_counters(self):
+        worker = Telemetry()
+        worker.metrics.counter("c", k="v").inc(5)
+        worker.metrics.counter("d").inc(1)
+        parent = Telemetry()
+        parent.metrics.counter("c", k="v").inc(2)
+        parent.metrics.merge_raw(worker.metrics.records())
+        assert parent.metrics.counter("c", k="v").value == 7
+        assert parent.metrics.counter("d").value == 1
+
+    def test_merge_rejects_unknown_kind(self):
+        record = {"kind": "histogram", "name": "h", "labels": {}, "values": [1.0]}
+        with pytest.raises(ValueError, match="unknown metric record kind"):
+            Telemetry().metrics.merge_raw([record])
 
 
 class TestNullMode:
@@ -146,16 +137,12 @@ class TestNullMode:
         null = NullTelemetry()
         assert null.span("a") is null.span("b")
         assert null.metrics.counter("x") is null.metrics.counter("y", k="v")
-        assert null.metrics.histogram("x") is null.metrics.histogram("y")
-        assert null.metrics.gauge("x") is null.metrics.gauge("y")
 
     def test_noop_operations_record_nothing(self):
         null = NULL_TELEMETRY
         with null.span("work", attr=1) as span:
             span.set_attribute("k", "v")
         null.metrics.counter("c").inc(10)
-        null.metrics.histogram("h").observe(1.0)
-        null.metrics.gauge("g").set(2.0)
         assert null.spans == []
         assert null.metrics.records() == []
         assert null.to_run()["spans"] == []

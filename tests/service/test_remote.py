@@ -104,7 +104,7 @@ class TestEmbeddedWorkers:
             time.sleep(0.05)
             with guard:
                 running.remove(task)
-            return {"results": [], "telemetry": [], "wall": 0.0, "cache_hits": 0}
+            return {"results": [], "telemetry": [], "cache_hits": 0}
 
         monkeypatch.setattr(worker_module, "run_task", slow_task)
         with worker_fleet() as (_, addrs):

@@ -170,6 +170,10 @@ class TestErrorPaths:
         )
         assert "repro.nosuch" in err
 
+    def test_negative_max_missed(self, capsys):
+        err = self._fails_cleanly(capsys, ["run", "sensor", "--max-missed", "-3"])
+        assert "--max-missed" in err
+
     def test_unknown_engine_exits_via_argparse(self):
         # argparse owns --engine validation: usage error, exit code 2.
         with pytest.raises(SystemExit) as exc:
@@ -199,7 +203,8 @@ class TestTelemetryFlags:
         assert main(["static", "sensor", "--telemetry", str(jsonl)]) == 0
         records = [json.loads(l) for l in jsonl.read_text().splitlines()]
         assert any(
-            r["type"] == "metric" and r["name"] == "analysis.associations"
+            r["type"] == "metric"
+            and r["name"] in ("analysis.cache_hits", "analysis.cache_misses")
             for r in records
         )
 
@@ -218,7 +223,7 @@ class TestTelemetryFlags:
         assert "spans:" in out
         assert "pipeline" in out
         assert "metrics:" in out
-        assert "tdf.activations" in out
+        assert "tdf.periods" in out
 
     def test_telemetry_report_missing_file_is_readable_error(self, capsys):
         assert main(["telemetry-report", "/nonexistent/run.jsonl"]) == 1
@@ -346,6 +351,25 @@ class TestTelemetryReportTolerance:
         assert "skipped: 2 malformed line(s) ignored" in captured.out
         assert "pipeline" in captured.out
 
+    def test_older_gauge_and_histogram_lines_are_read(self, tmp_path, capsys):
+        jsonl = tmp_path / "run.jsonl"
+        assert main(["run", "sensor", "--telemetry", str(jsonl)]) == 0
+        with open(jsonl, "a") as handle:
+            handle.write(json.dumps({
+                "type": "metric", "kind": "gauge", "name": "cli.auto_workers",
+                "labels": {"reason": "single_cpu"}, "value": 1,
+            }) + "\n")
+            handle.write(json.dumps({
+                "type": "metric", "kind": "histogram",
+                "name": "tdf.period_seconds", "labels": {},
+                "summary": {"count": 1, "sum": 0.5},
+            }) + "\n")
+        capsys.readouterr()
+        assert main(["telemetry-report", str(jsonl)]) == 0
+        out = capsys.readouterr().out
+        assert "tdf.periods" in out
+        assert "cli.auto_workers" not in out and "period_seconds" not in out
+
 
 class TestHistoryCli:
     def _run_twice(self, tmp_path):
@@ -409,6 +433,25 @@ class TestHistoryCli:
         records = json.loads(capsys.readouterr().out)
         assert len(records) == 2
         assert records[0]["system"] == "sensor"
+
+    def test_limit_zero_lists_no_records(self, tmp_path, capsys):
+        hist = self._run_twice(tmp_path)
+        capsys.readouterr()
+        assert main([
+            "history", "list", "--history-dir", str(hist), "--json",
+            "--limit", "0",
+        ]) == 0
+        assert json.loads(capsys.readouterr().out) == []
+
+    def test_negative_limit_is_one_line_error(self, tmp_path, capsys):
+        hist = self._run_twice(tmp_path)
+        capsys.readouterr()
+        assert main([
+            "history", "list", "--history-dir", str(hist), "--limit", "-1",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("repro-dft: error:") and "limit" in err
+        assert err.count("\n") == 1
 
     def test_no_history_writes_nothing(self, tmp_path, capsys, monkeypatch):
         import repro.obs.store as store
